@@ -6,8 +6,9 @@ executes one scheduled run, `explore` searches the bounded state space, and
 output is schema-tagged and byte-stable for a fixed command line: same
 flags, same seed, same bytes.
 
-Exit codes: 0 success, 1 static type error, 2 parse error, 3 file error,
-4 a stuck state (or failed replay), 5 a broken preservation law.
+Exit codes: 0 success, 1 static type error, 2 parse error, 3 file error
+(also a malformed replay file), 4 a stuck state (or failed replay), 5 a
+broken preservation law.
 """
 
 from __future__ import annotations
@@ -145,17 +146,34 @@ def _step_chooser():
     return choose
 
 
+def _load_replay(path: str) -> list[dict]:
+    """The step entries of a replay file: a list of objects, bare or under
+    "steps". A file of any other shape exits with EXIT_IO."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot read {path}: {exc.strerror}", EXIT_IO))
+    except json.JSONDecodeError as exc:
+        raise SystemExit(_fail(f"{path}: {exc}", EXIT_IO))
+    if isinstance(doc, dict):
+        if "steps" not in doc:
+            raise SystemExit(_fail(f"{path}: no \"steps\" list", EXIT_IO))
+        doc = doc["steps"]
+    if not isinstance(doc, list):
+        raise SystemExit(_fail(f"{path}: steps must be a list", EXIT_IO))
+    for k, entry in enumerate(doc):
+        if not isinstance(entry, dict):
+            raise SystemExit(_fail(f"{path}: step {k} is not an object", EXIT_IO))
+        pick = entry.get("pick", 0)
+        if not isinstance(pick, int) or isinstance(pick, bool):
+            raise SystemExit(_fail(f"{path}: step {k}: pick must be an integer", EXIT_IO))
+    return doc
+
+
 def _chooser_for(args, prog: Program):
     if args.replay:
-        try:
-            with open(args.replay) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SystemExit(_fail(f"cannot read {args.replay}: {exc.strerror}", EXIT_IO))
-        except json.JSONDecodeError as exc:
-            raise SystemExit(_fail(f"{args.replay}: {exc}", EXIT_IO))
-        entries = doc["steps"] if isinstance(doc, dict) else doc
-        return script_chooser(entries)
+        return script_chooser(_load_replay(args.replay))
     match args.strategy:
         case "fifo":
             return fifo_chooser
@@ -204,8 +222,10 @@ def cmd_run(args) -> int:
             print(f"replay failed: {exc.code}: {exc.detail}", file=sys.stderr)
         return EXIT_STUCK
 
+    memo: dict = {}
+
     def mu(c) -> Optional[int]:
-        return measure_of_config(prog, c) if checked else None
+        return measure_of_config(prog, c, memo) if checked else None
 
     if args.json:
         payload = {"schema": "gract/1", "command": "run", "program": args.program,
@@ -269,14 +289,7 @@ def _sr_replay(args, prog: Program) -> int:
     """Re-check a recorded trace: replay its steps through the engine,
     verify the preservation laws, and compare any recorded configurations
     against the engine's. A forged configuration fails at its step index."""
-    try:
-        with open(args.replay) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {args.replay}: {exc.strerror}", EXIT_IO))
-    except json.JSONDecodeError as exc:
-        raise SystemExit(_fail(f"{args.replay}: {exc}", EXIT_IO))
-    entries = doc["steps"] if isinstance(doc, dict) else doc
+    entries = _load_replay(args.replay)
 
     def choose(succ, k):
         """Follow the recorded step; the stored configuration settles ties.
@@ -315,7 +328,7 @@ def _sr_replay(args, prog: Program) -> int:
     law = check_subject_reduction(prog, tr)
     violations = list(law["violations"])
     for st, entry in zip(tr.steps, entries):
-        recorded = entry.get("config") if isinstance(entry, dict) else None
+        recorded = entry.get("config")
         if recorded is not None and recorded != config_to_json(st.result.config):
             violations.append({"step": st.index, "code": "RecordedConfigMismatch"})
     ok = not violations

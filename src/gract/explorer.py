@@ -250,9 +250,10 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     hard_truncated = False
     terminal_key: Optional[str] = None
     depth = 0
+    memo: dict = {}
 
     def note_measure(cfg: Configuration) -> None:
-        mu = measure_of_config(prog, cfg)
+        mu = measure_of_config(prog, cfg, memo)
         k = "untypable" if mu is None else str(mu)
         histogram[k] = histogram.get(k, 0) + 1
 
@@ -333,10 +334,12 @@ def _parallel_expand(prog, level, unfold, jobs):
 
 def helpful_chooser(prog: Program) -> Callable[[list[StepResult], int], int]:
     """Pick the successor with the smallest measure, earliest on ties."""
+    memo: dict = {}
+
     def choose(succ: list[StepResult], _k: int) -> int:
         best, best_mu = 0, None
         for i, s in enumerate(succ):
-            mu = measure_of_config(prog, s.config)
+            mu = measure_of_config(prog, s.config, memo)
             if mu is not None and (best_mu is None or mu < best_mu):
                 best, best_mu = i, mu
         return best
@@ -348,16 +351,17 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
     strictly smaller measure. Pruning never hides successors here."""
     violations = []
     checked = 0
+    memo: dict = {}
     for cfg in configs:
-        mu = measure_of_config(prog, cfg)
+        mu = measure_of_config(prog, cfg, memo)
         if mu is None:
             continue
         succ = step_config(cfg, prog)
         if not succ:
             continue
         checked += 1
-        if not any((lambda v: v is not None and v < mu)(measure_of_config(prog, s.config))
-                   for s in succ):
+        mus = (measure_of_config(prog, s.config, memo) for s in succ)
+        if not any(v is not None and v < mu for v in mus):
             violations.append({"code": "NoHelpfulSuccessor", "measure": mu,
                                "config": config_to_json(cfg)})
     return {"ok": not violations, "checked": checked, "violations": violations}
@@ -397,15 +401,16 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
     m = prog.monoid
     violations: list[dict] = []
     measures: list[Optional[int]] = []
+    memo: dict = {}
 
     def proc_typing(cfg):
         try:
-            return type_process(prog, cfg.processes, {}, cfg.registry)
+            return type_process(prog, cfg.processes, {}, cfg.registry, memo)
         except Exception:
             return None
 
     def snap(cfg, where):
-        report = type_config(prog, cfg)
+        report = type_config(prog, cfg, memo=memo)
         if not report["ok"]:
             violations.append({"step": where, "code": "Untypable",
                                "errors": report["errors"]})

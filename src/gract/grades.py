@@ -352,10 +352,6 @@ def env_meet(m: GradeMonoid, a: ResourceEnv, b: ResourceEnv) -> ResourceEnv:
     return env_norm(m, {r: m.meet(a.get(r, z), b.get(r, z)) for r in a.keys() | b.keys()})
 
 
-def env_discardable(m: GradeMonoid, env: ResourceEnv) -> bool:
-    return all(m.is_discardable(g) for g in env.values())
-
-
 def ctx_norm(m: GradeMonoid, ctx: ActorContext) -> ActorContext:
     out = {}
     for actor, env in ctx.items():
@@ -370,13 +366,6 @@ def ctx_plus(m: GradeMonoid, a: ActorContext, b: ActorContext) -> ActorContext:
     for actor, env in b.items():
         out[actor] = env_plus(m, out.get(actor, {}), env)
     return ctx_norm(m, out)
-
-
-def ctx_sum(m: GradeMonoid, ctxs: Iterable[ActorContext]) -> ActorContext:
-    out: ActorContext = {}
-    for c in ctxs:
-        out = ctx_plus(m, out, c)
-    return out
 
 
 def ctx_leq(m: GradeMonoid, a: ActorContext, b: ActorContext) -> bool:
@@ -400,10 +389,6 @@ def ctx_meet(m: GradeMonoid, a: ActorContext, b: ActorContext) -> ActorContext:
         if env:
             out[actor] = env
     return out
-
-
-def ctx_discardable(m: GradeMonoid, ctx: ActorContext) -> bool:
-    return all(env_discardable(m, env) for env in ctx.values())
 
 
 def ctx_eq(m: GradeMonoid, a: ActorContext, b: ActorContext) -> bool:

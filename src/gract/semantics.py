@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Optional
 
 from .grades import GradeMonoid, ResourceEnv, format_grade
@@ -99,14 +100,6 @@ class CallLbl(Label):
 class FutLbl(Label):
     future: str
     value: Value
-
-
-def is_input(label: Label) -> bool:
-    return isinstance(label, (HoldLbl, FutLbl))
-
-
-def is_output(label: Label) -> bool:
-    return isinstance(label, (RlsLbl, CallLbl))
 
 
 def label_str(label: Label) -> str:
@@ -654,26 +647,23 @@ Chooser = Callable[[list[StepResult], int], Optional[int]]
 
 
 def run(config: Configuration, prog: Program, chooser: Chooser, max_steps: int) -> Trace:
+    """Follow the chooser for at most max_steps steps. The state reached
+    is inspected even when the budget is spent, so a run that ends exactly
+    on the budget still reports how it ended."""
     steps: list[TraceStep] = []
     current = config
-    for k in range(max_steps):
+    for k in count():
         succ = step_config(current, prog)
         if not succ:
             status = "terminated" if is_terminated(current) else "stuck"
             return Trace(config, steps, status,
                          [] if status == "terminated" else stuck_diagnosis(current, prog))
-        idx = chooser(succ, k)
+        idx = None if k >= max_steps else chooser(succ, k)
         if idx is None:
             return Trace(config, steps, "bound")
         chosen = succ[idx]
         steps.append(TraceStep(k, chosen))
         current = chosen.config
-    succ = step_config(current, prog)
-    if not succ:
-        status = "terminated" if is_terminated(current) else "stuck"
-        return Trace(config, steps, status,
-                     [] if status == "terminated" else stuck_diagnosis(current, prog))
-    return Trace(config, steps, "bound")
 
 
 def random_chooser(rng: random.Random) -> Chooser:

@@ -17,14 +17,13 @@ and the body's computed measure must land exactly on the declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .grades import (
     ActorContext,
     GradeMonoid,
     ctx_leq,
-    ctx_meet,
     ctx_minus,
     ctx_norm,
     ctx_plus,
@@ -302,7 +301,6 @@ def _unify_branches(prog: Program, a: str, left: Expr, right: Expr,
         coords = set()
         for ctx in (tl.requires, tr.requires, tl.produces, tr.produces):
             coords |= {(act, r) for act, env in ctx.items() for r in env}
-        theta: ActorContext = {}
         ok = True
         for act, r in sorted(coords):
             glo_phi = lo_phi.requires.get(act, {}).get(r, m.zero())
@@ -317,8 +315,6 @@ def _unify_branches(prog: Program, a: str, left: Expr, right: Expr,
             if found is None:
                 ok = False
                 break
-            if found != m.zero():
-                theta.setdefault(act, {})[r] = found
         if ok:
             hi = hi_phi
             return ExprTyping(tl.ty, ctx_norm(m, hi.requires), ctx_norm(m, hi.produces),
@@ -528,10 +524,50 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
     raise CheckError("TypeMismatch", f"not a process: {p!r}")
 
 
+def _memo_key(p: Process, registry) -> Optional[tuple]:
+    """Everything _type_atomic reads besides the visible futures."""
+    match p:
+        case ActiveThread(lam, e, f, a) | SuspendedThread(lam, e, f, a):
+            content = (type(p), tuple(lam.items()), e, f, a)
+        case CallMsg(f, b, meth, vals):
+            content = (CallMsg, f, b, meth, vals)
+        case FulfilledFut(f, v):
+            content = (FulfilledFut, f, v)
+        case Idle(a):
+            return (Idle, a), None
+        case _:
+            return None
+    return content, None if registry is None else registry.get(f)
+
+
+def _type_atomic_memo(prog: Program, p: Process, visible: Sigma, registry,
+                      memo: Optional[dict]):
+    """_type_atomic through a typing memo.
+
+    The memo maps a process's content and its own future's registry entry
+    to _type_atomic's result and the (future, type) pairs that result read
+    from the visible futures: exactly the futures it consumed. A hit counts
+    only while each of those pairs still holds, so one memo may serve all
+    the configurations of one operation. Rejections are never stored, so
+    an error is always raised afresh, at its own location."""
+    key = None if memo is None else _memo_key(p, registry)
+    if key is not None:
+        hit = memo.get(key)
+        if hit is not None and all(visible.get(f) == t for f, t in hit[1]):
+            return hit[0]
+    result = _type_atomic(prog, p, visible, registry)
+    if key is not None:
+        memo[key] = result, tuple((f, visible[f]) for f in result[1])
+    return result
+
+
 def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
-                 registry=None) -> ProcTyping:
+                 registry=None, memo: Optional[dict] = None) -> ProcTyping:
     """Type a process or a whole sequence, composing left to right: a
-    future may be consumed only after its producer, each exactly once."""
+    future may be consumed only after its producer, each exactly once.
+
+    `memo`, owned by the caller, lets one operation type each process once
+    across the configurations it looks at."""
     if isinstance(processes, Process):
         processes = [processes]
     sigma = sigma or {}
@@ -547,13 +583,13 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
             case FulfilledFut(f, _) | CallMsg(f, _, _, _) | \
                     ActiveThread(_, _, f, _) | SuspendedThread(_, _, f, _):
                 will_produce.add(f)
+    # marked futures stay resolvable so reuse is reported as reuse, not as
+    # an unknown name; a future is produced once and is never also ambient,
+    # so what is visible only grows
+    visible = dict(sigma)
     for p in processes:
-        # marked futures stay resolvable so reuse is reported as reuse,
-        # not as an unknown name
-        visible = dict(sigma)
-        visible.update(produced)
         try:
-            req, futs, n, prod = _type_atomic(prog, p, visible, registry)
+            req, futs, n, prod = _type_atomic_memo(prog, p, visible, registry, memo)
         except CheckError as err:
             if err.code == "UnknownFuture" and err.detail in will_produce:
                 raise CheckError("FutureConsumedBeforeProduced",
@@ -574,6 +610,7 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
             if f in produced or f in sigma:
                 raise CheckError("DoubleProduce", f"future {f}")
             produced[f] = t
+        visible.update(prod)
         requires = ctx_plus(m, requires, req)
         measure += n
     return ProcTyping(ctx_norm(m, requires), consumed_ambient, measure, produced, marked)
@@ -583,7 +620,8 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
 # Configurations
 
 def type_config(prog: Program, config: Configuration,
-                residual: Optional[ActorContext] = None) -> dict:
+                residual: Optional[ActorContext] = None,
+                memo: Optional[dict] = None) -> dict:
     """Type the whole configuration and check its claims fit the graded
     state. The report is JSON-ready; ok is False on any error."""
     m = prog.monoid
@@ -594,7 +632,7 @@ def type_config(prog: Program, config: Configuration,
     measure = 0
     if not errors:
         try:
-            pt = type_process(prog, config.processes, {}, config.registry)
+            pt = type_process(prog, config.processes, {}, config.registry, memo)
             requires, measure = pt.requires, pt.measure
             total = ctx_plus(m, requires, residual or {})
             if not ctx_leq(m, total, config.alpha):
@@ -619,9 +657,10 @@ def type_config(prog: Program, config: Configuration,
     }
 
 
-def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
+def measure_of_config(prog: Program, config: Configuration,
+                      memo: Optional[dict] = None) -> Optional[int]:
     try:
-        return type_process(prog, config.processes, {}, config.registry).measure
+        return type_process(prog, config.processes, {}, config.registry, memo).measure
     except CheckError:
         return None
 
@@ -731,11 +770,10 @@ def check_method_table(prog: Program) -> dict:
                 if t.measure != decl.measure:
                     # probe whether the measure tracks this method's own
                     # declared value; if so no finite declaration can work
-                    decl.measure += 1
-                    try:
-                        probed = _body_typing(prog, actor, decl).measure
-                    finally:
-                        decl.measure -= 1
+                    probe = replace(decl, measure=decl.measure + 1)
+                    probe_prog = replace(prog, actors={**prog.actors, actor: replace(
+                        adecl, methods={**adecl.methods, name: probe})})
+                    probed = _body_typing(probe_prog, actor, probe).measure
                     code = ("UnsolvableRecursiveMeasure" if probed != t.measure
                             else "MeasureMismatch")
                     report["errors"].append(CheckError(

@@ -104,6 +104,40 @@ def test_run_replay_mismatch_fails(tmp_path, capsys):
     assert "replay failed" in capsys.readouterr().err
 
 
+def _replay_file(tmp_path, doc) -> str:
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_sr_replay_without_steps_exits_3(tmp_path, capsys):
+    script = _replay_file(tmp_path, {"nosteps": 1})
+    assert run_cli(["sr", CAFE, "--replay", script]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "steps" in err
+
+
+def test_replay_steps_not_a_list_exits_3(tmp_path, capsys):
+    script = _replay_file(tmp_path, {"steps": 3})
+    assert run_cli(["sr", CAFE, "--replay", script]) == 3
+    assert run_cli(["run", CAFE, "--replay", script]) == 3
+    assert "must be a list" in capsys.readouterr().err
+
+
+def test_replay_entry_not_an_object_exits_3(tmp_path, capsys):
+    script = _replay_file(tmp_path, {"steps": [{"rule": "spawn"}, "call"]})
+    assert run_cli(["sr", CAFE, "--replay", script]) == 3
+    assert run_cli(["run", CAFE, "--replay", script]) == 3
+    assert "step 1 is not an object" in capsys.readouterr().err
+
+
+def test_run_replay_non_integer_pick_exits_3(tmp_path, capsys):
+    script = _replay_file(tmp_path, [{"rule": "spawn", "pick": "x"}])
+    assert run_cli(["run", CAFE, "--replay", script]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "pick must be an integer" in err
+
+
 def test_run_step_strategy_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n0\n\n"))
     assert run_cli(["run", CAFE, "--strategy", "step", "--quiet"]) == 0

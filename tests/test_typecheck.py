@@ -21,6 +21,7 @@ from gract.terms import (
     Idle,
     Let,
     Lit,
+    MethodDecl,
     Release,
     ResT,
     Return,
@@ -402,6 +403,23 @@ def test_unsolvable_recursive_measure():
     assert not v["ok"]
     [report] = v["methodReports"]
     assert [e["code"] for e in report["errors"]] == ["UnsolvableRecursiveMeasure"]
+
+
+def test_checking_assigns_to_no_method_declaration(monkeypatch):
+    with open(EXAMPLES / "recursive-unsolvable.gract") as fh:
+        prog = parse_program(fh.read())
+    writes = []
+
+    def spy(self, name, value):
+        # assignments while a declaration is constructed set new attributes
+        if name in self.__dict__:
+            writes.append((self.name, name, value))
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(MethodDecl, "__setattr__", spy)
+    v = check_program(prog)
+    assert "UnsolvableRecursiveMeasure" in {e["code"] for e in v["errors"]}
+    assert writes == []
 
 
 def test_plain_measure_mismatch():
