@@ -6,9 +6,10 @@ executes one scheduled run, `explore` searches the bounded state space, and
 output is schema-tagged and byte-stable for a fixed command line: same
 flags, same seed, same bytes.
 
-Exit codes: 0 success, 1 static type error, 2 parse error, 3 file error
-(also a malformed replay file), 4 a stuck state (or failed replay), 5 a
-broken preservation law.
+Exit codes: 0 success, 1 static type error, 2 parse error (also a bad
+command line), 3 file error (also a malformed replay file or a closed
+standard output), 4 a stuck state (or failed replay), 5 a broken
+preservation law.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import random
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .explorer import check_subject_reduction, explore, helpful_chooser
 from .parser import ParseError, parse_program
@@ -139,7 +140,10 @@ def _step_chooser():
         line = sys.stdin.readline()
         if not line.strip():
             return None
-        idx = int(line)
+        try:
+            idx = int(line)
+        except ValueError:
+            raise Stuck("ScriptMismatch", f"not an index: {line.strip()!r}") from None
         if not 0 <= idx < len(succ):
             raise Stuck("ScriptMismatch", f"index {idx} out of range")
         return idx
@@ -376,6 +380,23 @@ def cmd_sr(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
+_COUNT = _at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="gract",
@@ -394,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one run under a schedule")
     common(p)
     p.add_argument("--seed", type=int, default=0, help="random schedule seed")
-    p.add_argument("--steps", type=int, default=1000, help="step budget")
+    p.add_argument("--steps", type=_COUNT, default=1000, help="step budget")
     p.add_argument("--strategy", choices=("random", "helpful", "fifo", "step"),
                    default="random", help="schedule: random, measure-greedy, "
                    "leftmost, or interactive")
@@ -406,19 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="bounded search of all schedules")
     common(p)
-    p.add_argument("--unfold", type=int, default=2, help="per-method call budget")
-    p.add_argument("--depth", type=int, default=500, help="search depth limit")
-    p.add_argument("--states", type=int, default=100000, help="state limit")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p.add_argument("--unfold", type=_COUNT, default=2, help="per-method call budget")
+    p.add_argument("--depth", type=_COUNT, default=500, help="search depth limit")
+    p.add_argument("--states", type=_COUNT, default=100000, help="state limit")
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker threads")
     p.add_argument("--unsafe", action="store_true",
                    help="explore even if the static checks fail")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("sr", help="verify the preservation laws on random runs")
     common(p)
-    p.add_argument("--runs", type=int, default=20, help="number of runs")
+    p.add_argument("--runs", type=_COUNT, default=20, help="number of runs")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--steps", type=int, default=400, help="per-run step budget")
+    p.add_argument("--steps", type=_COUNT, default=400, help="per-run step budget")
     p.add_argument("--replay", metavar="TRACE",
                    help="re-check a recorded trace instead of random runs")
     p.set_defaults(fn=cmd_sr)
@@ -427,7 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        # flush here, so that a closed pipe is reported below and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

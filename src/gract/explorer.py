@@ -25,7 +25,6 @@ from .semantics import (
     RlsLbl,
     StepResult,
     Trace,
-    disconnected,
     config_to_json,
     initial_config,
     is_terminated,
@@ -41,7 +40,10 @@ from .terms import (
     Choice,
     Configuration,
     Let,
+    Process,
     Program,
+    futures_consumed_one,
+    futures_produced_one,
 )
 from .typecheck import measure_of_config, type_config, type_process
 
@@ -49,14 +51,22 @@ from .typecheck import measure_of_config, type_config, type_process
 # ---------------------------------------------------------------------------
 # Canonical state keys
 
-_FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy])#\d+")
+# a fresh future or let-variable name; the group is the whole name
+_FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy]#\d+)")
 
 
-def _proc_ser(p) -> str:
-    return json.dumps(process_to_json(p), sort_keys=True)
+def _key_pieces(p: Process) -> tuple:
+    """What canonical_key reads of one process, computed once per object:
+    the process itself (so its id stays taken while the memo holds it), its
+    serialization, that serialization split at fresh names (literal text at
+    even positions, names at odd ones), and its produced and consumed
+    futures."""
+    ser = json.dumps(process_to_json(p), sort_keys=True)
+    return (p, ser, _FRESH.split(ser),
+            futures_produced_one(p), futures_consumed_one(p))
 
 
-def canonical_key(config: Configuration) -> str:
+def canonical_key(config: Configuration, memo: Optional[dict] = None) -> str:
     """A name for the state that ignores process order (where swapping is
     legal), fresh-name spelling, and the freshness counters.
 
@@ -64,31 +74,42 @@ def canonical_key(config: Configuration) -> str:
     swap preserves behaviour, then futures and let-variables are renumbered
     by first occurrence.  Distinct keys may still denote equivalent states;
     that only costs extra visits, never a wrong merge.
+
+    `memo`, owned by the caller, maps a process's id to its pieces, so
+    configurations that share process objects serialize each one once.
     """
-    procs = list(config.processes)
-    sers = [_proc_ser(p) for p in procs]
+    if memo is None:
+        memo = {}
+    pieces = []
+    for p in config.processes:
+        pc = memo.get(id(p))
+        if pc is None:
+            pc = memo[id(p)] = _key_pieces(p)
+        pieces.append(pc)
     changed = True
     while changed:
         changed = False
-        for i in range(len(procs) - 1):
-            if sers[i + 1] < sers[i] and disconnected(procs[i], procs[i + 1]):
-                procs[i], procs[i + 1] = procs[i + 1], procs[i]
-                sers[i], sers[i + 1] = sers[i + 1], sers[i]
+        for i in range(len(pieces) - 1):
+            a, b = pieces[i], pieces[i + 1]
+            # swap when b sorts first and the two are disconnected
+            if b[1] < a[1] and not (a[3] & b[4]) and not (b[3] & a[4]):
+                pieces[i], pieces[i + 1] = b, a
                 changed = True
-    body = "[" + ",".join(sers) + "]"
 
     mapping: dict[str, str] = {}
     counts = {"f": 0, "y": 0}
-
-    def fresh_name(match: re.Match) -> str:
-        name = match.group(0)
-        if name not in mapping:
-            kind = match.group(1)
-            mapping[name] = f"{kind.upper()}{counts[kind]}"
-            counts[kind] += 1
-        return mapping[name]
-
-    body = _FRESH.sub(fresh_name, body)
+    sers = []
+    for pc in pieces:
+        parts = pc[2][:]
+        for j in range(1, len(parts), 2):
+            name = parts[j]
+            if name not in mapping:
+                kind = name[0]
+                mapping[name] = f"{kind.upper()}{counts[kind]}"
+                counts[kind] += 1
+            parts[j] = mapping[name]
+        sers.append("".join(parts))
+    body = "[" + ",".join(sers) + "]"
 
     live = {}
     for f, entry in sorted(config.registry.items()):
@@ -241,7 +262,8 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     termination or plain bound exhaustion.
     """
     start = config if config is not None else initial_config(prog)
-    key0 = canonical_key(start)
+    key_memo: dict = {}
+    key0 = canonical_key(start, key_memo)
     visited: dict[str, Configuration] = {key0: start}
     parents: dict[str, Optional[tuple[str, dict]]] = {key0: None}
     histogram: dict[str, int] = {}
@@ -289,7 +311,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             if succ.pruned_calls:
                 hard_truncated = True
             for s in succ.kept:
-                k2 = canonical_key(s.config)
+                k2 = canonical_key(s.config, key_memo)
                 if k2 in visited:
                     continue
                 if len(visited) >= max_states:
@@ -300,6 +322,10 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
                 note_measure(s.config)
                 nxt.append((k2, s.config))
         level = nxt
+        # a successor shares processes only with its parent, so the next
+        # level needs only these entries; the rest (the new processes of
+        # successors that were already visited) can be freed
+        key_memo = {id(p): key_memo[id(p)] for _, c in nxt for p in c.processes}
         if nxt:
             depth += 1
 

@@ -362,14 +362,14 @@ def precongruence_moves(m: GradeMonoid, processes: list[Process]) -> list[list[P
             out.append(swapped)
         if isinstance(p, Idle) and isinstance(q, SuspendedThread) and q.actor == p.actor:
             acted = list(processes)
-            acted[i: i + 2] = [ActiveThread(dict(q.env), q.expr, q.future, q.actor)]
+            acted[i: i + 2] = [ActiveThread(q.env, q.expr, q.future, q.actor)]
             out.append(acted)
     for i, p in enumerate(processes):
         if isinstance(p, ActiveThread) and awaiting_future(m, p.env, p.expr) is not None:
             yielded = list(processes)
             yielded[i: i + 1] = [
                 Idle(p.actor),
-                SuspendedThread(dict(p.env), p.expr, p.future, p.actor),
+                SuspendedThread(p.env, p.expr, p.future, p.actor),
             ]
             out.append(yielded)
     return out
@@ -469,7 +469,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: ActiveThread, i:
 
     for label, env2, expr2 in res.steps:
         c = config.copy()
-        updated = ActiveThread(dict(env2), expr2, thread.future, a)
+        updated = ActiveThread(env2, expr2, thread.future, a)
         c.processes[i] = updated
         match label:
             case Tau():
@@ -531,14 +531,14 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     ) is not None:
                         c = config.copy()
                         t = c.processes[k]
-                        c.processes[k] = SuspendedThread(dict(t.env), t.expr, t.future, t.actor)
+                        c.processes[k] = SuspendedThread(t.env, t.expr, t.future, t.actor)
                         c.processes[i] = _spawn_thread(decl, f, a, vals)
                         out.append(StepResult("spawn", Tau(), c, a, f, i, "yld"))
             case ActiveThread():
                 out.extend(_thread_steps(config, prog, p, i, "base"))
             case SuspendedThread():
                 a = p.actor
-                activated = ActiveThread(dict(p.env), p.expr, p.future, a)
+                activated = ActiveThread(p.env, p.expr, p.future, a)
                 j = _first_idle(processes, a)
                 if j is not None:
                     base = config.copy()
@@ -553,7 +553,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     ) is not None:
                         base = config.copy()
                         t = base.processes[k]
-                        base.processes[k] = SuspendedThread(dict(t.env), t.expr, t.future, a)
+                        base.processes[k] = SuspendedThread(t.env, t.expr, t.future, a)
                         base.processes[i] = activated
                         out.extend(_thread_steps(base, prog, activated, i, "yld"))
     out.sort(key=StepResult.sort_key)

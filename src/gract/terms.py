@@ -308,57 +308,47 @@ LocalEnv = dict[str, Value]
 
 
 class Process:
-    pass
+    """An atomic process: an immutable value that configurations share.
+
+    A step builds new processes for what it rewrites and keeps every other
+    process object as it is, so a process's environment is never written
+    after construction.
+    """
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActiveThread(Process):
     env: LocalEnv
     expr: Expr
     future: str
     actor: str
 
-    def copy(self) -> "ActiveThread":
-        return ActiveThread(dict(self.env), self.expr, self.future, self.actor)
 
-
-@dataclass
+@dataclass(frozen=True)
 class SuspendedThread(Process):
     env: LocalEnv
     expr: Expr
     future: str
     actor: str
 
-    def copy(self) -> "SuspendedThread":
-        return SuspendedThread(dict(self.env), self.expr, self.future, self.actor)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Idle(Process):
     actor: str
 
-    def copy(self) -> "Idle":
-        return Idle(self.actor)
 
-
-@dataclass
+@dataclass(frozen=True)
 class CallMsg(Process):
     future: str
     actor: str
     method: str
     args: tuple[Value, ...]
 
-    def copy(self) -> "CallMsg":
-        return CallMsg(self.future, self.actor, self.method, self.args)
 
-
-@dataclass
+@dataclass(frozen=True)
 class FulfilledFut(Process):
     future: str
     value: Value
-
-    def copy(self) -> "FulfilledFut":
-        return FulfilledFut(self.future, self.value)
 
 
 def futures_produced_one(p: Process) -> set[str]:
@@ -421,6 +411,10 @@ class Configuration:
     names, the future registry fixing each future's declared type and
     release obligations at creation time, and per-target call counts that
     bounded exploration uses as its recursion budget.
+
+    `copy` gives the copy its own process list and its own mutable
+    fields; the processes themselves are shared, since none is ever
+    rewritten in place.
     """
 
     alpha: ActorContext
@@ -433,7 +427,7 @@ class Configuration:
     def copy(self) -> "Configuration":
         return Configuration(
             alpha={a: dict(env) for a, env in self.alpha.items()},
-            processes=[p.copy() for p in self.processes],
+            processes=list(self.processes),
             next_future=self.next_future,
             next_var=self.next_var,
             registry=dict(self.registry),

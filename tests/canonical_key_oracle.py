@@ -1,0 +1,63 @@
+"""Reference canonical state key, serialized from scratch on every call.
+
+This is the explorer's original `canonical_key`, kept verbatim: it
+serializes every process of the configuration with `json.dumps`, tests each
+adjacent pair with `disconnected`, and renames fresh names with one regex
+pass over the joined body.  The explorer's key reuses per-process pieces
+across configurations; the differential tests require its strings to equal
+these byte for byte.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+from gract.semantics import disconnected, process_to_json
+from gract.terms import Configuration
+
+_FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy])#\d+")
+
+
+def _proc_ser(p) -> str:
+    return json.dumps(process_to_json(p), sort_keys=True)
+
+
+def canonical_key(config: Configuration) -> str:
+    procs = list(config.processes)
+    sers = [_proc_ser(p) for p in procs]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(procs) - 1):
+            if sers[i + 1] < sers[i] and disconnected(procs[i], procs[i + 1]):
+                procs[i], procs[i + 1] = procs[i + 1], procs[i]
+                sers[i], sers[i + 1] = sers[i + 1], sers[i]
+                changed = True
+    body = "[" + ",".join(sers) + "]"
+
+    mapping: dict[str, str] = {}
+    counts = {"f": 0, "y": 0}
+
+    def fresh_name(match: re.Match) -> str:
+        name = match.group(0)
+        if name not in mapping:
+            kind = match.group(1)
+            mapping[name] = f"{kind.upper()}{counts[kind]}"
+            counts[kind] += 1
+        return mapping[name]
+
+    body = _FRESH.sub(fresh_name, body)
+
+    live = {}
+    for f, entry in sorted(config.registry.items()):
+        if f not in mapping:
+            # the future no longer occurs anywhere in the processes
+            continue
+        live[mapping[f]] = "-" if entry is None else f"{entry[0]}|{entry[1]}"
+
+    alpha = json.dumps({a: {r: str(g) for r, g in env.items()}
+                        for a, env in sorted(config.alpha.items())}, sort_keys=True)
+    budget = json.dumps({f"{a}.{m}": n for (a, m), n in sorted(config.call_counts.items())},
+                        sort_keys=True)
+    return "|".join([body, alpha, json.dumps(live, sort_keys=True), budget])

@@ -1,0 +1,125 @@
+"""Differential tests of the explorer's canonical state key.
+
+`canonical_key_oracle.canonical_key` serializes every process afresh on
+every call.  The explorer's key reuses each process's pieces across the
+configurations that share it, and must give the same string, byte for
+byte, so that dedupe, state counts and reports cannot move.
+"""
+
+import pytest
+
+import canonical_key_oracle as oracle
+from gract import explorer
+from gract.parser import parse_program
+from gract.typecheck import check_program
+
+from corpus import EXAMPLES
+
+# One barista / customer / counter triple; "@" is the triple's number.
+_TRIPLE = """\
+B@ {
+  takeOrder(o: Order^1): Unit requires B@: CC^1 produces Cn@: Cf^1 measure 12 {
+    let c = hold 1 CC in let cf = makeCoffee(o^1, c^1) in
+    let f = Cn@!place(cf^1) in f?; return unit }
+  clean(d: DC^1): Unit requires produces B@: CC^1 measure 4 {
+    let c = washCup(d^1) in release 1 c^1; return unit }
+}
+Cs@ {
+  main(): Unit requires B@: CC^1 produces B@: CC^1 measure 37 {
+    let f = B@!takeOrder(Order^1) in f?; let g = Cn@!pickup() in let c = g? in
+    let d = drink(c^1) in let h = B@!clean(d^1) in h? }
+}
+Cn@ {
+  place(c: Cf^1): Unit requires produces Cn@: Cf^1 measure 2 { release 1 c^1; return unit }
+  pickup(): Cf^1 requires Cn@: Cf^1 produces measure 2 { let c = hold 1 Cf in return c^1 }
+}
+"""
+
+# Two independent cafes under one host: wide states of many processes.
+TWO_CAFES = f"""\
+grade lin
+makeCoffee(o: Order^1, c: CC^1): Cf^1
+drink(c: Cf^1): DC^1
+washCup(d: DC^1): CC^1
+{_TRIPLE.replace("@", "1")}{_TRIPLE.replace("@", "2")}H {{
+  main(): Unit requires B1: CC^1, B2: CC^1 produces B1: CC^1, B2: CC^1 measure 86 {{
+    let f1 = Cs1!main() in let f2 = Cs2!main() in f1?; f2?; return unit }}
+}}
+init B1: CC^1, B2: CC^1;
+start H!main()
+"""
+
+
+def _load(name):
+    with open(EXAMPLES / name) as fh:
+        return parse_program(fh.read())
+
+
+def _explore_against_oracle(monkeypatch, prog, **bounds):
+    """Explore with every key the explorer computes compared to the
+    oracle's; returns the report, the number of keys and the mismatches."""
+    real = explorer.canonical_key
+    keys = []
+    mismatches = []
+
+    def checked(config, *memo):
+        key = real(config, *memo)
+        keys.append(key)
+        want = oracle.canonical_key(config)
+        if key != want:
+            mismatches.append((key, want))
+        return key
+
+    monkeypatch.setattr(explorer, "canonical_key", checked)
+    return explorer.explore(prog, **bounds), len(keys), mismatches
+
+
+@pytest.mark.parametrize("unfold, states", [(2, 153), (3, 235), (4, 320), (5, 408)])
+def test_cafe_keys_equal_the_oracle(monkeypatch, unfold, states):
+    rep, n, mismatches = _explore_against_oracle(monkeypatch, _load("cafe.gract"),
+                                                 unfold=unfold)
+    assert rep.states_visited == states and rep.verdict == "FairTerminating"
+    assert n > states
+    assert mismatches[:1] == []
+
+
+def test_checked_corpus_keys_equal_the_oracle(monkeypatch):
+    checked = []
+    for path in sorted(EXAMPLES.glob("*.gract")):
+        if path.name == "cafe.gract":
+            continue  # covered above, at every unfold
+        prog = _load(path.name)
+        if not check_program(prog)["ok"]:
+            continue
+        rep, n, mismatches = _explore_against_oracle(monkeypatch, prog, unfold=2)
+        assert n >= rep.states_visited > 1
+        assert mismatches[:1] == [], path.name
+        checked.append(path.name)
+    assert checked == ["clearance.gract"]
+
+
+def test_two_cafe_keys_equal_the_oracle(monkeypatch):
+    prog = parse_program(TWO_CAFES)
+    assert check_program(prog)["ok"]
+    rep, n, mismatches = _explore_against_oracle(monkeypatch, prog,
+                                                 unfold=2, max_states=1000)
+    assert rep.states_visited == 1000 and rep.bound_hit
+    assert n > 1000
+    assert mismatches[:1] == []
+
+
+def test_explore_serializes_each_process_once(monkeypatch):
+    """A timing-free guard: explore shares process objects between
+    configurations, and the key serializes each object once (848 calls
+    at unfold 2 when every key serialized every process)."""
+    real = explorer.process_to_json
+    calls = [0]
+
+    def counting(p):
+        calls[0] += 1
+        return real(p)
+
+    monkeypatch.setattr(explorer, "process_to_json", counting)
+    rep = explorer.explore(_load("cafe.gract"), unfold=2)
+    assert rep.states_visited == 153
+    assert 0 < calls[0] < 400

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ CAFE = str(EXAMPLES / "cafe.gract")
 NOCUP = str(EXAMPLES / "cafe-nocup.gract")
 REPLAY = str(EXAMPLES / "cafe-replay.json")
 CORRUPTED = str(EXAMPLES / "corrupted-trace.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -142,6 +147,46 @@ def test_run_step_strategy_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n0\n\n"))
     assert run_cli(["run", CAFE, "--strategy", "step", "--quiet"]) == 0
     assert "bound after 2 steps" in capsys.readouterr().out
+
+
+def test_run_step_strategy_rejects_a_non_integer(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("x\n"))
+    assert run_cli(["run", CAFE, "--strategy", "step"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "replay failed: ScriptMismatch: not an index: 'x'"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", CAFE, "--steps", "-5"],
+    ["sr", CAFE, "--steps", "-5"],
+    ["sr", CAFE, "--runs", "-3"],
+    ["explore", CAFE, "--jobs", "0"],
+    ["explore", CAFE, "--unfold", "-1"],
+    ["explore", CAFE, "--depth", "-1"],
+    ["explore", CAFE, "--states", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[2]}={argv[3]}")
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        f"error: argument {argv[2]}: must be at least {1 if argv[2] == '--jobs' else 0}, "
+        f"got {argv[3]}")
+
+
+def test_closed_stdout_exits_3_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gract.cli", "run", CAFE, "--strategy", "fifo"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr == b""
 
 
 # ---------------------------------------------------------------------------
