@@ -42,6 +42,7 @@ from .terms import (
     Let,
     Process,
     Program,
+    content_key,
     futures_consumed_one,
     futures_produced_one,
 )
@@ -123,6 +124,21 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> str:
     budget = json.dumps({f"{a}.{m}": n for (a, m), n in sorted(config.call_counts.items())},
                         sort_keys=True)
     return "|".join([body, alpha, json.dumps(live, sort_keys=True), budget])
+
+
+def intern_process(table: dict, p: Process) -> Process:
+    """The table's representative of p's content: p itself when p is the
+    first of its content, else the earlier, equal process.
+
+    The table maps each content key to its representative, and each
+    representative's id to itself, so a representative is recognised by
+    its id without building or hashing its content key again."""
+    if id(p) in table:
+        return p
+    rep = table.setdefault(content_key(p), p)
+    if rep is p:
+        table[id(p)] = p
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +278,12 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     termination or plain bound exhaustion.
     """
     start = config if config is not None else initial_config(prog)
+    # equal processes are one object from here on, so the key and typing
+    # memos below hold one entry per distinct process; the caller's start
+    # configuration is left as it is, its processes the first representatives
+    interned: dict = {}
+    for p in start.processes:
+        intern_process(interned, p)
     key_memo: dict = {}
     key0 = canonical_key(start, key_memo)
     visited: dict[str, Configuration] = {key0: start}
@@ -311,6 +333,11 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             if succ.pruned_calls:
                 hard_truncated = True
             for s in succ.kept:
+                if bound_hit and len(visited) >= max_states:
+                    break  # no successor can be stored any more
+                procs = s.config.processes  # the successor's own list
+                for i, p in enumerate(procs):
+                    procs[i] = intern_process(interned, p)
                 k2 = canonical_key(s.config, key_memo)
                 if k2 in visited:
                     continue
@@ -322,10 +349,6 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
                 note_measure(s.config)
                 nxt.append((k2, s.config))
         level = nxt
-        # a successor shares processes only with its parent, so the next
-        # level needs only these entries; the rest (the new processes of
-        # successors that were already visited) can be freed
-        key_memo = {id(p): key_memo[id(p)] for _, c in nxt for p in c.processes}
         if nxt:
             depth += 1
 

@@ -351,6 +351,16 @@ class FulfilledFut(Process):
     value: Value
 
 
+def content_key(p: Process):
+    """A hashable key of a process's content: equal keys mean equal
+    processes. A thread's environment is a dict, so its key spells the
+    environment out as a tuple of items; the other kinds are hashable
+    frozen values already and are their own key."""
+    if isinstance(p, (ActiveThread, SuspendedThread)):
+        return type(p), tuple(p.env.items()), p.expr, p.future, p.actor
+    return p
+
+
 def futures_produced_one(p: Process) -> set[str]:
     match p:
         case ActiveThread() | SuspendedThread():

@@ -69,6 +69,7 @@ from .terms import (
     Value,
     ValueExpr,
     Var,
+    content_key,
     ctx_key,
     ctx_of,
     fut_type,
@@ -524,41 +525,36 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
     raise CheckError("TypeMismatch", f"not a process: {p!r}")
 
 
-def _memo_key(p: Process, registry) -> Optional[tuple]:
-    """Everything _type_atomic reads besides the visible futures."""
-    match p:
-        case ActiveThread(lam, e, f, a) | SuspendedThread(lam, e, f, a):
-            content = (type(p), tuple(lam.items()), e, f, a)
-        case CallMsg(f, b, meth, vals):
-            content = (CallMsg, f, b, meth, vals)
-        case FulfilledFut(f, v):
-            content = (FulfilledFut, f, v)
-        case Idle(a):
-            return (Idle, a), None
-        case _:
-            return None
-    return content, None if registry is None else registry.get(f)
-
-
 def _type_atomic_memo(prog: Program, p: Process, visible: Sigma, registry,
                       memo: Optional[dict]):
     """_type_atomic through a typing memo.
 
-    The memo maps a process's content and its own future's registry entry
-    to _type_atomic's result and the (future, type) pairs that result read
-    from the visible futures: exactly the futures it consumed. A hit counts
-    only while each of those pairs still holds, so one memo may serve all
-    the configurations of one operation. Rejections are never stored, so
-    an error is always raised afresh, at its own location."""
-    key = None if memo is None else _memo_key(p, registry)
-    if key is not None:
-        hit = memo.get(key)
-        if hit is not None and all(visible.get(f) == t for f, t in hit[1]):
-            return hit[0]
-    result = _type_atomic(prog, p, visible, registry)
-    if key is not None:
-        memo[key] = result, tuple((f, visible[f]) for f in result[1])
-    return result
+    The memo maps a process's content key (`content_key`) and its own
+    future's registry entry to _type_atomic's result and the (future, type)
+    pairs that result read from the visible futures: exactly the futures it
+    consumed. A hit counts only while each of those pairs still holds, so
+    one memo may serve all the configurations of one operation. Rejections
+    are never stored, so an error is always raised afresh, at its own
+    location.
+
+    The memo also maps `id(p)` to p itself (so the id stays taken), its
+    own future's registry entry and its content's entry, so a process
+    object builds and hashes its content key once, not on every lookup."""
+    if memo is None or not isinstance(p, Process):
+        return _type_atomic(prog, p, visible, registry)
+    own = None if registry is None or isinstance(p, Idle) else registry.get(p.future)
+    seen = memo.get(id(p))
+    if seen is not None and seen[1] == own:
+        result, reads = seen[2]
+        if all(visible.get(f) == t for f, t in reads):
+            return result
+    key = content_key(p), own
+    hit = memo.get(key)
+    if hit is None or not all(visible.get(f) == t for f, t in hit[1]):
+        result = _type_atomic(prog, p, visible, registry)
+        hit = memo[key] = result, tuple((f, visible[f]) for f in result[1])
+    memo[id(p)] = p, own, hit
+    return hit[0]
 
 
 def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
@@ -611,7 +607,16 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
                 raise CheckError("DoubleProduce", f"future {f}")
             produced[f] = t
         visible.update(prod)
-        requires = ctx_plus(m, requires, req)
+        # summed in place, normalized once below: no algebra sums non-zero
+        # grades to zero, so this is the ctx_plus fold, key order included;
+        # req may be the memo's, so it is only read
+        for actor, env in req.items():
+            have = requires.get(actor)
+            if have is None:
+                requires[actor] = dict(env)
+                continue
+            for r, g in env.items():
+                have[r] = m.plus(have[r], g) if r in have else g
         measure += n
     return ProcTyping(ctx_norm(m, requires), consumed_ambient, measure, produced, marked)
 

@@ -1,4 +1,4 @@
-"""Where the bundled example corpus lives.
+"""Where the bundled example corpus lives, and programs the tests share.
 
 Tests resolve fixtures through `EXAMPLES`, which is found from this file,
 so the suite runs from any working directory.
@@ -7,3 +7,37 @@ so the suite runs from any working directory.
 from pathlib import Path
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+# One barista / customer / counter triple; "@" is the triple's number.
+_TRIPLE = """\
+B@ {
+  takeOrder(o: Order^1): Unit requires B@: CC^1 produces Cn@: Cf^1 measure 12 {
+    let c = hold 1 CC in let cf = makeCoffee(o^1, c^1) in
+    let f = Cn@!place(cf^1) in f?; return unit }
+  clean(d: DC^1): Unit requires produces B@: CC^1 measure 4 {
+    let c = washCup(d^1) in release 1 c^1; return unit }
+}
+Cs@ {
+  main(): Unit requires B@: CC^1 produces B@: CC^1 measure 37 {
+    let f = B@!takeOrder(Order^1) in f?; let g = Cn@!pickup() in let c = g? in
+    let d = drink(c^1) in let h = B@!clean(d^1) in h? }
+}
+Cn@ {
+  place(c: Cf^1): Unit requires produces Cn@: Cf^1 measure 2 { release 1 c^1; return unit }
+  pickup(): Cf^1 requires Cn@: Cf^1 produces measure 2 { let c = hold 1 Cf in return c^1 }
+}
+"""
+
+# Two independent cafes under one host: wide states of many processes.
+TWO_CAFES = f"""\
+grade lin
+makeCoffee(o: Order^1, c: CC^1): Cf^1
+drink(c: Cf^1): DC^1
+washCup(d: DC^1): CC^1
+{_TRIPLE.replace("@", "1")}{_TRIPLE.replace("@", "2")}H {{
+  main(): Unit requires B1: CC^1, B2: CC^1 produces B1: CC^1, B2: CC^1 measure 86 {{
+    let f1 = Cs1!main() in let f2 = Cs2!main() in f1?; f2?; return unit }}
+}}
+init B1: CC^1, B2: CC^1;
+start H!main()
+"""
