@@ -67,6 +67,11 @@ class GradeMonoid:
     def is_discardable(self, g: Grade) -> bool:
         return self.leq(self.zero(), g)
 
+    def releasable(self, g: Grade, held: Grade) -> bool:
+        """Whether a resource held at `held` may be released at g; by
+        default any part of what is held may go back."""
+        return self.leq(g, held)
+
     def carrier_sample(self) -> list[Grade]:
         """Finite slice of the carrier used by law checks and fuzzing."""
         raise NotImplementedError
@@ -275,6 +280,10 @@ class Level(GradeMonoid):
 
     def minus(self, total: Grade, used: Grade) -> Optional[Grade]:
         return total if self.leq(used, total) else None
+
+    def releasable(self, g: Grade, held: Grade) -> bool:
+        # a level labels the resource; releasing it lower would launder it
+        return g == held
 
     def meet(self, g: Grade, h: Grade) -> Grade:
         lowers = [l for l in self.names if self.leq(l, g) and self.leq(l, h)]

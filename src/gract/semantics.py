@@ -295,9 +295,9 @@ def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, out) -> None:
             if not isinstance(v, GradedRes):
                 out.faults.append(Stuck("ReleaseOnNonResource", str(v)))
                 return
-            if not m.leq(g, v.grade):
+            if not m.releasable(g, v.grade):
                 out.faults.append(
-                    Stuck("ReleaseExceedsGrade",
+                    Stuck("ReleaseExceedsGrade" if not m.leq(g, v.grade) else "UnreleasableGrade",
                           f"release {format_grade(g)} of {v.res}^{format_grade(v.grade)}")
                 )
                 return

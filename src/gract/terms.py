@@ -14,9 +14,9 @@ whose output the parser reads back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
-from .grades import ActorContext, Grade, GradeMonoid, format_grade
+from .grades import ActorContext, Grade, GradeMonoid, ctx_norm, format_grade
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ class FutRef(Value):
 
 
 class ValueExpr:
-    pass
+    _hash = None  # see _hash_once
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ class Lit(ValueExpr):
 # Expressions
 
 class Expr:
-    pass
+    _hash = None  # see _hash_once
 
 
 @dataclass(frozen=True)
@@ -216,6 +216,21 @@ class Let(Expr):
         if self.var.startswith("_s") and self.var not in free_vars(self.body):
             return f"{self.bound}; {self.body}"
         return f"let {self.var} = {self.bound} in {self.body}"
+
+
+def _hash_once(node) -> int:
+    """A syntax node's hash, computed on first use and kept outside its
+    fields (equality, repr and str ignore it). It is the value the frozen
+    dataclass computes, so hash-ordered iteration does not change."""
+    h = node._hash
+    if h is None:
+        h = hash(tuple(getattr(node, f) for f in node.__match_args__))
+        object.__setattr__(node, "_hash", h)
+    return h
+
+
+for _node in (Var, GradedVar, Lit, Call, Await, Hold, Release, PrimOp, Choice, Return, Let):
+    _node.__hash__ = _hash_once
 
 
 def rename_var(e: Expr, old: str, new: str) -> Expr:
@@ -511,8 +526,22 @@ class ActorDecl:
     methods: dict[str, MethodDecl]
 
 
+class MethodSig(NamedTuple):
+    """A declaration with its contexts normalized and the type of the
+    future a call to it returns."""
+
+    decl: MethodDecl
+    requires: ActorContext
+    produces: ActorContext
+    fut: FutT
+
+
 @dataclass
 class Program:
+    """A checked program's declarations are not changed after it is built;
+    a variant is a new Program (`dataclasses.replace`), which builds its
+    own `signatures`."""
+
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
     actors: dict[str, ActorDecl]
@@ -520,6 +549,15 @@ class Program:
     start_actor: str
     start_method: str
     start_args: tuple[Value, ...]
+
+    def __post_init__(self) -> None:
+        self.signatures: dict[tuple[str, str], MethodSig] = {}
+        for actor, adecl in self.actors.items():
+            for name, d in adecl.methods.items():
+                produces = ctx_norm(self.monoid, d.produces)
+                self.signatures[actor, name] = MethodSig(
+                    d, ctx_norm(self.monoid, d.requires), produces,
+                    fut_type(d.result, produces))
 
     def method(self, actor: str, method: str) -> Optional[MethodDecl]:
         decl = self.actors.get(actor)

@@ -78,13 +78,17 @@ from .terms import (
 
 
 class CheckError(Exception):
-    """Rejection with a stable code and a human-readable location."""
+    """Rejection with a stable code and a human-readable location. The
+    message is formatted only when the error is printed."""
 
     def __init__(self, code: str, detail: str = "", loc: str = ""):
         self.code = code
         self.detail = detail
         self.loc = loc
-        super().__init__(f"{code} at {loc}: {detail}" if loc else f"{code}: {detail}")
+
+    def __str__(self) -> str:
+        return f"{self.code} at {self.loc}: {self.detail}" if self.loc \
+            else f"{self.code}: {self.detail}"
 
     def to_json(self) -> dict:
         return {"code": self.code, "loc": self.loc, "detail": self.detail}
@@ -92,9 +96,15 @@ class CheckError(Exception):
 
 # ---------------------------------------------------------------------------
 # Variable usage
+#
+# The kernel dispatches on a node's exact class, and every context a
+# typing builds is in normal form (no zero grade, no empty actor), so no
+# result is normalized again. The one exception is `await`, which passes
+# on its future type's context as that type spells it.
 
 Gamma = dict[str, Type]
 Sigma = dict[str, FutT]
+UNIT = UnitT()
 
 
 def usage_add(m: GradeMonoid, a: Gamma, b: Gamma) -> Gamma:
@@ -102,19 +112,15 @@ def usage_add(m: GradeMonoid, a: Gamma, b: Gamma) -> Gamma:
     add; a future variable may be consumed on one side only."""
     out = dict(a)
     for x, t in b.items():
-        if x not in out:
+        prev = out.get(x)
+        if prev is None:
             out[x] = t
-            continue
-        prev = out[x]
-        match (prev, t):
-            case (UnitT(), UnitT()):
-                pass
-            case (ResT(r1, g1), ResT(r2, g2)) if r1 == r2:
-                out[x] = ResT(r1, m.plus(g1, g2))
-            case (FutT(), FutT()):
-                raise CheckError("NonLinearFuture", f"variable {x} consumed twice")
-            case _:
-                raise CheckError("TypeMismatch", f"variable {x} used at {prev} and {t}")
+        elif type(prev) is ResT and type(t) is ResT and prev.res == t.res:
+            out[x] = ResT(prev.res, m.plus(prev.grade, t.grade))
+        elif type(prev) is FutT and type(t) is FutT:
+            raise CheckError("NonLinearFuture", f"variable {x} consumed twice")
+        elif not (type(prev) is UnitT and type(t) is UnitT):
+            raise CheckError("TypeMismatch", f"variable {x} used at {prev} and {t}")
     return out
 
 
@@ -128,20 +134,22 @@ def futs_add(a: set[str], b: set[str]) -> set[str]:
 def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -> None:
     """A value of type `actual` can stand where `expected` is needed:
     resources may carry surplus grade provided the surplus is droppable."""
-    match (actual, expected):
-        case (UnitT(), UnitT()):
-            return
-        case (FutT(), FutT()) if actual == expected:
-            return
-        case (ResT(r1, h), ResT(r2, g)) if r1 == r2:
+    k = type(actual)
+    if k is ResT:
+        if type(expected) is ResT and actual.res == expected.res:
+            h, g = actual.grade, expected.grade
             if not m.leq(g, h):
                 raise CheckError("GradeTooSmall",
-                                 f"have {r1}^{format_grade(h)}, need ^{format_grade(g)}", loc)
+                                 f"have {actual.res}^{format_grade(h)}, need ^{format_grade(g)}",
+                                 loc)
             surplus = m.minus(h, g)
             if surplus is None or not m.is_discardable(surplus):
-                raise CheckError("NonDiscardableLeftover",
-                                 f"surplus {r1}^{format_grade(h)} over ^{format_grade(g)}", loc)
+                raise CheckError(
+                    "NonDiscardableLeftover",
+                    f"surplus {actual.res}^{format_grade(h)} over ^{format_grade(g)}", loc)
             return
+    elif k is UnitT and type(expected) is UnitT or k is FutT and actual == expected:
+        return
     raise CheckError("TypeMismatch", f"have {actual}, need {expected}", loc)
 
 
@@ -151,43 +159,47 @@ def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -
 def type_value(prog: Program, sigma: Sigma, v: Value,
                loc: str = "") -> tuple[Type, set[str]]:
     """Runtime values: closed, so usage is only of futures."""
-    match v:
-        case UnitVal():
-            return UnitT(), set()
-        case GradedRes(r, h):
-            return ResT(r, h), set()
-        case FutRef(f):
-            if f not in sigma:
-                raise CheckError("UnknownFuture", f, loc)
-            return sigma[f], {f}
+    k = type(v)
+    if k is GradedRes:
+        return ResT(v.res, v.grade), set()
+    if k is UnitVal:
+        return UNIT, set()
+    if k is FutRef:
+        ty = sigma.get(v.name)
+        if ty is None:
+            raise CheckError("UnknownFuture", v.name, loc)
+        return ty, {v.name}
     raise CheckError("TypeMismatch", f"not a value: {v!r}", loc)
 
 
 def type_value_expr(prog: Program, gamma: Gamma, sigma: Sigma,
                     ve: ValueExpr, loc: str = "") -> tuple[Type, Gamma, set[str]]:
-    m = prog.monoid
-    match ve:
-        case Lit(v):
-            ty, futs = type_value(prog, sigma, v, loc)
-            return ty, {}, futs
-        case GradedVar(x, g):
-            if x not in gamma:
-                raise CheckError("UnknownVariable", x, loc)
-            t = gamma[x]
-            if not isinstance(t, ResT):
-                raise CheckError("TypeMismatch", f"{x}: {t} used with a grade", loc)
-            if not m.leq(g, t.grade):
-                raise CheckError(
-                    "GradeTooSmall",
-                    f"{x}: {t.res}^{format_grade(t.grade)} used at ^{format_grade(g)}", loc)
-            return ResT(t.res, g), {x: ResT(t.res, g)}, set()
-        case Var(x):
-            if x not in gamma:
-                raise CheckError("UnknownVariable", x, loc)
-            t = gamma[x]
-            if isinstance(t, ResT):
-                raise CheckError("UngradedResourceUse", f"{x}: {t}", loc)
-            return t, {x: t}, set()
+    k = type(ve)
+    if k is GradedVar:
+        x = ve.name
+        t = gamma.get(x)
+        if t is None:
+            raise CheckError("UnknownVariable", x, loc)
+        if type(t) is not ResT:
+            raise CheckError("TypeMismatch", f"{x}: {t} used with a grade", loc)
+        g = ve.grade
+        if not prog.monoid.leq(g, t.grade):
+            raise CheckError(
+                "GradeTooSmall",
+                f"{x}: {t.res}^{format_grade(t.grade)} used at ^{format_grade(g)}", loc)
+        ty = ResT(t.res, g)
+        return ty, {x: ty}, set()
+    if k is Var:
+        x = ve.name
+        t = gamma.get(x)
+        if t is None:
+            raise CheckError("UnknownVariable", x, loc)
+        if type(t) is ResT:
+            raise CheckError("UngradedResourceUse", f"{x}: {t}", loc)
+        return t, {x: t}, set()
+    if k is Lit:
+        ty, futs = type_value(prog, sigma, ve.value, loc)
+        return ty, {}, futs
     raise CheckError("TypeMismatch", f"not a value expression: {ve!r}", loc)
 
 
@@ -209,6 +221,9 @@ def type_value_list(prog: Program, gamma: Gamma, sigma: Sigma,
 
 @dataclass
 class ExprTyping:
+    """A canonical typing. Its contexts may be shared with the program's
+    signatures and with other typings, so they are only read."""
+
     ty: Type
     requires: ActorContext
     produces: ActorContext
@@ -220,24 +235,22 @@ class ExprTyping:
 def can_absorb(e: Expr) -> bool:
     """Whether a derivation for e has a leaf that can drop unused context:
     value positions discard, a bare hold has none."""
-    match e:
-        case Return(_) | Await(_) | Release(_, _):
-            return True
-        case Call(_, _, args) | PrimOp(_, args):
-            return len(args) > 0
-        case Hold(_, _):
-            return False
-        case Choice(left, right):
-            return can_absorb(left) and can_absorb(right)
-        case Let(_, bound, body):
-            return can_absorb(bound) or can_absorb(body)
-    return False
+    k = type(e)
+    if k is Let:
+        return can_absorb(e.bound) or can_absorb(e.body)
+    if k is Choice:
+        return can_absorb(e.left) and can_absorb(e.right)
+    if k is Call or k is PrimOp:
+        return len(e.args) > 0
+    return k is Return or k is Await or k is Release
 
 
 def _cancel(m: GradeMonoid, psi1: ActorContext, phi2: ActorContext) -> ActorContext:
     """Largest internal cancellation between what a first step frees and a
     second step needs; coordinates where the meet is not below both (a meet
-    fallback on partial orders) cancel nothing."""
+    fallback on partial orders) cancel nothing. The result is only
+    subtracted, and by exactness a zero entry subtracts nothing, so it is
+    not normalized."""
     out: ActorContext = {}
     for actor in psi1.keys() & phi2.keys():
         for r in psi1[actor].keys() & phi2[actor].keys():
@@ -246,7 +259,7 @@ def _cancel(m: GradeMonoid, psi1: ActorContext, phi2: ActorContext) -> ActorCont
             if m.minus(g1, c) is None or m.minus(g2, c) is None:
                 continue
             out.setdefault(actor, {})[r] = c
-    return ctx_norm(m, out)
+    return out
 
 
 def _shift_candidates(m: GradeMonoid, pairs) -> list:
@@ -318,7 +331,8 @@ def _unify_branches(prog: Program, a: str, left: Expr, right: Expr,
                 break
         if ok:
             hi = hi_phi
-            return ExprTyping(tl.ty, ctx_norm(m, hi.requires), ctx_norm(m, hi.produces),
+            # an await's context is its future type's, possibly with zeros
+            return ExprTyping(tl.ty, hi.requires, ctx_norm(m, hi.produces),
                               1 + min(tl.measure, tr.measure), used,
                               set(tl.used_futs))
     raise CheckError("BranchMismatch",
@@ -328,74 +342,71 @@ def _unify_branches(prog: Program, a: str, left: Expr, right: Expr,
 def _infer(prog: Program, a: str, gamma: Gamma, sigma: Sigma,
            e: Expr, loc: str) -> ExprTyping:
     m = prog.monoid
-    match e:
-        case Return(ve):
-            ty, uv, uf = type_value_expr(prog, gamma, sigma, ve, loc)
-            return ExprTyping(ty, {}, {}, 0, uv, uf)
-        case Call(b, meth, args):
-            decl = prog.method(b, meth)
-            if decl is None:
-                raise CheckError("UnknownMethod", f"{b}!{meth}", loc)
-            types, used, futs = type_value_list(prog, gamma, sigma, args, loc)
-            if len(types) != len(decl.params):
-                raise CheckError("TypeMismatch",
-                                 f"{b}!{meth} takes {len(decl.params)} arguments", loc)
-            for ty, (x, want) in zip(types, decl.params):
-                fits_expected(m, ty, want, f"{loc} argument {x}")
-            return ExprTyping(
-                fut_type(decl.result, ctx_norm(m, decl.produces)),
-                ctx_norm(m, decl.requires), {}, decl.measure + 3, used, futs)
-        case Await(ve):
-            ty, uv, uf = type_value_expr(prog, gamma, sigma, ve, loc)
-            if not isinstance(ty, FutT):
-                raise CheckError("TypeMismatch", f"await on {ty}", loc)
-            return ExprTyping(ty.result, {}, ctx_of(ty.produces), 1, uv, uf)
-        case Hold(g, r):
-            phi = ctx_norm(m, {a: {r: g}})
-            return ExprTyping(ResT(r, g), phi, {}, 1, {}, set())
-        case Release(g, ve):
-            ty, uv, uf = type_value_expr(prog, gamma, sigma, ve, loc)
-            if not isinstance(ty, ResT):
-                raise CheckError("TypeMismatch", f"release of {ty}", loc)
-            if not m.leq(g, ty.grade):
-                raise CheckError("GradeTooSmall",
-                                 f"release {format_grade(g)} of a ^{format_grade(ty.grade)}",
-                                 loc)
-            return ExprTyping(UnitT(), {}, ctx_norm(m, {a: {ty.res: g}}), 1, uv, uf)
-        case PrimOp(op, args):
-            sig = prog.op_sigs.get(op)
-            if sig is None:
-                raise CheckError("UnknownOp", op, loc)
-            types, used, futs = type_value_list(prog, gamma, sigma, args, loc)
-            if len(types) != len(sig.params):
-                raise CheckError("TypeMismatch", f"{op} takes {len(sig.params)} arguments", loc)
-            for i, (ty, want) in enumerate(zip(types, sig.params)):
-                fits_expected(m, ty, want, f"{loc} {op} argument {i}")
-            return ExprTyping(sig.result, {}, {}, 1, used, futs)
-        case Choice(l, r):
-            tl = _infer(prog, a, gamma, sigma, l, f"{loc} left branch")
-            tr = _infer(prog, a, gamma, sigma, r, f"{loc} right branch")
-            return _unify_branches(prog, a, l, r, tl, tr, loc)
-        case Let(x, bound, body):
-            if x in gamma:
-                raise CheckError("ShadowedBinder", x, loc)
-            t1 = _infer(prog, a, gamma, sigma, bound, f"{loc} binding of {x}")
-            gamma2 = dict(gamma)
-            gamma2[x] = t1.ty
-            t2 = _infer(prog, a, gamma2, sigma, body, loc)
-            _check_binder_leftover(m, x, t1.ty, t2.used_vars.get(x), body, loc)
-            uv2 = {y: t for y, t in t2.used_vars.items() if y != x}
-            used = usage_add(m, t1.used_vars, uv2)
-            futs = futs_add(t1.used_futs, t2.used_futs)
-            cancel = _cancel(m, t1.produces, t2.requires)
-            phi_rest = ctx_minus(m, t2.requires, cancel)
-            psi_kept = ctx_minus(m, t1.produces, cancel)
-            assert phi_rest is not None and psi_kept is not None
-            return ExprTyping(
-                t2.ty,
-                ctx_norm(m, ctx_plus(m, t1.requires, phi_rest)),
-                ctx_norm(m, ctx_plus(m, psi_kept, t2.produces)),
-                1 + t1.measure + t2.measure, used, futs)
+    k = type(e)
+    if k is Let:
+        x, body = e.var, e.body
+        if x in gamma:
+            raise CheckError("ShadowedBinder", x, loc)
+        t1 = _infer(prog, a, gamma, sigma, e.bound, f"{loc} binding of {x}")
+        t2 = _infer(prog, a, {**gamma, x: t1.ty}, sigma, body, loc)
+        _check_binder_leftover(m, x, t1.ty, t2.used_vars.get(x), body, loc)
+        uv2 = {y: t for y, t in t2.used_vars.items() if y != x}
+        used = usage_add(m, t1.used_vars, uv2)
+        futs = futs_add(t1.used_futs, t2.used_futs)
+        cancel = _cancel(m, t1.produces, t2.requires)
+        phi_rest = ctx_minus(m, t2.requires, cancel)
+        psi_kept = ctx_minus(m, t1.produces, cancel)
+        assert phi_rest is not None and psi_kept is not None
+        return ExprTyping(t2.ty, ctx_plus(m, t1.requires, phi_rest),
+                          ctx_plus(m, psi_kept, t2.produces),
+                          1 + t1.measure + t2.measure, used, futs)
+    if k is Return:
+        ty, uv, uf = type_value_expr(prog, gamma, sigma, e.value, loc)
+        return ExprTyping(ty, {}, {}, 0, uv, uf)
+    if k is Hold:
+        g, r = e.grade, e.res
+        return ExprTyping(ResT(r, g), {a: {r: g}} if g != m.zero() else {}, {}, 1, {}, set())
+    if k is Release:
+        ty, uv, uf = type_value_expr(prog, gamma, sigma, e.target, loc)
+        if type(ty) is not ResT:
+            raise CheckError("TypeMismatch", f"release of {ty}", loc)
+        g, h = e.grade, ty.grade
+        if not m.releasable(g, h):
+            raise CheckError("GradeTooSmall" if not m.leq(g, h) else "UnreleasableGrade",
+                             f"release {format_grade(g)} of a ^{format_grade(h)}", loc)
+        return ExprTyping(UNIT, {}, {a: {ty.res: g}} if g != m.zero() else {}, 1, uv, uf)
+    if k is Await:
+        ty, uv, uf = type_value_expr(prog, gamma, sigma, e.target, loc)
+        if type(ty) is not FutT:
+            raise CheckError("TypeMismatch", f"await on {ty}", loc)
+        return ExprTyping(ty.result, {}, ctx_of(ty.produces), 1, uv, uf)
+    if k is Call:
+        sig = prog.signatures.get((e.actor, e.method))
+        if sig is None:
+            raise CheckError("UnknownMethod", f"{e.actor}!{e.method}", loc)
+        params = sig.decl.params
+        types, used, futs = type_value_list(prog, gamma, sigma, e.args, loc)
+        if len(types) != len(params):
+            raise CheckError("TypeMismatch",
+                             f"{e.actor}!{e.method} takes {len(params)} arguments", loc)
+        for ty, (x, want) in zip(types, params):
+            fits_expected(m, ty, want, f"{loc} argument {x}")
+        return ExprTyping(sig.fut, sig.requires, {}, sig.decl.measure + 3, used, futs)
+    if k is PrimOp:
+        op = e.op
+        sig = prog.op_sigs.get(op)
+        if sig is None:
+            raise CheckError("UnknownOp", op, loc)
+        types, used, futs = type_value_list(prog, gamma, sigma, e.args, loc)
+        if len(types) != len(sig.params):
+            raise CheckError("TypeMismatch", f"{op} takes {len(sig.params)} arguments", loc)
+        for i, (ty, want) in enumerate(zip(types, sig.params)):
+            fits_expected(m, ty, want, f"{loc} {op} argument {i}")
+        return ExprTyping(sig.result, {}, {}, 1, used, futs)
+    if k is Choice:
+        tl = _infer(prog, a, gamma, sigma, e.left, f"{loc} left branch")
+        tr = _infer(prog, a, gamma, sigma, e.right, f"{loc} right branch")
+        return _unify_branches(prog, a, e.left, e.right, tl, tr, loc)
     raise CheckError("TypeMismatch", f"not an expression: {e!r}", loc)
 
 
@@ -404,32 +415,28 @@ def _check_binder_leftover(m: GradeMonoid, x: str, ty: Type, used: Optional[Type
     """A variable in scope must be consumed exactly, or its remainder must
     be droppable at some leaf of the scope. A bare hold has no such leaf,
     so nothing unused may reach one."""
-    match ty:
-        case UnitT():
-            if used is None and not can_absorb(scope):
-                raise CheckError("NonDiscardableLeftover", f"{x}: Unit has no drop site", loc)
+    k = type(ty)
+    if k is ResT:
+        r, h = ty.res, ty.grade
+        if used is None:
+            if not m.is_discardable(h) or not can_absorb(scope):
+                raise CheckError("NonDiscardableLeftover",
+                                 f"{x}: {r}^{format_grade(h)} unused", loc)
             return
-        case FutT():
-            if used is None:
-                raise CheckError("NonDiscardableLeftover", f"future {x} never read", loc)
-            return
-        case ResT(r, h):
-            if used is None:
-                if not m.is_discardable(h) or not can_absorb(scope):
-                    raise CheckError("NonDiscardableLeftover",
-                                     f"{x}: {r}^{format_grade(h)} unused", loc)
-                return
-            g = used.grade if isinstance(used, ResT) else m.zero()
-            left = m.minus(h, g)
-            if left is None:
-                raise CheckError("GradeTooSmall",
-                                 f"{x}: {r}^{format_grade(h)} used at ^{format_grade(g)}", loc)
-            if left == m.zero():
-                return
-            if not m.is_discardable(left) or not can_absorb(scope):
-                raise CheckError(
-                    "NonDiscardableLeftover",
-                    f"{x}: {r}^{format_grade(left)} left over", loc)
+        g = used.grade if type(used) is ResT else m.zero()
+        left = m.minus(h, g)
+        if left is None:
+            raise CheckError("GradeTooSmall",
+                             f"{x}: {r}^{format_grade(h)} used at ^{format_grade(g)}", loc)
+        if left != m.zero() and (not m.is_discardable(left) or not can_absorb(scope)):
+            raise CheckError("NonDiscardableLeftover",
+                             f"{x}: {r}^{format_grade(left)} left over", loc)
+    elif k is FutT:
+        if used is None:
+            raise CheckError("NonDiscardableLeftover", f"future {x} never read", loc)
+    elif k is UnitT:
+        if used is None and not can_absorb(scope):
+            raise CheckError("NonDiscardableLeftover", f"{x}: Unit has no drop site", loc)
 
 
 def type_expr(prog: Program, a: str, gamma: Gamma, sigma: Sigma, e: Expr,
@@ -490,9 +497,10 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
                 return ctx_norm(m, produces), futs, 0, {f: fut_type(want, produces)}
             return {}, futs, 0, {f: fut_type(ty, {})}
         case CallMsg(f, b, meth, vals):
-            decl = prog.method(b, meth)
-            if decl is None:
+            sig = prog.signatures.get((b, meth))
+            if sig is None:
                 raise CheckError("UnknownMethod", f"{b}!{meth}", f"message {f}")
+            decl = sig.decl
             if len(vals) != len(decl.params):
                 raise CheckError("TypeMismatch",
                                  f"{b}!{meth} takes {len(decl.params)} arguments",
@@ -502,8 +510,7 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
                 ty, uf = type_value(prog, sigma, v, f"message {f} argument {x}")
                 futs = futs_add(futs, uf)
                 fits_expected(m, ty, want, f"message {f} argument {x}")
-            return (ctx_norm(m, decl.requires), futs, decl.measure + 2,
-                    {f: fut_type(decl.result, ctx_norm(m, decl.produces))})
+            return sig.requires, futs, decl.measure + 2, {f: sig.fut}
         case ActiveThread(lam, e, f, a) | SuspendedThread(lam, e, f, a):
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
@@ -513,15 +520,14 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
             if reg is not None:
                 want, declared = reg
                 fits_expected(m, t.ty, want, loc)
-                shift = ctx_minus(m, ctx_norm(m, declared), t.produces)
+                declared = ctx_norm(m, declared)
+                shift = ctx_minus(m, declared, t.produces)
                 if shift is None:
                     raise CheckError("ContextMismatch",
                                      "thread produces more than its future promises", loc)
-                requires = ctx_plus(m, t.requires, shift)
-                return (ctx_norm(m, requires), futs, 1 + t.measure,
-                        {f: fut_type(want, ctx_norm(m, declared))})
-            return (ctx_norm(m, t.requires), futs, 1 + t.measure,
-                    {f: fut_type(t.ty, t.produces)})
+                return (ctx_plus(m, t.requires, shift), futs, 1 + t.measure,
+                        {f: fut_type(want, declared)})
+            return t.requires, futs, 1 + t.measure, {f: fut_type(t.ty, t.produces)}
     raise CheckError("TypeMismatch", f"not a process: {p!r}")
 
 
@@ -624,6 +630,10 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
 # ---------------------------------------------------------------------------
 # Configurations
 
+def _grades_json(ctx: ActorContext) -> dict:
+    return {a: {r: format_grade(g) for r, g in env.items()} for a, env in ctx.items()}
+
+
 def type_config(prog: Program, config: Configuration,
                 residual: Optional[ActorContext] = None,
                 memo: Optional[dict] = None) -> dict:
@@ -655,8 +665,7 @@ def type_config(prog: Program, config: Configuration,
             errors.append(e.to_json())
     return {
         "ok": not errors,
-        "requires": {a: {r: format_grade(g) for r, g in env.items()}
-                     for a, env in requires.items()},
+        "requires": _grades_json(requires),
         "measure": measure,
         "errors": errors,
     }
@@ -691,14 +700,13 @@ def type_label(prog: Program, a: str, label: Label, registry=None) -> LabelTypin
         case RlsLbl(r, g):
             return LabelTyping({}, set(), {}, ctx_norm(m, {a: {r: g}}))
         case CallLbl(f, b, meth, vals):
-            decl = prog.method(b, meth)
-            if decl is None:
+            sig = prog.signatures.get((b, meth))
+            if sig is None:
                 raise CheckError("UnknownMethod", f"{b}!{meth}", f"label for {f}")
             futs: set[str] = set()
             for v in vals:
                 futs |= {v.name} if isinstance(v, FutRef) else set()
-            return LabelTyping(ctx_norm(m, decl.requires), futs,
-                               {f: fut_type(decl.result, ctx_norm(m, decl.produces))}, {})
+            return LabelTyping(sig.requires, futs, {f: sig.fut}, {})
         case FutLbl(f, _):
             reg = _registry_entry(registry, f)
             produces = ctx_norm(m, reg[1]) if reg else {}
@@ -743,31 +751,27 @@ def check_method_table(prog: Program) -> dict:
     reports = []
     for actor, adecl in prog.actors.items():
         for name, decl in adecl.methods.items():
+            sig = prog.signatures[actor, name]
             report = {"actor": actor, "method": name, "ok": True, "errors": []}
             try:
                 t = _body_typing(prog, actor, decl)
                 report["computed"] = {
                     "type": str(t.ty),
-                    "requires": {a: {r: format_grade(g) for r, g in env.items()}
-                                 for a, env in t.requires.items()},
-                    "produces": {a: {r: format_grade(g) for r, g in env.items()}
-                                 for a, env in t.produces.items()},
+                    "requires": _grades_json(t.requires),
+                    "produces": _grades_json(t.produces),
                     "measure": t.measure,
                 }
                 report["declared"] = {
                     "type": str(decl.result),
-                    "requires": {a: {r: format_grade(g) for r, g in env.items()}
-                                 for a, env in ctx_norm(m, decl.requires).items()},
-                    "produces": {a: {r: format_grade(g) for r, g in env.items()}
-                                 for a, env in ctx_norm(m, decl.produces).items()},
+                    "requires": _grades_json(sig.requires),
+                    "produces": _grades_json(sig.produces),
                     "measure": decl.measure,
                 }
                 if t.ty != decl.result:
                     report["errors"].append(CheckError(
                         "TypeMismatch", f"body returns {t.ty}, declared {decl.result}",
                         f"{actor}.{name}").to_json())
-                if not _theta_match(m, ctx_norm(m, decl.requires), t.requires,
-                                    ctx_norm(m, decl.produces), t.produces):
+                if not _theta_match(m, sig.requires, t.requires, sig.produces, t.produces):
                     report["errors"].append(CheckError(
                         "ContextMismatch",
                         "declared contexts are not the computed ones padded alike",

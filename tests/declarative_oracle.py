@@ -227,7 +227,7 @@ def derive(prog, a: str, gamma: frozenset, sigma: frozenset, e) -> frozenset:
                         out.add((ResT(r, g), ctx_of([((a, r), h)]), ctx_of(()), 1))
         case Release(g, ve):
             for t in derive_value(gamma, sigma, ve):
-                if isinstance(t, ResT) and M.leq(g, t.grade):
+                if isinstance(t, ResT) and M.releasable(g, t.grade):
                     out.add((UnitT(), ctx_of(()), ctx_of([((a, t.res), g)]), 1))
         case Await(ve):
             for t in derive_value(gamma, sigma, ve):

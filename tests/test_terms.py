@@ -1,4 +1,4 @@
-"""Structure-level checks: future sets, well-formedness, renaming."""
+"""Structure-level checks: future sets, well-formedness, renaming, hashing."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import random
 from gract.grades import Lin
 from gract.terms import (
     ActiveThread,
+    PrimOp,
+    ValueExpr,
     Await,
     Call,
     Choice,
@@ -144,3 +146,44 @@ def test_printing_forms():
     assert str(seq) == "f?; return unit"
     named = Let("x", Await(Var("f")), Return(Var("x")))
     assert str(named) == "let x = f? in return x"
+
+
+class _CountedLeaf(ValueExpr):
+    """A value expression that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        _CountedLeaf.hashed += 1
+        return 7
+
+    def __repr__(self):
+        return "leaf"
+
+
+def test_syntax_nodes_hash_once():
+    leaf = _CountedLeaf()
+    e = Choice(Let("x", Return(leaf), Await(Var("x"))),
+               Call("B", "m", (leaf, GradedVar("y", 1))))
+    assert hash(e) == hash(e)
+    assert _CountedLeaf.hashed == 2  # once per parent node holding it
+    hash(e.left)
+    hash(e.right)
+    assert _CountedLeaf.hashed == 2
+    # the value the frozen dataclass would compute, so hash order stays
+    assert hash(e) == hash((e.left, e.right))
+    assert hash(e.right) == hash(("B", "m", (leaf, GradedVar("y", 1))))
+
+
+def test_cached_hash_leaves_equality_repr_and_str_alone():
+    nodes = [Let("x", Hold(1, "R"), Release(1, GradedVar("x", 1))),
+             PrimOp("brew", (Lit(GradedRes("R", 1)),)), Return(u), Var("v")]
+    fresh = [Let("x", Hold(1, "R"), Release(1, GradedVar("x", 1))),
+             PrimOp("brew", (Lit(GradedRes("R", 1)),)), Return(Lit(UnitVal())), Var("v")]
+    texts = [(repr(n), str(n)) for n in nodes]
+    for n in nodes:
+        hash(n)
+    assert [(repr(n), str(n)) for n in nodes] == texts
+    assert "_hash" not in repr(nodes[0])
+    assert nodes == fresh and {*nodes} == {*fresh}
+
