@@ -59,25 +59,31 @@ _FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy]#\d+)")
 def _key_pieces(p: Process) -> tuple:
     """What canonical_key reads of one process, computed once per object:
     the process itself (so its id stays taken while the memo holds it), its
-    serialization, that serialization split at fresh names (literal text at
-    even positions, names at odd ones), and its produced and consumed
-    futures."""
+    serialization, that serialization's literal template (the text between
+    fresh names, joined by NUL, which JSON never writes raw), the fresh
+    names in order, and its produced and consumed futures."""
     ser = json.dumps(process_to_json(p), sort_keys=True)
-    return (p, ser, _FRESH.split(ser),
+    parts = _FRESH.split(ser)
+    return (p, ser, "\0".join(parts[0::2]), parts[1::2],
             futures_produced_one(p), futures_consumed_one(p))
 
 
-def canonical_key(config: Configuration, memo: Optional[dict] = None) -> str:
+def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     """A name for the state that ignores process order (where swapping is
     legal), fresh-name spelling, and the freshness counters.
 
     Adjacent processes are bubble-sorted by their serialization whenever the
-    swap preserves behaviour, then futures and let-variables are renumbered
-    by first occurrence.  Distinct keys may still denote equivalent states;
-    that only costs extra visits, never a wrong merge.
+    swap preserves behaviour.  The key is each process's template followed
+    by codes for its fresh names (n for the n-th future, ~n for the n-th
+    let-variable, by first occurrence), then the resources, the live
+    futures' registry entries and the call budget.  Distinct keys may still
+    denote equivalent states; that only costs extra visits, never a wrong
+    merge.
 
     `memo`, owned by the caller, maps a process's id to its pieces, so
-    configurations that share process objects serialize each one once.
+    configurations that share process objects serialize each one once; it
+    also maps the last three parts to their first equal copy, so stored
+    keys share them.
     """
     if memo is None:
         memo = {}
@@ -93,37 +99,31 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> str:
         for i in range(len(pieces) - 1):
             a, b = pieces[i], pieces[i + 1]
             # swap when b sorts first and the two are disconnected
-            if b[1] < a[1] and not (a[3] & b[4]) and not (b[3] & a[4]):
+            if b[1] < a[1] and not (a[4] & b[5]) and not (b[4] & a[5]):
                 pieces[i], pieces[i + 1] = b, a
                 changed = True
 
-    mapping: dict[str, str] = {}
-    counts = {"f": 0, "y": 0}
-    sers = []
+    mapping: dict[str, int] = {}
+    futures = variables = 0
+    body: list = []
     for pc in pieces:
-        parts = pc[2][:]
-        for j in range(1, len(parts), 2):
-            name = parts[j]
-            if name not in mapping:
-                kind = name[0]
-                mapping[name] = f"{kind.upper()}{counts[kind]}"
-                counts[kind] += 1
-            parts[j] = mapping[name]
-        sers.append("".join(parts))
-    body = "[" + ",".join(sers) + "]"
+        body.append(pc[2])
+        for name in pc[3]:
+            code = mapping.get(name)
+            if code is None:
+                if name[0] == "f":
+                    code, futures = futures, futures + 1
+                else:
+                    code, variables = ~variables, variables + 1
+                mapping[name] = code
+            body.append(code)
 
-    live = {}
-    for f, entry in sorted(config.registry.items()):
-        if f not in mapping:
-            # the future no longer occurs anywhere in the processes
-            continue
-        live[mapping[f]] = "-" if entry is None else f"{entry[0]}|{entry[1]}"
-
-    alpha = json.dumps({a: {r: str(g) for r, g in env.items()}
-                        for a, env in sorted(config.alpha.items())}, sort_keys=True)
-    budget = json.dumps({f"{a}.{m}": n for (a, m), n in sorted(config.call_counts.items())},
-                        sort_keys=True)
-    return "|".join([body, alpha, json.dumps(live, sort_keys=True), budget])
+    # a future that no longer occurs in the processes is not live
+    live = sorted((mapping[f], entry) for f, entry in config.registry.items()
+                  if f in mapping)
+    alpha = tuple((a, tuple(sorted(env.items()))) for a, env in sorted(config.alpha.items()))
+    rest = (alpha, tuple(live), tuple(sorted(config.call_counts.items())))
+    return tuple(body), memo.setdefault(rest, rest)
 
 
 def intern_process(table: dict, p: Process) -> Process:
@@ -186,16 +186,16 @@ class Successors:
 
 
 def bounded_successors(prog: Program, config: Configuration,
-                       unfold: Optional[int]) -> Successors:
+                       unfold: Optional[int], memo: Optional[dict] = None) -> Successors:
     """All one-step successors, minus those the call budget rules out.
 
     A call that would push its method past the budget is dropped.  A choice
     branch whose body syntactically mentions a call to an already-exhausted
     method is dropped too: taking it could only end at the budget wall, and
     cutting it here models the fair scheduler that eventually picks the
-    other branch.
+    other branch.  `memo` is `step_config`'s.
     """
-    raw = step_config(config, prog)
+    raw = step_config(config, prog, memo)
     if unfold is None:
         return Successors(raw, 0, 0, len(raw))
     kept: list[StepResult] = []
@@ -257,7 +257,7 @@ def _step_brief(s: StepResult) -> dict:
             "actor": s.actor, "variant": s.variant}
 
 
-def _trace_to(parents: dict, key: str) -> list[dict]:
+def _trace_to(parents: dict, key: tuple) -> list[dict]:
     steps = []
     while parents[key] is not None:
         key, brief = parents[key]
@@ -286,15 +286,16 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
         intern_process(interned, p)
     key_memo: dict = {}
     key0 = canonical_key(start, key_memo)
-    visited: dict[str, Configuration] = {key0: start}
-    parents: dict[str, Optional[tuple[str, dict]]] = {key0: None}
+    visited: dict[tuple, Configuration] = {key0: start}
+    parents: dict[tuple, Optional[tuple[tuple, dict]]] = {key0: None}
     histogram: dict[str, int] = {}
     pruned_calls = pruned_choices = 0
     bound_hit = False
     hard_truncated = False
-    terminal_key: Optional[str] = None
+    terminal_key: Optional[tuple] = None
     depth = 0
     memo: dict = {}
+    step_memo: dict = {}  # shared by the pool's threads in _parallel_expand
 
     def note_measure(cfg: Configuration) -> None:
         mu = measure_of_config(prog, cfg, memo)
@@ -302,15 +303,15 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
         histogram[k] = histogram.get(k, 0) + 1
 
     note_measure(start)
-    level: list[tuple[str, Configuration]] = [(key0, start)]
+    level: list[tuple[tuple, Configuration]] = [(key0, start)]
 
     while level:
         if depth >= max_depth:
             bound_hit = True
             break
-        expand = [(k, c, bounded_successors(prog, c, unfold)) for k, c in level] \
-            if jobs <= 1 else _parallel_expand(prog, level, unfold, jobs)
-        nxt: list[tuple[str, Configuration]] = []
+        expand = [(k, c, bounded_successors(prog, c, unfold, step_memo)) for k, c in level] \
+            if jobs <= 1 else _parallel_expand(prog, level, unfold, jobs, step_memo)
+        nxt: list[tuple[tuple, Configuration]] = []
         for key, cfg, succ in expand:
             pruned_calls += succ.pruned_calls
             pruned_choices += succ.pruned_choices
@@ -370,10 +371,10 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
         visited=list(visited.values()))
 
 
-def _parallel_expand(prog, level, unfold, jobs):
+def _parallel_expand(prog, level, unfold, jobs, memo):
     def work(item):
         k, c = item
-        return k, c, bounded_successors(prog, c, unfold)
+        return k, c, bounded_successors(prog, c, unfold, memo)
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(work, level))
 
@@ -401,11 +402,12 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
     violations = []
     checked = 0
     memo: dict = {}
+    step_memo: dict = {}  # this check's own, never explore's
     for cfg in configs:
         mu = measure_of_config(prog, cfg, memo)
         if mu is None:
             continue
-        succ = step_config(cfg, prog)
+        succ = step_config(cfg, prog, step_memo)
         if not succ:
             continue
         checked += 1

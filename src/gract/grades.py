@@ -41,7 +41,9 @@ class LatticeError(ValueError):
 class GradeMonoid:
     """Interface shared by all grade algebras.
 
-    Subclasses provide zero, plus, leq, minus and meet over their carrier.
+    Subclasses provide zero, plus, leq, minus and meet over their carrier,
+    and releasable(g, held): whether what is held at `held` may be released
+    or used at g (leq where any part of a grade may go).
     minus returns None where the subtraction is undefined; it never raises.
     """
 
@@ -66,11 +68,6 @@ class GradeMonoid:
 
     def is_discardable(self, g: Grade) -> bool:
         return self.leq(self.zero(), g)
-
-    def releasable(self, g: Grade, held: Grade) -> bool:
-        """Whether a resource held at `held` may be released at g; by
-        default any part of what is held may go back."""
-        return self.leq(g, held)
 
     def carrier_sample(self) -> list[Grade]:
         """Finite slice of the carrier used by law checks and fuzzing."""
@@ -122,6 +119,8 @@ class NatExact(_NatBase):
     def leq(self, g: Grade, h: Grade) -> bool:
         return g == h
 
+    releasable = leq
+
     def minus(self, total: Grade, used: Grade) -> Optional[Grade]:
         if total == INF:
             return INF
@@ -140,6 +139,8 @@ class NatLeq(_NatBase):
 
     def leq(self, g: Grade, h: Grade) -> bool:
         return g <= h
+
+    releasable = leq
 
     def minus(self, total: Grade, used: Grade) -> Optional[Grade]:
         if used > total:
@@ -198,6 +199,8 @@ class Lin(_LinLike):
     def leq(self, g: Grade, h: Grade) -> bool:
         return g == h or h == INF
 
+    releasable = leq
+
     def meet(self, g: Grade, h: Grade) -> Grade:
         if g == h or h == INF:
             return g
@@ -214,6 +217,8 @@ class Affine(_LinLike):
 
     def leq(self, g: Grade, h: Grade) -> bool:
         return g <= h
+
+    releasable = leq
 
     def meet(self, g: Grade, h: Grade) -> Grade:
         return min(g, h)

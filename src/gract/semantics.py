@@ -144,9 +144,9 @@ def eval_value_expr(m: GradeMonoid, env: LocalEnv, ve: ValueExpr) -> tuple[Local
             if not isinstance(v, GradedRes):
                 raise Stuck("GradedNonResource", f"{x} holds {v}")
             left = m.minus(v.grade, g)
-            if left is None:
+            if left is None or (not m.releasable(g, v.grade) and m.leq(g, v.grade)):
                 raise Stuck(
-                    "InsufficientGrade",
+                    "InsufficientGrade" if left is None else "UnreleasableGrade",
                     f"{x} holds {v.res}^{format_grade(v.grade)}, needs {format_grade(g)}",
                 )
             env2 = dict(env)
@@ -438,10 +438,14 @@ def _offered_future(config: Configuration, m: GradeMonoid,
     return None
 
 
-def _thread_steps(config: Configuration, prog: Program, thread: ActiveThread, i: int,
-                  variant: str) -> list[StepResult]:
-    """Steps of one (possibly just activated) thread at position i of
-    `config`, which already reflects any scheduling variant."""
+def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
+                  variant: str, memo: Optional[dict] = None) -> list[StepResult]:
+    """Steps of `thread` (active, or suspended and activated by the
+    variant) at position i of `config`, which reflects the variant.
+
+    `memo`, the caller's, maps the thread object (kept in the entry, so its
+    id stays taken), fresh names, offered future and actor resources to the
+    expression steps with their updated threads, built once."""
     m = prog.monoid
     a = thread.actor
     out: list[StepResult] = []
@@ -459,17 +463,24 @@ def _thread_steps(config: Configuration, prog: Program, thread: ActiveThread, i:
         return out
 
     reachable = _offered_future(config, m, thread, i)
-    offered = Offered(
-        futures={reachable[0]: reachable[1]} if reachable else {},
-        alpha=config.alpha.get(a, {}),
-    )
+    alpha_a = config.alpha.get(a, {})
     candidate_future = f"f#{config.next_future}"
     candidate_var = f"y#{config.next_var}"
-    res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var, offered)
+    key = memo is not None and (id(thread), candidate_future, candidate_var,
+                                reachable and reachable[:2], tuple(alpha_a.items()))
+    entry = key and memo.get(key)
+    if not entry:
+        offered = Offered(futures={reachable[0]: reachable[1]} if reachable else {},
+                          alpha=alpha_a)
+        res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
+                        offered)
+        entry = thread, [(label, env2, ActiveThread(env2, expr2, thread.future, a))
+                         for label, env2, expr2 in res.steps]
+        if key:
+            memo[key] = entry
 
-    for label, env2, expr2 in res.steps:
+    for label, env2, updated in entry[1]:
         c = config.copy()
-        updated = ActiveThread(env2, expr2, thread.future, a)
         c.processes[i] = updated
         match label:
             case Tau():
@@ -507,8 +518,10 @@ def _thread_steps(config: Configuration, prog: Program, thread: ActiveThread, i:
     return out
 
 
-def step_config(config: Configuration, prog: Program) -> list[StepResult]:
-    """Every successor reachable by one rule after folded rearrangement."""
+def step_config(config: Configuration, prog: Program,
+                memo: Optional[dict] = None) -> list[StepResult]:
+    """Every successor reachable by one rule after folded rearrangement;
+    `memo` is the caller's thread-step memo (see `_thread_steps`)."""
     out: list[StepResult] = []
     processes = config.processes
     for i, p in enumerate(processes):
@@ -535,7 +548,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                         c.processes[i] = _spawn_thread(decl, f, a, vals)
                         out.append(StepResult("spawn", Tau(), c, a, f, i, "yld"))
             case ActiveThread():
-                out.extend(_thread_steps(config, prog, p, i, "base"))
+                out.extend(_thread_steps(config, prog, p, i, "base", memo))
             case SuspendedThread():
                 a = p.actor
                 activated = ActiveThread(p.env, p.expr, p.future, a)
@@ -545,7 +558,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     base.processes[i] = activated
                     del base.processes[j]
                     pos = i - 1 if j < i else i
-                    out.extend(_thread_steps(base, prog, activated, pos, "act"))
+                    out.extend(_thread_steps(base, prog, p, pos, "act", memo))
                 else:
                     k = _active_of(processes, a)
                     if k is not None and awaiting_future(
@@ -555,7 +568,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                         t = base.processes[k]
                         base.processes[k] = SuspendedThread(t.env, t.expr, t.future, a)
                         base.processes[i] = activated
-                        out.extend(_thread_steps(base, prog, activated, i, "yld"))
+                        out.extend(_thread_steps(base, prog, p, i, "yld", memo))
     out.sort(key=StepResult.sort_key)
     return out
 

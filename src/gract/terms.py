@@ -233,38 +233,35 @@ for _node in (Var, GradedVar, Lit, Call, Await, Hold, Release, PrimOp, Choice, R
     _node.__hash__ = _hash_once
 
 
+def _rename_ve(v: ValueExpr, old: str, new: str) -> ValueExpr:
+    if type(v) is Var and v.name == old:
+        return Var(new)
+    if type(v) is GradedVar and v.name == old:
+        return GradedVar(new, v.grade)
+    return v
+
+
 def rename_var(e: Expr, old: str, new: str) -> Expr:
-    """Capture-avoiding variable renaming; grades ride along unchanged."""
-
-    def ve(v: ValueExpr) -> ValueExpr:
-        match v:
-            case Var(name) if name == old:
-                return Var(new)
-            case GradedVar(name, g) if name == old:
-                return GradedVar(new, g)
-            case _:
-                return v
-
-    match e:
-        case Call(a, m, args):
-            return Call(a, m, tuple(ve(x) for x in args))
-        case Await(t):
-            return Await(ve(t))
-        case Hold():
-            return e
-        case Release(g, t):
-            return Release(g, ve(t))
-        case PrimOp(op, args):
-            return PrimOp(op, tuple(ve(x) for x in args))
-        case Choice(l, r):
-            return Choice(rename_var(l, old, new), rename_var(r, old, new))
-        case Return(v):
-            return Return(ve(v))
-        case Let(x, bound, body):
-            bound = rename_var(bound, old, new)
-            if x == old:
-                return Let(x, bound, body)
-            return Let(x, bound, rename_var(body, old, new))
+    """Capture-avoiding variable renaming; grades ride along unchanged.
+    Dispatches on the node's exact class, as it runs on every let step."""
+    k = type(e)
+    if k is Let:
+        body = e.body if e.var == old else rename_var(e.body, old, new)
+        return Let(e.var, rename_var(e.bound, old, new), body)
+    if k is Return:
+        return Return(_rename_ve(e.value, old, new))
+    if k is Call:
+        return Call(e.actor, e.method, tuple(_rename_ve(x, old, new) for x in e.args))
+    if k is Await:
+        return Await(_rename_ve(e.target, old, new))
+    if k is Release:
+        return Release(e.grade, _rename_ve(e.target, old, new))
+    if k is PrimOp:
+        return PrimOp(e.op, tuple(_rename_ve(x, old, new) for x in e.args))
+    if k is Choice:
+        return Choice(rename_var(e.left, old, new), rename_var(e.right, old, new))
+    if k is Hold:
+        return e
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -182,10 +182,10 @@ def type_value_expr(prog: Program, gamma: Gamma, sigma: Sigma,
             raise CheckError("UnknownVariable", x, loc)
         if type(t) is not ResT:
             raise CheckError("TypeMismatch", f"{x}: {t} used with a grade", loc)
-        g = ve.grade
-        if not prog.monoid.leq(g, t.grade):
+        g, m = ve.grade, prog.monoid
+        if not m.releasable(g, t.grade):
             raise CheckError(
-                "GradeTooSmall",
+                "GradeTooSmall" if not m.leq(g, t.grade) else "UnreleasableGrade",
                 f"{x}: {t.res}^{format_grade(t.grade)} used at ^{format_grade(g)}", loc)
         ty = ResT(t.res, g)
         return ty, {x: ty}, set()

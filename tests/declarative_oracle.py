@@ -99,7 +99,7 @@ def derive_value(gamma: frozenset, sigma: frozenset, ve: ValueExpr) -> frozenset
                 return frozenset({hit[0][1]})
         case GradedVar(x, g):
             hit = [(n, t) for n, t in gamma
-                   if n == x and isinstance(t, ResT) and M.leq(g, t.grade)]
+                   if n == x and isinstance(t, ResT) and M.releasable(g, t.grade)]
             if len(hit) == 1 and not sigma and dis(gamma - {hit[0]}):
                 return frozenset({ResT(hit[0][1].res, g)})
     return frozenset()

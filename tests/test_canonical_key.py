@@ -1,9 +1,12 @@
 """Differential tests of the explorer's canonical state key.
 
-`canonical_key_oracle.canonical_key` serializes every process afresh on
-every call.  The explorer's key reuses each process's pieces across the
-configurations that share it, and must give the same string, byte for
-byte, so that dedupe, state counts and reports cannot move.
+`canonical_key_oracle.canonical_key` is the explorer's original key: one
+string per state, every process serialized afresh and fresh names renamed
+by a regex pass.  The explorer's key is a tuple built from cached
+per-process pieces.  It need not be the same string, only the same
+partition of states: two states get the same key exactly when they get the
+same oracle string, so dedupe, state counts, BFS order and reports cannot
+move.
 """
 
 import pytest
@@ -22,9 +25,12 @@ def _load(name):
 
 
 def _explore_against_oracle(monkeypatch, prog, **bounds):
-    """Explore with every key the explorer computes compared to the
-    oracle's; returns the report, the number of keys and the mismatches."""
+    """Explore with every key the explorer computes paired with the
+    oracle's string; returns the report, the number of keys and the pairs
+    that break the bijection between keys and strings."""
     real = explorer.canonical_key
+    string_of: dict = {}
+    key_of: dict = {}
     keys = []
     mismatches = []
 
@@ -32,7 +38,7 @@ def _explore_against_oracle(monkeypatch, prog, **bounds):
         key = real(config, *memo)
         keys.append(key)
         want = oracle.canonical_key(config)
-        if key != want:
+        if string_of.setdefault(key, want) != want or key_of.setdefault(want, key) != key:
             mismatches.append((key, want))
         return key
 
@@ -72,6 +78,17 @@ def test_two_cafe_keys_equal_the_oracle(monkeypatch):
     assert rep.states_visited == 1000 and rep.bound_hit
     assert n > 1000
     assert mismatches[:1] == []
+
+
+def test_the_bijection_check_tells_merges_and_splits_apart(monkeypatch):
+    """The check itself: a key that merges states the oracle tells apart,
+    or splits states the oracle merges, is reported."""
+    real = explorer.canonical_key
+    cafe = _load("cafe.gract")
+    monkeypatch.setattr(explorer, "canonical_key", lambda c, *memo: real(c, *memo)[1:])
+    assert _explore_against_oracle(monkeypatch, cafe, unfold=2, max_states=300)[2]
+    monkeypatch.setattr(explorer, "canonical_key", lambda c, *memo: (real(c, *memo), id(c)))
+    assert _explore_against_oracle(monkeypatch, cafe, unfold=2, max_states=300)[2]
 
 
 def test_explore_serializes_each_process_once(monkeypatch):

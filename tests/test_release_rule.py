@@ -9,7 +9,7 @@ any part of what is held.
 from gract.grades import INF, Affine, Level, Lin, NatExact, NatLeq
 from gract.parser import parse_program
 from gract.semantics import Offered, step_expr
-from gract.terms import GradedRes, Lit, Release
+from gract.terms import GradedRes, GradedVar, Lit, Release
 from gract.typecheck import check_program
 
 from corpus import EXAMPLES
@@ -81,3 +81,36 @@ def test_machine_refuses_a_laundering_release():
     lin = step_expr(Lin(), {}, Release(1, Lit(GradedRes("R", INF))),
                     prog, "f#9", "y#9", Offered())
     assert len(lin.steps) == 1 and lin.faults == []
+
+
+LAUNDER_BY_USE = """\
+  launder2(): Unit requires Db: Doc^secret produces Db: Doc^public measure 4 {
+    let d = hold secret Doc in release public d^public; return unit }
+"""
+
+
+def test_laundering_through_a_graded_use_is_rejected():
+    """A level is a label: using a `secret` resource at `public` would
+    relabel it as surely as releasing it at `public` does."""
+    report = check_program(parse_program(_clearance_with(LAUNDER_BY_USE)))
+    assert not report["ok"]
+    launder = [r for r in report["methodReports"] if r["method"] == "launder2"]
+    assert [e["code"] for e in launder[0]["errors"]] == ["UnreleasableGrade"]
+    assert launder[0]["errors"][0]["loc"] == "Db.launder2 binding of _s0"
+    assert _codes(report) == ["UnreleasableGrade"]
+
+
+def test_machine_refuses_a_laundering_graded_use():
+    ladder = Level(["public", "secret"], [("public", "secret")])
+    prog = parse_program(_clearance_with(""))
+    env = {"d": GradedRes("Doc", "secret")}
+    down = step_expr(ladder, env, Release("public", GradedVar("d", "public")),
+                     prog, "f#9", "y#9", Offered())
+    assert down.steps == [] and [s.code for s in down.faults] == ["UnreleasableGrade"]
+    same = step_expr(ladder, env, Release("secret", GradedVar("d", "secret")),
+                     prog, "f#9", "y#9", Offered())
+    assert len(same.steps) == 1 and same.faults == []
+    # counting algebras still use part of what a variable holds
+    part = step_expr(NatExact(), {"r": GradedRes("R", INF)},
+                     Release(3, GradedVar("r", 3)), prog, "f#9", "y#9", Offered())
+    assert len(part.steps) == 1 and part.faults == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from gract.grades import Lin
+from gract.parser import parse_program
 from gract.terms import (
     ActiveThread,
     PrimOp,
@@ -35,6 +36,8 @@ from gract.terms import (
     rename_var,
     well_formed,
 )
+
+from corpus import EXAMPLES, TWO_CAFES
 
 u = Lit(UnitVal())
 
@@ -125,6 +128,55 @@ def test_rename_respects_shadowing():
     assert free_vars(e) == {"x"}
     assert free_vars(Choice(Return(Var("a")), Hold(1, "r"))) == {"a"}
     assert free_vars(Let("x", Call("A", "m", (Var("w"),)), Release(1, Var("x")))) == {"w"}
+
+
+def _rename_by_patterns(e, old, new):
+    """The pattern-matching renaming that `rename_var` replaced."""
+    def ve(v):
+        match v:
+            case Var(name) if name == old:
+                return Var(new)
+            case GradedVar(name, g) if name == old:
+                return GradedVar(new, g)
+        return v
+
+    match e:
+        case Call(a, m, args):
+            return Call(a, m, tuple(ve(x) for x in args))
+        case Await(t):
+            return Await(ve(t))
+        case Release(g, t):
+            return Release(g, ve(t))
+        case PrimOp(op, args):
+            return PrimOp(op, tuple(ve(x) for x in args))
+        case Choice(l, r):
+            return Choice(_rename_by_patterns(l, old, new), _rename_by_patterns(r, old, new))
+        case Return(v):
+            return Return(ve(v))
+        case Let(x, bound, body):
+            bound = _rename_by_patterns(bound, old, new)
+            return Let(x, bound, body if x == old else _rename_by_patterns(body, old, new))
+    return e
+
+
+def _subexpressions(e):
+    yield e
+    for child in {Let: ("bound", "body"), Choice: ("left", "right")}.get(type(e), ()):
+        yield from _subexpressions(getattr(e, child))
+
+
+def test_rename_matches_the_pattern_matching_original():
+    texts = [p.read_text() for p in sorted(EXAMPLES.glob("*.gract"))] + [TWO_CAFES]
+    checked = 0
+    for text in texts:
+        for actor in parse_program(text).actors.values():
+            for decl in actor.methods.values():
+                binders = {x.var for x in _subexpressions(decl.body) if type(x) is Let}
+                for e in _subexpressions(decl.body):
+                    for old in sorted(free_vars(e) | binders | {"q"}):
+                        assert rename_var(e, old, "y#0") == _rename_by_patterns(e, old, "y#0")
+                        checked += 1
+    assert checked > 200
 
 
 def test_fresh_names_are_monotone():
