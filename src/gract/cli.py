@@ -19,13 +19,12 @@ import json
 import os
 import random
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .explorer import check_subject_reduction, explore, helpful_chooser
 from .parser import ParseError, parse_program
 from .semantics import (
     Stuck,
-    Trace,
     config_to_json,
     fifo_chooser,
     initial_config,
@@ -266,7 +265,7 @@ def cmd_explore(args) -> int:
     if not args.unsafe and _refuse_illtyped(args, prog, "explore"):
         return EXIT_TYPE
     rep = explore(prog, unfold=args.unfold, max_depth=args.depth,
-                  max_states=args.states, jobs=args.jobs)
+                  max_states=args.states)
     # only a fair-termination verdict counts as success for scripting
     code = EXIT_OK if rep.verdict == "FairTerminating" else EXIT_STUCK
     if args.json:
@@ -292,35 +291,11 @@ def cmd_explore(args) -> int:
 def _sr_replay(args, prog: Program) -> int:
     """Re-check a recorded trace: replay its steps through the engine,
     verify the preservation laws, and compare any recorded configurations
-    against the engine's. A forged configuration fails at its step index."""
+    against the engine's. A forged configuration fails at its step index:
+    the replay chooser takes the first candidate there."""
     entries = _load_replay(args.replay)
-
-    def choose(succ, k):
-        """Follow the recorded step; the stored configuration settles ties.
-        A forged configuration matches nothing, so the first candidate is
-        taken and the comparison below reports it at its step index."""
-        if k >= len(entries):
-            return None
-        want = entries[k]
-        matches = [i for i, s in enumerate(succ)
-                   if s.rule == want.get("rule", s.rule)
-                   and want.get("actor", s.actor) == s.actor
-                   and want.get("variant", s.variant) == s.variant
-                   and ("label" not in want or label_str(s.label) == want["label"])]
-        if not matches:
-            raise Stuck("ScriptMismatch",
-                        f"step {k}: no successor matches "
-                        f"{want.get('rule')} at {want.get('actor')}")
-        recorded = want.get("config")
-        if recorded is not None and len(matches) > 1:
-            exact = [i for i in matches
-                     if config_to_json(succ[i].config) == recorded]
-            if exact:
-                return exact[0]
-        return matches[0]
-
     try:
-        tr = run(initial_config(prog), prog, choose, len(entries))
+        tr = run(initial_config(prog), prog, script_chooser(entries), len(entries))
     except Stuck as exc:
         if args.json:
             _emit_json({"schema": "gract/1", "command": "sr",
@@ -380,21 +355,15 @@ def cmd_sr(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than `low`."""
-
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        return n
-    return parse
-
-
-_COUNT = _at_least(0)
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one run under a schedule")
     common(p)
     p.add_argument("--seed", type=int, default=0, help="random schedule seed")
-    p.add_argument("--steps", type=_COUNT, default=1000, help="step budget")
+    p.add_argument("--steps", type=_count, default=1000, help="step budget")
     p.add_argument("--strategy", choices=("random", "helpful", "fifo", "step"),
                    default="random", help="schedule: random, measure-greedy, "
                    "leftmost, or interactive")
@@ -427,19 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="bounded search of all schedules")
     common(p)
-    p.add_argument("--unfold", type=_COUNT, default=2, help="per-method call budget")
-    p.add_argument("--depth", type=_COUNT, default=500, help="search depth limit")
-    p.add_argument("--states", type=_COUNT, default=100000, help="state limit")
-    p.add_argument("--jobs", type=_at_least(1), default=1, help="worker threads")
+    p.add_argument("--unfold", type=_count, default=2, help="per-method call budget")
+    p.add_argument("--depth", type=_count, default=500, help="search depth limit")
+    p.add_argument("--states", type=_count, default=100000, help="state limit")
     p.add_argument("--unsafe", action="store_true",
                    help="explore even if the static checks fail")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("sr", help="verify the preservation laws on random runs")
     common(p)
-    p.add_argument("--runs", type=_COUNT, default=20, help="number of runs")
+    p.add_argument("--runs", type=_count, default=20, help="number of runs")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--steps", type=_COUNT, default=400, help="per-run step budget")
+    p.add_argument("--steps", type=_count, default=400, help="per-run step budget")
     p.add_argument("--replay", metavar="TRACE",
                    help="re-check a recorded trace instead of random runs")
     p.set_defaults(fn=cmd_sr)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -161,20 +159,21 @@ def _calls_in(e) -> set[tuple[str, str]]:
     return out
 
 
+def _is_choice_step(pre: Configuration, s: StepResult) -> bool:
+    if s.rule != "silent" or s.pos >= len(pre.processes):
+        return False
+    p = pre.processes[s.pos]
+    return isinstance(p, ActiveThread) and isinstance(redex(p.expr), Choice)
+
+
 def _choice_index(config: Configuration, succ: list[StepResult],
                   s: StepResult) -> Optional[tuple[Choice, int]]:
     # a silent step resolving a choice redex; returns (redex, branch index)
-    if s.rule != "silent" or s.pos >= len(config.processes):
-        return None
-    p = config.processes[s.pos]
-    if not isinstance(p, ActiveThread):
-        return None
-    r = redex(p.expr)
-    if not isinstance(r, Choice):
+    if not _is_choice_step(config, s):
         return None
     siblings = [t for t in succ
                 if t.pos == s.pos and t.rule == "silent" and t.variant == s.variant]
-    return r, siblings.index(s)
+    return redex(config.processes[s.pos].expr), siblings.index(s)
 
 
 @dataclass
@@ -267,8 +266,7 @@ def _trace_to(parents: dict, key: tuple) -> list[dict]:
 
 
 def explore(prog: Program, config: Optional[Configuration] = None, *,
-            unfold: int = 2, max_depth: int = 500, max_states: int = 100000,
-            jobs: int = 1) -> ExploreReport:
+            unfold: int = 2, max_depth: int = 500, max_states: int = 100000) -> ExploreReport:
     """Breadth-first search over canonical states.
 
     FairTerminating: every explored maximal path ends terminated and no
@@ -295,7 +293,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     terminal_key: Optional[tuple] = None
     depth = 0
     memo: dict = {}
-    step_memo: dict = {}  # shared by the pool's threads in _parallel_expand
+    step_memo: dict = {}
 
     def note_measure(cfg: Configuration) -> None:
         mu = measure_of_config(prog, cfg, memo)
@@ -309,10 +307,9 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
         if depth >= max_depth:
             bound_hit = True
             break
-        expand = [(k, c, bounded_successors(prog, c, unfold, step_memo)) for k, c in level] \
-            if jobs <= 1 else _parallel_expand(prog, level, unfold, jobs, step_memo)
         nxt: list[tuple[tuple, Configuration]] = []
-        for key, cfg, succ in expand:
+        for key, cfg in level:
+            succ = bounded_successors(prog, cfg, unfold, step_memo)
             pruned_calls += succ.pruned_calls
             pruned_choices += succ.pruned_choices
             if succ.raw_count == 0:
@@ -371,14 +368,6 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
         visited=list(visited.values()))
 
 
-def _parallel_expand(prog, level, unfold, jobs, memo):
-    def work(item):
-        k, c = item
-        return k, c, bounded_successors(prog, c, unfold, memo)
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(work, level))
-
-
 # ---------------------------------------------------------------------------
 # The helpful direction: some successor always shrinks the measure
 
@@ -420,13 +409,6 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
 
 # ---------------------------------------------------------------------------
 # Dynamic subject reduction along a trace
-
-def _is_choice_step(pre: Configuration, s: StepResult) -> bool:
-    if s.rule != "silent" or s.pos >= len(pre.processes):
-        return False
-    p = pre.processes[s.pos]
-    return isinstance(p, ActiveThread) and isinstance(redex(p.expr), Choice)
-
 
 def _expected_alpha(m, alpha, s: StepResult):
     match s.label:

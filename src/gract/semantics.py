@@ -349,32 +349,6 @@ def disconnected(p: Process, q: Process) -> bool:
     )
 
 
-def precongruence_moves(m: GradeMonoid, processes: list[Process]) -> list[list[Process]]:
-    """Single rearrangement applications: swaps of disconnected adjacent
-    pairs, activation of a queued thread next to its idle actor, and
-    suspension of a thread that is awaiting a future."""
-    out: list[list[Process]] = []
-    for i in range(len(processes) - 1):
-        p, q = processes[i], processes[i + 1]
-        if disconnected(p, q):
-            swapped = list(processes)
-            swapped[i], swapped[i + 1] = q, p
-            out.append(swapped)
-        if isinstance(p, Idle) and isinstance(q, SuspendedThread) and q.actor == p.actor:
-            acted = list(processes)
-            acted[i: i + 2] = [ActiveThread(q.env, q.expr, q.future, q.actor)]
-            out.append(acted)
-    for i, p in enumerate(processes):
-        if isinstance(p, ActiveThread) and awaiting_future(m, p.env, p.expr) is not None:
-            yielded = list(processes)
-            yielded[i: i + 1] = [
-                Idle(p.actor),
-                SuspendedThread(p.env, p.expr, p.future, p.actor),
-            ]
-            out.append(yielded)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Configuration steps
 
@@ -518,57 +492,55 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
     return out
 
 
+def _free_actor(config: Configuration, prog: Program, a: str,
+                i: int) -> Optional[tuple[Configuration, int, str]]:
+    """Make room for a new thread of actor `a` in place of the process at
+    i (a message to spawn, or a suspended thread to activate): take a's
+    idle marker (variant "act"), or else suspend a's active thread if it
+    awaits (variant "yld"). Returns a copy of the configuration, the
+    position where the caller puts the thread, and the variant; None when
+    a is busy."""
+    processes = config.processes
+    j = _first_idle(processes, a)
+    if j is not None:
+        c = config.copy()
+        del c.processes[j]
+        return c, i - 1 if j < i else i, "act"
+    k = _active_of(processes, a)
+    if k is None or awaiting_future(prog.monoid, processes[k].env, processes[k].expr) is None:
+        return None
+    c = config.copy()
+    t = processes[k]
+    c.processes[k] = SuspendedThread(t.env, t.expr, t.future, a)
+    return c, i, "yld"
+
+
 def step_config(config: Configuration, prog: Program,
                 memo: Optional[dict] = None) -> list[StepResult]:
     """Every successor reachable by one rule after folded rearrangement;
     `memo` is the caller's thread-step memo (see `_thread_steps`)."""
     out: list[StepResult] = []
-    processes = config.processes
-    for i, p in enumerate(processes):
+    for i, p in enumerate(config.processes):
         match p:
             case CallMsg(f, a, meth, vals):
                 decl = prog.method(a, meth)
                 if decl is None or len(decl.params) != len(vals):
                     continue
-                j = _first_idle(processes, a)
-                if j is not None:
-                    c = config.copy()
-                    spawned = _spawn_thread(decl, f, a, vals)
-                    c.processes[i] = spawned
-                    del c.processes[j]
-                    out.append(StepResult("spawn", Tau(), c, a, f, i, "base"))
-                else:
-                    k = _active_of(processes, a)
-                    if k is not None and awaiting_future(
-                        prog.monoid, processes[k].env, processes[k].expr
-                    ) is not None:
-                        c = config.copy()
-                        t = c.processes[k]
-                        c.processes[k] = SuspendedThread(t.env, t.expr, t.future, t.actor)
-                        c.processes[i] = _spawn_thread(decl, f, a, vals)
-                        out.append(StepResult("spawn", Tau(), c, a, f, i, "yld"))
+                freed = _free_actor(config, prog, a, i)
+                if freed is not None:
+                    c, pos, variant = freed
+                    c.processes[pos] = _spawn_thread(decl, f, a, vals)
+                    # a spawn keeps its message's position; an idle actor is its base case
+                    out.append(StepResult("spawn", Tau(), c, a, f, i,
+                                          "base" if variant == "act" else variant))
             case ActiveThread():
                 out.extend(_thread_steps(config, prog, p, i, "base", memo))
             case SuspendedThread():
-                a = p.actor
-                activated = ActiveThread(p.env, p.expr, p.future, a)
-                j = _first_idle(processes, a)
-                if j is not None:
-                    base = config.copy()
-                    base.processes[i] = activated
-                    del base.processes[j]
-                    pos = i - 1 if j < i else i
-                    out.extend(_thread_steps(base, prog, p, pos, "act", memo))
-                else:
-                    k = _active_of(processes, a)
-                    if k is not None and awaiting_future(
-                        prog.monoid, processes[k].env, processes[k].expr
-                    ) is not None:
-                        base = config.copy()
-                        t = base.processes[k]
-                        base.processes[k] = SuspendedThread(t.env, t.expr, t.future, a)
-                        base.processes[i] = activated
-                        out.extend(_thread_steps(base, prog, p, i, "yld", memo))
+                freed = _free_actor(config, prog, p.actor, i)
+                if freed is not None:
+                    base, pos, variant = freed
+                    base.processes[pos] = ActiveThread(p.env, p.expr, p.future, p.actor)
+                    out.extend(_thread_steps(base, prog, p, pos, variant, memo))
     out.sort(key=StepResult.sort_key)
     return out
 
@@ -694,7 +666,10 @@ def script_chooser(entries: list[dict]) -> Chooser:
 
     Used for scripted replays. Ambiguity is an error so that a script pins
     exactly one run; a "pick" index resolves deliberate forks such as the
-    two branches of a choice, which look identical to the other keys.
+    two branches of a choice, which look identical to the other keys, and
+    so does a recorded "config" (as `step_to_json` writes it). A config
+    that matches none of the candidates takes the first, so that a replay
+    comparing configurations reports the forgery at its step.
     """
 
     def choose(succ: list[StepResult], k: int) -> Optional[int]:
@@ -714,6 +689,9 @@ def script_chooser(entries: list[dict]) -> Chooser:
             matches.append(idx)
         if "pick" in want and 0 <= want["pick"] < len(matches):
             return matches[want["pick"]]
+        if len(matches) > 1 and "config" in want:
+            exact = (i for i in matches if config_to_json(succ[i].config) == want["config"])
+            return next(exact, matches[0])
         if len(matches) != 1:
             raise Stuck(
                 "AmbiguousScript" if matches else "ScriptMismatch",

@@ -4,8 +4,9 @@ This is the explorer's original `canonical_key`, kept verbatim: it
 serializes every process of the configuration with `json.dumps`, tests each
 adjacent pair with `disconnected`, and renames fresh names with one regex
 pass over the joined body.  The explorer's key reuses per-process pieces
-across configurations; the differential tests require its strings to equal
-these byte for byte.
+across configurations and returns a tuple, not a string; the differential
+tests require its keys to partition states the same way as these strings:
+two states share a key exactly when they share an oracle string.
 """
 
 from __future__ import annotations

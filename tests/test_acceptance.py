@@ -251,15 +251,12 @@ def test_5_measure_decreasing_successors_everywhere():
 def test_6_exploration_terminates_and_is_stable():
     rep = _exploration()
     again = explore(_cafe(), unfold=2, max_depth=500)
-    parallel = explore(_cafe(), unfold=2, max_depth=500, jobs=2)
     checks = {
         "verdict is fair-terminating": rep.verdict == "FairTerminating",
         "state count frozen at 153": rep.states_visited == 153,
         "depth within bound": rep.max_depth <= 500,
         "serial rerun agrees": again.states_visited == 153 and
             again.verdict == rep.verdict,
-        "parallel rerun agrees": parallel.states_visited == 153 and
-            parallel.verdict == rep.verdict,
         "under 60s": _times["explore"] < 60.0,
     }
     _verdict("unfolding-2 exploration fair-terminates with a stable count", checks)

@@ -54,8 +54,8 @@ def programs():
     return {name: parse_program(src) for name, src in PROGRAMS.items()}
 
 
-def _report(programs, name, cap, jobs=1):
-    rep = explore(programs[name], unfold=2, max_states=cap, jobs=jobs)
+def _report(programs, name, cap):
+    rep = explore(programs[name], unfold=2, max_states=cap)
     with redirect_stdout(io.StringIO()) as out:
         _emit_json({"command": "explore", "program": f"{name}.gract", **rep.to_json()})
     return rep, out.getvalue()
@@ -68,8 +68,3 @@ def test_capped_report_is_pinned(programs, name, cap):
            rep.pruned_choices, rep.bound_hit, hashlib.sha256(text.encode()).hexdigest())
     assert got == PINNED[name, cap]
     assert sum(rep.measure_histogram.values()) == rep.states_visited
-
-
-@pytest.mark.parametrize("name, cap", [("cafe", 5), ("cafe", 152), ("two-cafes", 200)])
-def test_capped_report_with_two_jobs_matches_serial(programs, name, cap):
-    assert _report(programs, name, cap, jobs=2)[1] == _report(programs, name, cap)[1]

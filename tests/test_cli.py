@@ -160,7 +160,6 @@ def test_run_step_strategy_rejects_a_non_integer(capsys, monkeypatch):
     ["run", CAFE, "--steps", "-5"],
     ["sr", CAFE, "--steps", "-5"],
     ["sr", CAFE, "--runs", "-3"],
-    ["explore", CAFE, "--jobs", "0"],
     ["explore", CAFE, "--unfold", "-1"],
     ["explore", CAFE, "--depth", "-1"],
     ["explore", CAFE, "--states", "-1"],
@@ -170,8 +169,14 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].endswith(
-        f"error: argument {argv[2]}: must be at least {1 if argv[2] == '--jobs' else 0}, "
-        f"got {argv[3]}")
+        f"error: argument {argv[2]}: must be at least 0, got {argv[3]}")
+
+
+def test_jobs_is_an_unrecognized_argument(capsys):
+    assert run_cli(["explore", CAFE, "--jobs", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --jobs 2")
 
 
 def test_closed_stdout_exits_3_without_a_traceback():
@@ -221,14 +226,6 @@ def test_explore_json_state_count(capsys):
     assert doc["schema"] == "gract/1"
 
 
-def test_explore_jobs_matches_serial(capsys):
-    assert run_cli(["explore", CAFE, "--json", "--quiet"]) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert run_cli(["explore", CAFE, "--json", "--quiet", "--jobs", "2"]) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # sr
 
@@ -261,6 +258,42 @@ def test_sr_replay_flags_corrupted_trace(capsys):
 def test_sr_replay_accepts_choice_script(capsys):
     assert run_cli(["sr", CAFE, "--replay", REPLAY, "--quiet"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_run_replay_reproduces_a_recorded_run(tmp_path, capsys):
+    """The recorded configurations settle the choice at step 39, whose two
+    branches match the same rule, actor and label."""
+    assert run_cli(["run", CAFE, "--strategy", "fifo", "--json"]) == 0
+    recorded = capsys.readouterr().out
+    record = tmp_path / "trace.json"
+    record.write_text(recorded)
+    assert run_cli(["run", CAFE, "--replay", str(record), "--json"]) == 0
+    assert capsys.readouterr().out == recorded
+
+
+def _fifo_script(capsys, upto: int) -> list[dict]:
+    """The fifo run's first `upto` steps, without their configurations."""
+    assert run_cli(["run", CAFE, "--strategy", "fifo", "--json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"][:upto]
+    return [{k: st[k] for k in ("rule", "actor", "label", "variant")} for st in steps]
+
+
+def test_sr_replay_honours_pick(tmp_path, capsys):
+    # branch 1 at the choice recurses, so the next step is the call
+    script = _fifo_script(capsys, 39) + [{"rule": "silent", "actor": "Cs", "pick": 1},
+                                         {"rule": "call", "actor": "Cs"}]
+    path = _replay_file(tmp_path, script)
+    assert run_cli(["sr", CAFE, "--replay", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 41
+
+
+def test_sr_replay_without_config_or_pick_is_ambiguous(tmp_path, capsys):
+    path = _replay_file(tmp_path, _fifo_script(capsys, 40))
+    assert run_cli(["sr", CAFE, "--replay", path, "--json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "replay-failed"
+    assert doc["error"]["code"] == "AmbiguousScript"
+    assert doc["error"]["detail"].startswith("step 39: ")
 
 
 # ---------------------------------------------------------------------------

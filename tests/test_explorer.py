@@ -96,13 +96,12 @@ def test_cafe_explores_to_fair_termination(cafe):
     assert rep.witness_trace, "termination witness expected"
 
 
-def test_exploration_is_deterministic_and_parallel_stable(cafe):
+def test_exploration_is_deterministic(cafe):
     one = explore(cafe, unfold=2)
     two = explore(cafe, unfold=2)
-    par = explore(cafe, unfold=2, jobs=2)
-    assert one.states_visited == two.states_visited == par.states_visited
-    assert one.verdict == two.verdict == par.verdict
-    assert one.measure_histogram == two.measure_histogram == par.measure_histogram
+    assert one.states_visited == two.states_visited
+    assert one.verdict == two.verdict
+    assert one.measure_histogram == two.measure_histogram
 
 
 def test_missing_cup_is_found_stuck(nocup):

@@ -23,7 +23,6 @@ from gract.semantics import (
     initial_config,
     is_terminated,
     label_str,
-    precongruence_moves,
     random_chooser,
     run,
     script_chooser,
@@ -251,22 +250,39 @@ def test_swap_blocked_by_dataflow():
     assert disconnected(Idle("A"), Idle("B"))
 
 
-def test_precongruence_swap_and_activate():
+def test_idle_actor_activates_a_suspended_thread(cafe):
     s = SuspendedThread({}, Return(Lit(UnitVal())), "f#1", "A")
-    procs = [Idle("A"), s]
-    moves = precongruence_moves(M, procs)
-    # the pair swaps (disconnected) and also activates
-    assert [Idle("A")] != moves
-    acted = [m for m in moves if isinstance(m[0], ActiveThread)]
-    assert len(acted) == 1 and len(acted[0]) == 1
+    [only] = step_config(Configuration(alpha={}, processes=[Idle("A"), s]), cafe)
+    # activation takes the idle marker to its left, so the thread acts at 0
+    assert (only.rule, only.variant, only.pos) == ("return", "act", 0)
+    assert only.config.processes == [FulfilledFut("f#1", UnitVal()), Idle("A")]
 
 
-def test_precongruence_yield_needs_await_redex():
-    t = thread_awaiting("f#1")
-    moves = precongruence_moves(M, [t])
-    assert any(isinstance(m[0], Idle) and isinstance(m[1], SuspendedThread) for m in moves)
-    busy = ActiveThread({}, Hold(1, "CC"), "f#1", "A")
-    assert precongruence_moves(M, [busy]) == []
+def test_spawn_reports_its_message_position(cafe):
+    msg = CallMsg("f#2", "Cn", "pickup", ())
+    [only] = step_config(Configuration(alpha={}, processes=[Idle("Cn"), Idle("B"), msg]), cafe)
+    # the idle marker on the left goes, so the thread lands at 1
+    assert (only.rule, only.variant, only.pos) == ("spawn", "base", 2)
+    assert only.config.processes[0] == Idle("B")
+    assert isinstance(only.config.processes[1], ActiveThread)
+
+
+def test_message_to_an_awaiting_actor_yields(cafe):
+    msg = CallMsg("f#2", "Cn", "pickup", ())
+    waiting = thread_awaiting("f#1", actor="Cn", future="f#0")
+    cfg = Configuration(alpha={}, processes=[msg, waiting])
+    [only] = step_config(cfg, cafe)
+    assert (only.rule, only.variant, only.pos) == ("spawn", "yld", 0)
+    spawned, suspended = only.config.processes
+    assert isinstance(spawned, ActiveThread) and spawned.future == "f#2"
+    assert isinstance(suspended, SuspendedThread) and suspended.future == "f#0"
+
+
+def test_busy_actor_does_not_yield(cafe):
+    msg = CallMsg("f#2", "Cn", "pickup", ())
+    busy = ActiveThread({}, Hold(1, "Cf"), "f#1", "Cn")
+    succ = step_config(Configuration(alpha={"Cn": {"Cf": 1}}, processes=[msg, busy]), cafe)
+    assert [(s.rule, s.variant) for s in succ] == [("hold", "base")]
 
 
 # ---------------------------------------------------------------------------

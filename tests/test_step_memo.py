@@ -1,14 +1,12 @@
 """The thread-step memo: one exploration steps each thread once per distinct
 input, and a memo changes no successor and no verdict."""
 
-import sys
-
 import pytest
 
 from gract import explorer, semantics
 from gract.explorer import check_helpful, explore
 from gract.parser import parse_program
-from gract.semantics import config_to_json, fifo_chooser, initial_config, run, step_config
+from gract.semantics import fifo_chooser, initial_config, run, step_config
 
 from corpus import EXAMPLES, TWO_CAFES
 
@@ -86,20 +84,3 @@ def test_check_helpful_is_the_same_without_its_memo(monkeypatch, case):
     monkeypatch.setattr(explorer, "step_config", lambda cfg, p, memo=None: real(cfg, p))
     assert check_helpful(prog, rep.visited) == with_memo
     assert with_memo["ok"] and with_memo["checked"] > 0
-
-
-def test_threads_sharing_the_memo_explore_alike():
-    """`_parallel_expand`'s workers share explore's step memo; under a
-    short switch interval, more workers than cores still give the serial
-    report and the same states."""
-    prog = parse_program(TWO_CAFES)
-    serial = explore(prog, unfold=2, max_states=300)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = explore(prog, unfold=2, max_states=300, jobs=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert pooled.to_json() == serial.to_json()
-    assert [config_to_json(c) for c in pooled.visited] == \
-        [config_to_json(c) for c in serial.visited]
