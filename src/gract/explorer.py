@@ -40,7 +40,6 @@ from .terms import (
     Let,
     Process,
     Program,
-    content_key,
     futures_consumed_one,
     futures_produced_one,
 )
@@ -55,14 +54,13 @@ _FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy]#\d+)")
 
 
 def _key_pieces(p: Process) -> tuple:
-    """What canonical_key reads of one process, computed once per object:
-    the process itself (so its id stays taken while the memo holds it), its
-    serialization, that serialization's literal template (the text between
-    fresh names, joined by NUL, which JSON never writes raw), the fresh
-    names in order, and its produced and consumed futures."""
+    """What canonical_key reads of one process, computed once per distinct
+    process: its serialization, that serialization's literal template (the
+    text between fresh names, joined by NUL, which JSON never writes raw),
+    the fresh names in order, and its produced and consumed futures."""
     ser = json.dumps(process_to_json(p), sort_keys=True)
     parts = _FRESH.split(ser)
-    return (p, ser, "\0".join(parts[0::2]), parts[1::2],
+    return (ser, "\0".join(parts[0::2]), parts[1::2],
             futures_produced_one(p), futures_consumed_one(p))
 
 
@@ -78,18 +76,18 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     denote equivalent states; that only costs extra visits, never a wrong
     merge.
 
-    `memo`, owned by the caller, maps a process's id to its pieces, so
-    configurations that share process objects serialize each one once; it
-    also maps the last three parts to their first equal copy, so stored
-    keys share them.
+    `memo`, owned by the caller, maps each process (a value, so equal
+    processes share an entry) to its pieces, so configurations serialize
+    each distinct process once; it also maps the last three parts to their
+    first equal copy, so stored keys share them.
     """
     if memo is None:
         memo = {}
     pieces = []
     for p in config.processes:
-        pc = memo.get(id(p))
+        pc = memo.get(p)
         if pc is None:
-            pc = memo[id(p)] = _key_pieces(p)
+            pc = memo[p] = _key_pieces(p)
         pieces.append(pc)
     changed = True
     while changed:
@@ -97,7 +95,7 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
         for i in range(len(pieces) - 1):
             a, b = pieces[i], pieces[i + 1]
             # swap when b sorts first and the two are disconnected
-            if b[1] < a[1] and not (a[4] & b[5]) and not (b[4] & a[5]):
+            if b[0] < a[0] and not (a[3] & b[4]) and not (b[3] & a[4]):
                 pieces[i], pieces[i + 1] = b, a
                 changed = True
 
@@ -105,8 +103,8 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     futures = variables = 0
     body: list = []
     for pc in pieces:
-        body.append(pc[2])
-        for name in pc[3]:
+        body.append(pc[1])
+        for name in pc[2]:
             code = mapping.get(name)
             if code is None:
                 if name[0] == "f":
@@ -125,18 +123,9 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
 
 
 def intern_process(table: dict, p: Process) -> Process:
-    """The table's representative of p's content: p itself when p is the
-    first of its content, else the earlier, equal process.
-
-    The table maps each content key to its representative, and each
-    representative's id to itself, so a representative is recognised by
-    its id without building or hashing its content key again."""
-    if id(p) in table:
-        return p
-    rep = table.setdefault(content_key(p), p)
-    if rep is p:
-        table[id(p)] = p
-    return rep
+    """The table's representative of p: p itself when p is the first of
+    its value, else the earlier, equal process."""
+    return table.setdefault(p, p)
 
 
 # ---------------------------------------------------------------------------

@@ -361,11 +361,6 @@ def env_minus(m: GradeMonoid, total: ResourceEnv, used: ResourceEnv) -> Optional
     return env_norm(m, out)
 
 
-def env_meet(m: GradeMonoid, a: ResourceEnv, b: ResourceEnv) -> ResourceEnv:
-    z = m.zero()
-    return env_norm(m, {r: m.meet(a.get(r, z), b.get(r, z)) for r in a.keys() | b.keys()})
-
-
 def ctx_norm(m: GradeMonoid, ctx: ActorContext) -> ActorContext:
     out = {}
     for actor, env in ctx.items():
@@ -394,16 +389,3 @@ def ctx_minus(m: GradeMonoid, total: ActorContext, used: ActorContext) -> Option
             return None
         out[actor] = left
     return ctx_norm(m, out)
-
-
-def ctx_meet(m: GradeMonoid, a: ActorContext, b: ActorContext) -> ActorContext:
-    out = {}
-    for actor in a.keys() | b.keys():
-        env = env_meet(m, a.get(actor, {}), b.get(actor, {}))
-        if env:
-            out[actor] = env
-    return out
-
-
-def ctx_eq(m: GradeMonoid, a: ActorContext, b: ActorContext) -> bool:
-    return ctx_norm(m, a) == ctx_norm(m, b)

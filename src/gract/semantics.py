@@ -357,6 +357,18 @@ RULE_ORDER = {"spawn": 0, "silent": 1, "hold": 2, "rls": 3, "call": 4, "get": 5,
 
 @dataclass
 class StepResult:
+    """One successor: the rule taken, its label, the new configuration, and
+    the acting actor and future.
+
+    `pos` depends on the rule. A step of an active thread (variant `base`)
+    reports the thread's index in the parent. A spawn reports its message's
+    index in the parent; the new thread lands there, or one to the left
+    when the actor's idle marker lay to the left of the message. A step of
+    a suspended thread activated by the variant (`act` or `yld`) reports
+    where the activated thread lands: its own index, or one less when `act`
+    took an idle marker to its left.
+    """
+
     rule: str
     label: Label
     config: Configuration
@@ -417,9 +429,11 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
     """Steps of `thread` (active, or suspended and activated by the
     variant) at position i of `config`, which reflects the variant.
 
-    `memo`, the caller's, maps the thread object (kept in the entry, so its
-    id stays taken), fresh names, offered future and actor resources to the
-    expression steps with their updated threads, built once."""
+    `memo`, the caller's, maps the thread (a value, so equal threads share
+    an entry), fresh names, offered future and actor resources to the
+    expression steps with their updated threads, built once. A successor
+    gets a new dict for the one field its rule changes and shares the
+    others with `config`."""
     m = prog.monoid
     a = thread.actor
     out: list[StepResult] = []
@@ -440,20 +454,20 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
     alpha_a = config.alpha.get(a, {})
     candidate_future = f"f#{config.next_future}"
     candidate_var = f"y#{config.next_var}"
-    key = memo is not None and (id(thread), candidate_future, candidate_var,
+    key = memo is not None and (thread, candidate_future, candidate_var,
                                 reachable and reachable[:2], tuple(alpha_a.items()))
-    entry = key and memo.get(key)
-    if not entry:
+    steps = memo.get(key) if key else None
+    if steps is None:
         offered = Offered(futures={reachable[0]: reachable[1]} if reachable else {},
                           alpha=alpha_a)
         res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
                         offered)
-        entry = thread, [(label, env2, ActiveThread(env2, expr2, thread.future, a))
-                         for label, env2, expr2 in res.steps]
+        steps = [(label, env2, ActiveThread(env2, expr2, thread.future, a))
+                 for label, env2, expr2 in res.steps]
         if key:
-            memo[key] = entry
+            memo[key] = steps
 
-    for label, env2, updated in entry[1]:
+    for label, env2, updated in steps:
         c = config.copy()
         c.processes[i] = updated
         match label:
@@ -462,21 +476,20 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
                     c.next_var += 1
                 out.append(StepResult("silent", label, c, a, thread.future, i, variant))
             case HoldLbl(r, g):
-                env_a = c.alpha.setdefault(a, {})
-                left = m.minus(env_a.get(r, m.zero()), g)
+                left = m.minus(alpha_a.get(r, m.zero()), g)
                 if left is None:
                     continue  # offered.alpha made this unreachable; belt and braces
-                env_a[r] = left
+                c.alpha = {**c.alpha, a: {**alpha_a, r: left}}
                 out.append(StepResult("hold", label, c, a, thread.future, i, variant))
             case RlsLbl(r, g):
-                env_a = c.alpha.setdefault(a, {})
-                env_a[r] = m.plus(env_a.get(r, m.zero()), g)
+                c.alpha = {**c.alpha, a: {**alpha_a, r: m.plus(alpha_a.get(r, m.zero()), g)}}
                 out.append(StepResult("rls", label, c, a, thread.future, i, variant))
             case CallLbl(f_new, b, meth, vals):
                 c.next_future += 1
                 decl = prog.method(b, meth)
-                c.registry[f_new] = (decl.result, ctx_key(decl.produces)) if decl else None
-                c.call_counts[(b, meth)] = c.call_counts.get((b, meth), 0) + 1
+                c.registry = {**c.registry,
+                              f_new: (decl.result, ctx_key(decl.produces)) if decl else None}
+                c.call_counts = {**c.call_counts, (b, meth): c.call_counts.get((b, meth), 0) + 1}
                 c.processes.insert(i, CallMsg(f_new, b, meth, vals))
                 out.append(StepResult("call", label, c, a, thread.future, i, variant))
             case FutLbl(f, _):
@@ -487,7 +500,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
                     del c.processes[i]
                     del c.processes[j]
                     c.processes.insert(j, updated)
-                c.registry.pop(f, None)
+                c.registry = {h: e for h, e in c.registry.items() if h != f}
                 out.append(StepResult("get", label, c, a, thread.future, i, variant))
     return out
 
@@ -661,6 +674,10 @@ def fifo_chooser(succ: list[StepResult], _k: int) -> int:
     return 0
 
 
+# the keys of a script entry that select a successor; an error names only these
+_SELECTING = ("rule", "actor", "variant", "label", "pick")
+
+
 def script_chooser(entries: list[dict]) -> Chooser:
     """Select successors by rule name and optional actor/variant/label.
 
@@ -693,9 +710,10 @@ def script_chooser(entries: list[dict]) -> Chooser:
             exact = (i for i in matches if config_to_json(succ[i].config) == want["config"])
             return next(exact, matches[0])
         if len(matches) != 1:
+            keys = {key: want[key] for key in _SELECTING if key in want}
             raise Stuck(
                 "AmbiguousScript" if matches else "ScriptMismatch",
-                f"step {k}: {want} matched {len(matches)} of "
+                f"step {k}: {keys} matched {len(matches)} of "
                 f"{[(s.rule, s.actor, label_str(s.label)) for s in succ]}",
             )
         return matches[0]

@@ -13,8 +13,8 @@ whose output the parser reads back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional, Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .grades import ActorContext, Grade, GradeMonoid, ctx_norm, format_grade
 
@@ -219,9 +219,10 @@ class Let(Expr):
 
 
 def _hash_once(node) -> int:
-    """A syntax node's hash, computed on first use and kept outside its
-    fields (equality, repr and str ignore it). It is the value the frozen
-    dataclass computes, so hash-ordered iteration does not change."""
+    """A syntax node's or process's hash, computed on first use and kept
+    outside its fields (equality, repr and str ignore it). It is the value
+    the frozen dataclass computes, so hash-ordered iteration does not
+    change."""
     h = node._hash
     if h is None:
         h = hash(tuple(getattr(node, f) for f in node.__match_args__))
@@ -324,8 +325,11 @@ class Process:
 
     A step builds new processes for what it rewrites and keeps every other
     process object as it is, so a process's environment is never written
-    after construction.
+    after construction. A process hashes by value, computed once (see
+    `_hash_once` and `_hash_thread`), so it is its own key in every memo.
     """
+
+    _hash = None
 
 
 @dataclass(frozen=True)
@@ -363,14 +367,18 @@ class FulfilledFut(Process):
     value: Value
 
 
-def content_key(p: Process):
-    """A hashable key of a process's content: equal keys mean equal
-    processes. A thread's environment is a dict, so its key spells the
-    environment out as a tuple of items; the other kinds are hashable
-    frozen values already and are their own key."""
-    if isinstance(p, (ActiveThread, SuspendedThread)):
-        return type(p), tuple(p.env.items()), p.expr, p.future, p.actor
-    return p
+def _hash_thread(t) -> int:
+    """A thread's hash, computed once like `_hash_once`'s; the environment
+    hashes by its items in any order, as dict equality compares them."""
+    h = t._hash
+    if h is None:
+        h = hash((frozenset(t.env.items()), t.expr, t.future, t.actor))
+        object.__setattr__(t, "_hash", h)
+    return h
+
+
+ActiveThread.__hash__ = SuspendedThread.__hash__ = _hash_thread
+Idle.__hash__ = CallMsg.__hash__ = FulfilledFut.__hash__ = _hash_once
 
 
 def futures_produced_one(p: Process) -> set[str]:
@@ -434,9 +442,10 @@ class Configuration:
     release obligations at creation time, and per-target call counts that
     bounded exploration uses as its recursion budget.
 
-    `copy` gives the copy its own process list and its own mutable
-    fields; the processes themselves are shared, since none is ever
-    rewritten in place.
+    A configuration is not written once it is built. `copy` gives the copy
+    its own process list and shares everything else with the original: the
+    processes, which are immutable, and `alpha`, `registry` and
+    `call_counts`, which a step that changes one replaces with a new dict.
     """
 
     alpha: ActorContext
@@ -447,14 +456,8 @@ class Configuration:
     call_counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def copy(self) -> "Configuration":
-        return Configuration(
-            alpha={a: dict(env) for a, env in self.alpha.items()},
-            processes=list(self.processes),
-            next_future=self.next_future,
-            next_var=self.next_var,
-            registry=dict(self.registry),
-            call_counts=dict(self.call_counts),
-        )
+        return Configuration(self.alpha, list(self.processes), self.next_future,
+                             self.next_var, self.registry, self.call_counts)
 
     def fresh_future(self) -> str:
         name = f"f#{self.next_future}"

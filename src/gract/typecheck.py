@@ -29,15 +29,7 @@ from .grades import (
     ctx_plus,
     format_grade,
 )
-from .semantics import (
-    CallLbl,
-    FutLbl,
-    HoldLbl,
-    Label,
-    RlsLbl,
-    Tau,
-    initial_config,
-)
+from .semantics import initial_config
 from .terms import (
     ActiveThread,
     Await,
@@ -69,8 +61,6 @@ from .terms import (
     Value,
     ValueExpr,
     Var,
-    content_key,
-    ctx_key,
     ctx_of,
     fut_type,
     well_formed,
@@ -535,32 +525,23 @@ def _type_atomic_memo(prog: Program, p: Process, visible: Sigma, registry,
                       memo: Optional[dict]):
     """_type_atomic through a typing memo.
 
-    The memo maps a process's content key (`content_key`) and its own
-    future's registry entry to _type_atomic's result and the (future, type)
-    pairs that result read from the visible futures: exactly the futures it
-    consumed. A hit counts only while each of those pairs still holds, so
-    one memo may serve all the configurations of one operation. Rejections
-    are never stored, so an error is always raised afresh, at its own
-    location.
-
-    The memo also maps `id(p)` to p itself (so the id stays taken), its
-    own future's registry entry and its content's entry, so a process
-    object builds and hashes its content key once, not on every lookup."""
+    The memo maps each process (a value, so equal processes share an
+    entry) to the registry entry of its own future, _type_atomic's result,
+    and the (future, type) pairs that result read from the visible futures:
+    exactly the futures it consumed. A hit counts only while the registry
+    entry is the same and each of those pairs still holds, so one memo may
+    serve all the configurations of one operation; a miss types the process
+    again and replaces its entry. Rejections are never stored, so an error
+    is always raised afresh, at its own location."""
     if memo is None or not isinstance(p, Process):
         return _type_atomic(prog, p, visible, registry)
     own = None if registry is None or isinstance(p, Idle) else registry.get(p.future)
-    seen = memo.get(id(p))
-    if seen is not None and seen[1] == own:
-        result, reads = seen[2]
-        if all(visible.get(f) == t for f, t in reads):
-            return result
-    key = content_key(p), own
-    hit = memo.get(key)
-    if hit is None or not all(visible.get(f) == t for f, t in hit[1]):
-        result = _type_atomic(prog, p, visible, registry)
-        hit = memo[key] = result, tuple((f, visible[f]) for f in result[1])
-    memo[id(p)] = p, own, hit
-    return hit[0]
+    seen = memo.get(p)
+    if seen is not None and seen[0] == own and all(visible.get(f) == t for f, t in seen[2]):
+        return seen[1]
+    result = _type_atomic(prog, p, visible, registry)
+    memo[p] = own, result, tuple((f, visible[f]) for f in result[1])
+    return result
 
 
 def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
@@ -677,41 +658,6 @@ def measure_of_config(prog: Program, config: Configuration,
         return type_process(prog, config.processes, {}, config.registry, memo).measure
     except CheckError:
         return None
-
-
-# ---------------------------------------------------------------------------
-# Labels
-
-@dataclass
-class LabelTyping:
-    requires: ActorContext
-    consumed: set[str]
-    produced: dict[str, FutT]
-    produces: ActorContext
-
-
-def type_label(prog: Program, a: str, label: Label, registry=None) -> LabelTyping:
-    m = prog.monoid
-    match label:
-        case Tau():
-            return LabelTyping({}, set(), {}, {})
-        case HoldLbl(r, g):
-            return LabelTyping(ctx_norm(m, {a: {r: g}}), set(), {}, {})
-        case RlsLbl(r, g):
-            return LabelTyping({}, set(), {}, ctx_norm(m, {a: {r: g}}))
-        case CallLbl(f, b, meth, vals):
-            sig = prog.signatures.get((b, meth))
-            if sig is None:
-                raise CheckError("UnknownMethod", f"{b}!{meth}", f"label for {f}")
-            futs: set[str] = set()
-            for v in vals:
-                futs |= {v.name} if isinstance(v, FutRef) else set()
-            return LabelTyping(sig.requires, futs, {f: sig.fut}, {})
-        case FutLbl(f, _):
-            reg = _registry_entry(registry, f)
-            produces = ctx_norm(m, reg[1]) if reg else {}
-            return LabelTyping({}, {f}, {}, produces)
-    raise CheckError("TypeMismatch", f"not a label: {label!r}")
 
 
 # ---------------------------------------------------------------------------

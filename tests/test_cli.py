@@ -271,6 +271,19 @@ def test_run_replay_reproduces_a_recorded_run(tmp_path, capsys):
     assert capsys.readouterr().out == recorded
 
 
+def test_replay_error_names_the_selecting_keys_only(tmp_path, capsys):
+    """A failed replay of a record does not print the step's recorded
+    configuration."""
+    assert run_cli(["run", CAFE, "--strategy", "fifo", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["steps"][5]["rule"] = "get"
+    path = _replay_file(tmp_path, doc)
+    assert run_cli(["run", CAFE, "--replay", path]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("replay failed: ScriptMismatch: step 5: ")
+    assert "'rule': 'get'" in err[0] and "processes" not in err[0]
+
+
 def _fifo_script(capsys, upto: int) -> list[dict]:
     """The fifo run's first `upto` steps, without their configurations."""
     assert run_cli(["run", CAFE, "--strategy", "fifo", "--json"]) == 0

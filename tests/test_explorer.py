@@ -181,7 +181,7 @@ def test_tampered_trace_is_caught(cafe):
     tr = run(initial_config(cafe), cafe, fifo_chooser, 200)
     victim = tr.steps[5]
     forged = victim.result.config.copy()
-    forged.alpha.setdefault("B", {})["CC"] = 1
+    forged.alpha = {**forged.alpha, "B": {**forged.alpha.get("B", {}), "CC": 1}}
     tr.steps[5] = replace(victim, result=replace(victim.result, config=forged))
     sr = check_subject_reduction(cafe, tr)
     assert not sr["ok"]

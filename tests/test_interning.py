@@ -12,7 +12,6 @@ from gract.cli import _emit_json
 from gract.explorer import explore
 from gract.parser import parse_program
 from gract.semantics import config_to_json, initial_config
-from gract.terms import content_key
 
 from corpus import EXAMPLES, TWO_CAFES
 
@@ -38,7 +37,7 @@ def test_equal_processes_are_one_object(prog, bounds, states):
     objects: dict = {}
     for cfg in rep.visited:
         for p in cfg.processes:
-            objects.setdefault(content_key(p), set()).add(id(p))
+            objects.setdefault(p, set()).add(id(p))
     assert len(objects) > 1
     assert [k for k, ids in objects.items() if len(ids) > 1] == []
 

@@ -1,5 +1,7 @@
-"""Processes are immutable values that successors share with their parent."""
+"""Processes are immutable values that successors share with their parent,
+and a step never writes a configuration field it shares."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -12,6 +14,7 @@ from gract.terms import (
     CallMsg,
     FulfilledFut,
     FutRef,
+    GradedRes,
     Idle,
     Lit,
     Return,
@@ -73,17 +76,54 @@ def test_successors_share_the_processes_they_do_not_rewrite(cafe, cafe_states):
             assert shared >= len(cfg.processes) - touched, (s.rule, s.variant)
 
 
-def test_copy_shares_processes_and_nothing_else(cafe):
-    c = initial_config(cafe)
-    d = c.copy()
-    assert d.processes == c.processes and d.processes is not c.processes
-    assert all(p is q for p, q in zip(c.processes, d.processes, strict=True))
-    d.processes.pop()
-    d.alpha["B"]["CC"] = 0
-    d.alpha["Z"] = {}
-    d.registry["f#9"] = None
-    d.call_counts[("B", "clean")] = 7
-    fresh = initial_config(cafe)
-    assert config_to_json(c) == config_to_json(fresh)
-    assert c.alpha == fresh.alpha
+def _fields(cfg):
+    return cfg.alpha, cfg.registry, cfg.call_counts
 
+
+def test_step_config_leaves_the_parent_fields_alone(cafe, cafe_states):
+    """Successors share their parent's dicts, so a step must never write
+    into one: the parent keeps the same objects with the same contents."""
+    for cfg in cafe_states:
+        objects = _fields(cfg)
+        inner = dict(cfg.alpha)
+        contents = copy.deepcopy(objects)
+        step_config(cfg, cafe)
+        assert all(x is y for x, y in zip(_fields(cfg), objects, strict=True))
+        assert all(cfg.alpha[a] is env for a, env in inner.items())
+        assert _fields(cfg) == contents
+
+
+def test_successors_share_the_fields_their_rule_does_not_change(cafe, cafe_states):
+    changes = {"hold": {"alpha"}, "rls": {"alpha"}, "call": {"registry", "call_counts"},
+               "get": {"registry"}}
+    seen = set()
+    for cfg in cafe_states:
+        for s in step_config(cfg, cafe):
+            seen.add(s.rule)
+            changed = changes.get(s.rule, set())
+            for name in ("alpha", "registry", "call_counts"):
+                if name not in changed:
+                    assert getattr(s.config, name) is getattr(cfg, name), (s.rule, name)
+            if "alpha" in changed:
+                # the other actors' resources are shared even then
+                assert all(s.config.alpha[a] is env for a, env in cfg.alpha.items()
+                           if a != s.actor)
+    assert seen >= set(changes) | {"spawn", "silent", "return"}
+
+
+def test_env_order_is_not_part_of_a_thread(cafe):
+    """Two threads whose environments differ only in insertion order are
+    one value, and an exploration keeps one object of it."""
+    env = {"x": UnitVal(), "y": GradedRes("Order", 1)}
+    t1 = SuspendedThread(env, Return(Lit(UnitVal())), "f#99", "Z")
+    t2 = SuspendedThread(dict(reversed(env.items())), Return(Lit(UnitVal())), "f#99", "Z")
+    assert list(t1.env) != list(t2.env)
+    assert t1 == t2 and hash(t1) == hash(t2) and t1 is not t2
+    start = initial_config(cafe)
+    start.processes += [t1, t2]
+    # no actor Z is ever idle, so both threads stay suspended in every state
+    rep = explore(cafe, start, unfold=2, max_states=20)
+    later = [p for cfg in rep.visited[1:] for p in cfg.processes if p == t1]
+    assert len(rep.visited) > 10 and len(later) == 2 * (len(rep.visited) - 1)
+    assert all(p is t1 for p in later)
+    assert start.processes[-1] is t2

@@ -26,6 +26,7 @@ from gract.terms import (
     Return,
     SuspendedThread,
     UnitVal,
+    Value,
     CallMsg,
     Var,
     free_vars,
@@ -225,6 +226,27 @@ def test_syntax_nodes_hash_once():
     # the value the frozen dataclass would compute, so hash order stays
     assert hash(e) == hash((e.left, e.right))
     assert hash(e.right) == hash(("B", "m", (leaf, GradedVar("y", 1))))
+
+
+class _CountedValue(Value):
+    """A value that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        _CountedValue.hashed += 1
+        return 11
+
+
+def test_processes_hash_once():
+    v = _CountedValue()
+    procs = [ActiveThread({"x": v}, Return(Var("x")), "f#1", "A"),
+             SuspendedThread({"x": v}, Return(Var("x")), "f#1", "A"),
+             CallMsg("f#2", "B", "m", (v,)), FulfilledFut("f#3", v), Idle("A")]
+    for p in procs:
+        assert hash(p) == hash(p)
+    assert _CountedValue.hashed == 4  # once per process holding it
+    assert procs[-1]._hash == hash(("A",))
 
 
 def test_cached_hash_leaves_equality_repr_and_str_alone():

@@ -39,12 +39,10 @@ from gract.typecheck import (
     measure_of_config,
     type_config,
     type_expr,
-    type_label,
     type_local_env,
     type_process,
     type_value_expr,
 )
-from gract.semantics import HoldLbl, RlsLbl, Tau
 
 from corpus import EXAMPLES
 
@@ -328,18 +326,6 @@ def test_marked_reuse_rejected(cafe):
     with pytest.raises(CheckError) as e:
         type_process(cafe, [ff, r1, r2], registry=registry)
     assert e.value.code == "MarkedReuse"
-
-
-# ---------------------------------------------------------------------------
-# labels
-
-def test_label_typings(cafe):
-    t = type_label(cafe, "B", Tau())
-    assert (t.requires, t.consumed, t.produced, t.produces) == ({}, set(), {}, {})
-    t = type_label(cafe, "B", HoldLbl("CC", 1))
-    assert t.requires == {"B": {"CC": 1}}
-    t = type_label(cafe, "Cn", RlsLbl("Cf", 1))
-    assert t.produces == {"Cn": {"Cf": 1}}
 
 
 # ---------------------------------------------------------------------------
