@@ -122,12 +122,6 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     return tuple(body), memo.setdefault(rest, rest)
 
 
-def intern_process(table: dict, p: Process) -> Process:
-    """The table's representative of p: p itself when p is the first of
-    its value, else the earlier, equal process."""
-    return table.setdefault(p, p)
-
-
 # ---------------------------------------------------------------------------
 # Successor filtering under the unfold budget
 
@@ -174,7 +168,7 @@ class Successors:
 
 
 def bounded_successors(prog: Program, config: Configuration,
-                       unfold: Optional[int], memo: Optional[dict] = None) -> Successors:
+                       unfold: int, memo: Optional[dict] = None) -> Successors:
     """All one-step successors, minus those the call budget rules out.
 
     A call that would push its method past the budget is dropped.  A choice
@@ -184,8 +178,6 @@ def bounded_successors(prog: Program, config: Configuration,
     other branch.  `memo` is `step_config`'s.
     """
     raw = step_config(config, prog, memo)
-    if unfold is None:
-        return Successors(raw, 0, 0, len(raw))
     kept: list[StepResult] = []
     pruned_calls = pruned_choices = 0
     for s in raw:
@@ -265,12 +257,6 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     termination or plain bound exhaustion.
     """
     start = config if config is not None else initial_config(prog)
-    # equal processes are one object from here on, so the key and typing
-    # memos below hold one entry per distinct process; the caller's start
-    # configuration is left as it is, its processes the first representatives
-    interned: dict = {}
-    for p in start.processes:
-        intern_process(interned, p)
     key_memo: dict = {}
     key0 = canonical_key(start, key_memo)
     visited: dict[tuple, Configuration] = {key0: start}
@@ -280,6 +266,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     bound_hit = False
     hard_truncated = False
     terminal_key: Optional[tuple] = None
+    stuck: Optional[tuple[tuple, Configuration]] = None
     depth = 0
     memo: dict = {}
     step_memo: dict = {}
@@ -302,17 +289,11 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             pruned_calls += succ.pruned_calls
             pruned_choices += succ.pruned_choices
             if succ.raw_count == 0:
-                if is_terminated(cfg):
-                    if terminal_key is None:
-                        terminal_key = key
-                else:
-                    return ExploreReport(
-                        "StuckFound", len(visited), depth + 1, histogram,
-                        pruned_calls, pruned_choices, bound_hit,
-                        witness_trace=_trace_to(parents, key),
-                        stuck_state={"config": config_to_json(cfg),
-                                     "diagnosis": stuck_diagnosis(cfg, prog)},
-                        visited=list(visited.values()))
+                if not is_terminated(cfg):
+                    stuck = key, cfg
+                    break
+                if terminal_key is None:
+                    terminal_key = key
                 continue
             if not succ.kept:
                 hard_truncated = True
@@ -322,9 +303,6 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             for s in succ.kept:
                 if bound_hit and len(visited) >= max_states:
                     break  # no successor can be stored any more
-                procs = s.config.processes  # the successor's own list
-                for i, p in enumerate(procs):
-                    procs[i] = intern_process(interned, p)
                 k2 = canonical_key(s.config, key_memo)
                 if k2 in visited:
                     continue
@@ -335,25 +313,27 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
                 parents[k2] = (key, _step_brief(s))
                 note_measure(s.config)
                 nxt.append((k2, s.config))
+        if stuck is not None:
+            break
         level = nxt
         if nxt:
             depth += 1
 
-    if bound_hit or hard_truncated:
-        if terminal_key is not None:
-            return ExploreReport(
-                "WeaklyTerminatingWitness", len(visited), depth, histogram,
-                pruned_calls, pruned_choices, bound_hit,
-                witness_trace=_trace_to(parents, terminal_key),
-                visited=list(visited.values()))
-        return ExploreReport(
-            "BoundExhausted", len(visited), depth, histogram,
-            pruned_calls, pruned_choices, bound_hit,
-            visited=list(visited.values()))
+    end = terminal_key
+    if stuck is not None:
+        verdict, depth, end = "StuckFound", depth + 1, stuck[0]
+    elif not (bound_hit or hard_truncated):
+        verdict = "FairTerminating"
+    elif terminal_key is not None:
+        verdict = "WeaklyTerminatingWitness"
+    else:
+        verdict = "BoundExhausted"
     return ExploreReport(
-        "FairTerminating", len(visited), depth, histogram,
-        pruned_calls, pruned_choices, bound_hit,
-        witness_trace=None if terminal_key is None else _trace_to(parents, terminal_key),
+        verdict, len(visited), depth, histogram, pruned_calls, pruned_choices, bound_hit,
+        witness_trace=None if end is None else _trace_to(parents, end),
+        stuck_state=None if stuck is None else {
+            "config": config_to_json(stuck[1]),
+            "diagnosis": stuck_diagnosis(stuck[1], prog)},
         visited=list(visited.values()))
 
 

@@ -76,11 +76,6 @@ class GradeMonoid:
     def parse(self, text: str) -> Grade:
         raise NotImplementedError
 
-    def format(self, g: Grade) -> str:
-        if g == INF:
-            return "inf"
-        return str(g)
-
 
 class _NatBase(GradeMonoid):
     """Shared syntax and addition for the extended naturals."""
@@ -302,9 +297,6 @@ class Level(GradeMonoid):
         if text in self._below:
             return text
         raise GradeParseError(f"unknown level: {text!r}")
-
-    def format(self, g: Grade) -> str:
-        return str(g)
 
 
 def format_grade(g: Grade) -> str:

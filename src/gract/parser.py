@@ -11,10 +11,6 @@ Graded names resolve lexically: a name bound by a parameter or let is a
 variable, an unbound name with a grade is a resource literal, an unbound
 bare name stays a variable for the type checker to reject. The parser
 resolves no actor, method or resource names.
-
-The internal mode additionally allows '#' inside identifiers, which is how
-run traces spell machine-generated futures and binders; source files reject
-it.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from .terms import (
     Call,
     Choice,
     Expr,
-    FutRef,
     GradedRes,
     GradedVar,
     Hold,
@@ -65,7 +60,6 @@ KEYWORDS = {
     "fut", "Unit", "inf",
 }
 
-_PUNCT2 = ("<=", "(+")
 _PUNCT1 = "{}(),:;=!?^"
 
 
@@ -88,7 +82,7 @@ class Token:
     col: int
 
 
-def tokenize(text: str, internal: bool = False) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -106,7 +100,7 @@ def tokenize(text: str, internal: bool = False) -> list[Token]:
             continue
         if c.isalpha() or c == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_" or (internal and text[j] == "#")):
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             toks.append(Token("IDENT", text[i:j], line, col))
             col += j - i
@@ -142,8 +136,8 @@ def tokenize(text: str, internal: bool = False) -> list[Token]:
 
 
 class Parser:
-    def __init__(self, text: str, internal: bool = False):
-        self.toks = tokenize(text, internal=internal)
+    def __init__(self, text: str):
+        self.toks = tokenize(text)
         self.pos = 0
         self.monoid: GradeMonoid | None = None
         self.seq_counter = 0
@@ -328,11 +322,7 @@ class Parser:
             if name in bound:
                 return GradedVar(name, g)
             return Lit(GradedRes(name, g))
-        if name in bound:
-            return Var(name)
-        if "#" in name:
-            return Lit(FutRef(name))
-        # unbound and ungraded: left as a variable for the checker to flag
+        # a bound name, or an unbound ungraded one left for the checker to flag
         return Var(name)
 
     # -- declarations --------------------------------------------------------
@@ -471,24 +461,12 @@ def parse_program(text: str) -> Program:
     return Parser(text).program()
 
 
-def parse_expr(text: str, monoid: GradeMonoid, bound: frozenset[str] = frozenset(),
-               internal: bool = False) -> Expr:
-    """Parse a single expression; internal mode admits '#' in identifiers."""
-    p = Parser(text, internal=internal)
+def parse_expr(text: str, monoid: GradeMonoid, bound: frozenset[str] = frozenset()) -> Expr:
+    """Parse a single expression."""
+    p = Parser(text)
     p.monoid = monoid
     e = p.expr(bound)
     if p.peek().kind != "EOF":
         raise p.fail(f"trailing input {p.peek().text!r}")
     return e
 
-
-def parse_value(text: str, monoid: GradeMonoid) -> Value:
-    """Parse a literal value as it appears in traces (internal mode)."""
-    p = Parser(text, internal=True)
-    p.monoid = monoid
-    ve = p.vexpr(frozenset())
-    if p.peek().kind != "EOF":
-        raise p.fail(f"trailing input {p.peek().text!r}")
-    if isinstance(ve, Lit):
-        return ve.value
-    raise p.fail(f"not a literal value: {text!r}")

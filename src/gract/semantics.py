@@ -684,9 +684,10 @@ def script_chooser(entries: list[dict]) -> Chooser:
     Used for scripted replays. Ambiguity is an error so that a script pins
     exactly one run; a "pick" index resolves deliberate forks such as the
     two branches of a choice, which look identical to the other keys, and
-    so does a recorded "config" (as `step_to_json` writes it). A config
-    that matches none of the candidates takes the first, so that a replay
-    comparing configurations reports the forgery at its step.
+    so does a recorded "config" (as `step_to_json` writes it). A pick
+    outside the matches is a mismatch. A config that matches none of the
+    candidates takes the first, so that a replay comparing configurations
+    reports the forgery at its step.
     """
 
     def choose(succ: list[StepResult], k: int) -> Optional[int]:
@@ -704,19 +705,20 @@ def script_chooser(entries: list[dict]) -> Chooser:
             if "label" in want and label_str(s.label) != want["label"]:
                 continue
             matches.append(idx)
-        if "pick" in want and 0 <= want["pick"] < len(matches):
-            return matches[want["pick"]]
-        if len(matches) > 1 and "config" in want:
+        if "pick" in want:
+            if 0 <= want["pick"] < len(matches):
+                return matches[want["pick"]]
+        elif len(matches) > 1 and "config" in want:
             exact = (i for i in matches if config_to_json(succ[i].config) == want["config"])
             return next(exact, matches[0])
-        if len(matches) != 1:
-            keys = {key: want[key] for key in _SELECTING if key in want}
-            raise Stuck(
-                "AmbiguousScript" if matches else "ScriptMismatch",
-                f"step {k}: {keys} matched {len(matches)} of "
-                f"{[(s.rule, s.actor, label_str(s.label)) for s in succ]}",
-            )
-        return matches[0]
+        elif len(matches) == 1:
+            return matches[0]
+        keys = {key: want[key] for key in _SELECTING if key in want}
+        raise Stuck(
+            "AmbiguousScript" if matches and "pick" not in want else "ScriptMismatch",
+            f"step {k}: {keys} matched {len(matches)} of "
+            f"{[(s.rule, s.actor, label_str(s.label)) for s in succ]}",
+        )
 
     return choose
 

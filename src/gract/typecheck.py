@@ -300,27 +300,8 @@ def _unify_branches(prog: Program, a: str, left: Expr, right: Expr,
 
     # pad one branch on both sides of its judgment by a single difference
     # so the two judgments coincide
-    for shift_left in (True, False):
-        lo_phi, hi_phi = (tl, tr) if shift_left else (tr, tl)
-        coords = set()
-        for ctx in (tl.requires, tr.requires, tl.produces, tr.produces):
-            coords |= {(act, r) for act, env in ctx.items() for r in env}
-        ok = True
-        for act, r in sorted(coords):
-            glo_phi = lo_phi.requires.get(act, {}).get(r, m.zero())
-            ghi_phi = hi_phi.requires.get(act, {}).get(r, m.zero())
-            glo_psi = lo_phi.produces.get(act, {}).get(r, m.zero())
-            ghi_psi = hi_phi.produces.get(act, {}).get(r, m.zero())
-            found = None
-            for d in _shift_candidates(m, [(glo_phi, ghi_phi), (glo_psi, ghi_psi)]):
-                if m.plus(glo_phi, d) == ghi_phi and m.plus(glo_psi, d) == ghi_psi:
-                    found = d
-                    break
-            if found is None:
-                ok = False
-                break
-        if ok:
-            hi = hi_phi
+    for lo, hi in ((tl, tr), (tr, tl)):
+        if _theta_match(m, hi.requires, lo.requires, hi.produces, lo.produces):
             # an await's context is its future type's, possibly with zeros
             return ExprTyping(tl.ty, hi.requires, ctx_norm(m, hi.produces),
                               1 + min(tl.measure, tr.measure), used,
@@ -616,7 +597,6 @@ def _grades_json(ctx: ActorContext) -> dict:
 
 
 def type_config(prog: Program, config: Configuration,
-                residual: Optional[ActorContext] = None,
                 memo: Optional[dict] = None) -> dict:
     """Type the whole configuration and check its claims fit the graded
     state. The report is JSON-ready; ok is False on any error."""
@@ -630,9 +610,8 @@ def type_config(prog: Program, config: Configuration,
         try:
             pt = type_process(prog, config.processes, {}, config.registry, memo)
             requires, measure = pt.requires, pt.measure
-            total = ctx_plus(m, requires, residual or {})
-            if not ctx_leq(m, total, config.alpha):
-                for actor, env in ctx_norm(m, total).items():
+            if not ctx_leq(m, requires, config.alpha):
+                for actor, env in requires.items():
                     have = config.alpha.get(actor, {})
                     for r, g in env.items():
                         if not m.leq(g, have.get(r, m.zero())):

@@ -143,6 +143,16 @@ def test_run_replay_non_integer_pick_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "pick must be an integer" in err
 
 
+@pytest.mark.parametrize("pick", [7, -1])
+def test_run_replay_pick_out_of_range_exits_4(tmp_path, capsys, pick):
+    # the cafe's first step has one successor, which a bad pick must not take
+    script = _replay_file(tmp_path, [{"rule": "spawn", "pick": pick}])
+    assert run_cli(["run", CAFE, "--replay", script]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ScriptMismatch" in err
+    assert f"'pick': {pick}}} matched 1 of" in err
+
+
 def test_run_step_strategy_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0\n0\n\n"))
     assert run_cli(["run", CAFE, "--strategy", "step", "--quiet"]) == 0

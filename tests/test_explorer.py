@@ -69,7 +69,7 @@ def test_key_drops_registry_entries_for_gone_futures():
 
 def test_unbounded_successors_keep_everything(cafe):
     cfg = initial_config(cafe)
-    s = bounded_successors(cafe, cfg, None)
+    s = bounded_successors(cafe, cfg, unfold=2)
     assert s.raw_count == len(step_config(cfg, cafe))
     assert len(s.kept) == s.raw_count
 

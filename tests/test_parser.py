@@ -5,13 +5,12 @@ from __future__ import annotations
 import pytest
 
 from gract.grades import INF, Level, Lin, NatLeq
-from gract.parser import ParseError, parse_expr, parse_program, parse_value, tokenize
+from gract.parser import ParseError, parse_expr, parse_program, tokenize
 from gract.terms import (
     Await,
     Call,
     Choice,
     Expr,
-    FutRef,
     GradedRes,
     GradedVar,
     Hold,
@@ -103,16 +102,6 @@ def test_grouping_parens():
     assert e == Return(Lit(UnitVal()))
 
 
-def test_internal_names_only_in_internal_mode():
-    e = parse_expr("y#3?", Lin(), internal=True)
-    assert e == Await(Lit(FutRef("y#3")))
-    with pytest.raises(ParseError):
-        parse_expr("y#3?", Lin())
-    assert parse_value("f#0", Lin()) == FutRef("f#0")
-    assert parse_value("Order^inf", Lin()) == GradedRes("Order", INF)
-    assert parse_value("unit", Lin()) == UnitVal()
-
-
 def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as err:
         parse_program("grade lin\nB {\n  m(: Unit\n}\ninit ;\nstart B!m()")
@@ -121,6 +110,10 @@ def test_parse_errors_carry_location():
         parse_program("grade wat\ninit ;\nstart A!m()")
     assert "wat" in err.value.message
     assert "lin" in err.value.expected
+    # machine-generated names such as y#3 are not source syntax
+    with pytest.raises(ParseError) as err:
+        parse_expr("y#3?", Lin())
+    assert (err.value.line, err.value.col) == (1, 2) and "'#'" in err.value.message
 
 
 def test_duplicate_method_rejected():

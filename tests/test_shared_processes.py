@@ -1,14 +1,16 @@
 """Processes are immutable values that successors share with their parent,
-and a step never writes a configuration field it shares."""
+a step never writes a configuration field it shares, and an exploration
+writes no configuration a step built."""
 
 import copy
 import dataclasses
 
 import pytest
 
+from gract import explorer
 from gract.explorer import explore
 from gract.parser import parse_program
-from gract.semantics import config_to_json, initial_config, step_config
+from gract.semantics import config_to_json, step_config
 from gract.terms import (
     ActiveThread,
     CallMsg,
@@ -22,7 +24,7 @@ from gract.terms import (
     UnitVal,
 )
 
-from corpus import EXAMPLES
+from corpus import EXAMPLES, TWO_CAFES
 
 
 @pytest.fixture(scope="module")
@@ -111,19 +113,37 @@ def test_successors_share_the_fields_their_rule_does_not_change(cafe, cafe_state
     assert seen >= set(changes) | {"spawn", "silent", "return"}
 
 
-def test_env_order_is_not_part_of_a_thread(cafe):
+def test_env_order_is_not_part_of_a_thread():
     """Two threads whose environments differ only in insertion order are
-    one value, and an exploration keeps one object of it."""
+    one value."""
     env = {"x": UnitVal(), "y": GradedRes("Order", 1)}
     t1 = SuspendedThread(env, Return(Lit(UnitVal())), "f#99", "Z")
     t2 = SuspendedThread(dict(reversed(env.items())), Return(Lit(UnitVal())), "f#99", "Z")
     assert list(t1.env) != list(t2.env)
     assert t1 == t2 and hash(t1) == hash(t2) and t1 is not t2
-    start = initial_config(cafe)
-    start.processes += [t1, t2]
-    # no actor Z is ever idle, so both threads stay suspended in every state
-    rep = explore(cafe, start, unfold=2, max_states=20)
-    later = [p for cfg in rep.visited[1:] for p in cfg.processes if p == t1]
-    assert len(rep.visited) > 10 and len(later) == 2 * (len(rep.visited) - 1)
-    assert all(p is t1 for p in later)
-    assert start.processes[-1] is t2
+
+
+@pytest.mark.parametrize("text, bounds, states", [
+    (None, {"unfold": 2}, 153),
+    (TWO_CAFES, {"unfold": 2, "max_states": 1000}, 1000),
+], ids=["cafe", "two-cafes"])
+def test_explore_stores_configurations_as_step_config_built_them(
+        monkeypatch, cafe, text, bounds, states):
+    """Every stored configuration holds the very process objects, in the
+    same list, that `step_config` put there: exploring writes no state."""
+    built = {}
+
+    def recording(config, prog, memo=None):
+        succ = step_config(config, prog, memo)
+        for s in succ:
+            built[id(s.config)] = (s.config, s.config.processes, list(s.config.processes))
+        return succ
+
+    monkeypatch.setattr(explorer, "step_config", recording)
+    prog = cafe if text is None else parse_program(text)
+    rep = explore(prog, **bounds)
+    assert rep.states_visited == states
+    for cfg in rep.visited[1:]:
+        _, procs, objects = built[id(cfg)]
+        assert cfg.processes is procs
+        assert all(p is q for p, q in zip(cfg.processes, objects, strict=True))
