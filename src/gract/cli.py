@@ -225,10 +225,8 @@ def cmd_run(args) -> int:
             print(f"replay failed: {exc.code}: {exc.detail}", file=sys.stderr)
         return EXIT_STUCK
 
-    memo: dict = {}
-
     def mu(c) -> Optional[int]:
-        return measure_of_config(prog, c, memo) if checked else None
+        return measure_of_config(prog, c) if checked else None
 
     if args.json:
         payload = {"schema": "gract/1", "command": "run", "program": args.program,
@@ -355,15 +353,17 @@ def cmd_sr(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _count(text: str) -> int:
-    """An argparse type: a non-negative integer."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one run under a schedule")
     common(p)
     p.add_argument("--seed", type=int, default=0, help="random schedule seed")
-    p.add_argument("--steps", type=_count, default=1000, help="step budget")
+    p.add_argument("--steps", type=_at_least(0), default=1000, help="step budget")
     p.add_argument("--strategy", choices=("random", "helpful", "fifo", "step"),
                    default="random", help="schedule: random, measure-greedy, "
                    "leftmost, or interactive")
@@ -396,18 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="bounded search of all schedules")
     common(p)
-    p.add_argument("--unfold", type=_count, default=2, help="per-method call budget")
-    p.add_argument("--depth", type=_count, default=500, help="search depth limit")
-    p.add_argument("--states", type=_count, default=100000, help="state limit")
+    p.add_argument("--unfold", type=_at_least(0), default=2, help="per-method call budget")
+    p.add_argument("--depth", type=_at_least(0), default=500, help="search depth limit")
+    p.add_argument("--states", type=_at_least(1), default=100000, help="state limit")
     p.add_argument("--unsafe", action="store_true",
                    help="explore even if the static checks fail")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("sr", help="verify the preservation laws on random runs")
     common(p)
-    p.add_argument("--runs", type=_count, default=20, help="number of runs")
+    p.add_argument("--runs", type=_at_least(0), default=20, help="number of runs")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--steps", type=_count, default=400, help="per-run step budget")
+    p.add_argument("--steps", type=_at_least(0), default=400, help="per-run step budget")
     p.add_argument("--replay", metavar="TRACE",
                    help="re-check a recorded trace instead of random runs")
     p.set_defaults(fn=cmd_sr)

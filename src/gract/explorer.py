@@ -255,6 +255,10 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     wins over everything and comes with a witness trace.  When a call had to
     be pruned or a bound was hit, the best remaining claims are a witness of
     termination or plain bound exhaustion.
+
+    The start state has depth 0. A level at `max_depth` is stored but never
+    stepped, so a stuck state there is not found. A StuckFound report's
+    `max_depth` is the stuck state's depth plus one.
     """
     start = config if config is not None else initial_config(prog)
     key_memo: dict = {}
@@ -268,11 +272,10 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     terminal_key: Optional[tuple] = None
     stuck: Optional[tuple[tuple, Configuration]] = None
     depth = 0
-    memo: dict = {}
     step_memo: dict = {}
 
     def note_measure(cfg: Configuration) -> None:
-        mu = measure_of_config(prog, cfg, memo)
+        mu = measure_of_config(prog, cfg)
         k = "untypable" if mu is None else str(mu)
         histogram[k] = histogram.get(k, 0) + 1
 
@@ -342,12 +345,10 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
 
 def helpful_chooser(prog: Program) -> Callable[[list[StepResult], int], int]:
     """Pick the successor with the smallest measure, earliest on ties."""
-    memo: dict = {}
-
     def choose(succ: list[StepResult], _k: int) -> int:
         best, best_mu = 0, None
         for i, s in enumerate(succ):
-            mu = measure_of_config(prog, s.config, memo)
+            mu = measure_of_config(prog, s.config)
             if mu is not None and (best_mu is None or mu < best_mu):
                 best, best_mu = i, mu
         return best
@@ -359,17 +360,16 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
     strictly smaller measure. Pruning never hides successors here."""
     violations = []
     checked = 0
-    memo: dict = {}
     step_memo: dict = {}  # this check's own, never explore's
     for cfg in configs:
-        mu = measure_of_config(prog, cfg, memo)
+        mu = measure_of_config(prog, cfg)
         if mu is None:
             continue
         succ = step_config(cfg, prog, step_memo)
         if not succ:
             continue
         checked += 1
-        mus = (measure_of_config(prog, s.config, memo) for s in succ)
+        mus = (measure_of_config(prog, s.config) for s in succ)
         if not any(v is not None and v < mu for v in mus):
             violations.append({"code": "NoHelpfulSuccessor", "measure": mu,
                                "config": config_to_json(cfg)})
@@ -403,16 +403,15 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
     m = prog.monoid
     violations: list[dict] = []
     measures: list[Optional[int]] = []
-    memo: dict = {}
 
     def proc_typing(cfg):
         try:
-            return type_process(prog, cfg.processes, {}, cfg.registry, memo)
+            return type_process(prog, cfg.processes, {}, cfg.registry)
         except Exception:
             return None
 
     def snap(cfg, where):
-        report = type_config(prog, cfg, memo=memo)
+        report = type_config(prog, cfg)
         if not report["ok"]:
             violations.append({"step": where, "code": "Untypable",
                                "errors": report["errors"]})

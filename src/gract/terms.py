@@ -413,23 +413,6 @@ def futures_consumed_one(p: Process) -> set[str]:
     raise TypeError(f"not a process: {p!r}")
 
 
-def futures_produced(ps: list[Process]) -> set[str]:
-    out: set[str] = set()
-    for p in ps:
-        out |= futures_produced_one(p)
-    return out
-
-
-def futures_consumed(ps: list[Process]) -> set[str]:
-    # left to right: a future produced earlier shadows later references to it
-    out: set[str] = set()
-    produced: set[str] = set()
-    for p in ps:
-        out |= futures_consumed_one(p) - produced
-        produced |= futures_produced_one(p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Configurations
 
@@ -462,11 +445,6 @@ class Configuration:
     def fresh_future(self) -> str:
         name = f"f#{self.next_future}"
         self.next_future += 1
-        return name
-
-    def fresh_var(self) -> str:
-        name = f"y#{self.next_var}"
-        self.next_var += 1
         return name
 
 
@@ -540,7 +518,11 @@ class MethodSig(NamedTuple):
 class Program:
     """A checked program's declarations are not changed after it is built;
     a variant is a new Program (`dataclasses.replace`), which builds its
-    own `signatures`."""
+    own `signatures` and its own `typings`.
+
+    `typings` is the program's process typing table, filled by
+    `typecheck.type_process`: it lives as long as the program and is
+    shared by everything that types the program's configurations."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
@@ -551,6 +533,7 @@ class Program:
     start_args: tuple[Value, ...]
 
     def __post_init__(self) -> None:
+        self.typings: dict[Process, tuple] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}
         for actor, adecl in self.actors.items():
             for name, d in adecl.methods.items():

@@ -502,36 +502,40 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
     raise CheckError("TypeMismatch", f"not a process: {p!r}")
 
 
-def _type_atomic_memo(prog: Program, p: Process, visible: Sigma, registry,
-                      memo: Optional[dict]):
-    """_type_atomic through a typing memo.
+def _type_atomic_memo(prog: Program, p: Process, visible: Sigma, registry):
+    """_type_atomic through the program's typing table, `prog.typings`.
 
-    The memo maps each process (a value, so equal processes share an
+    The table maps each process (a value, so equal processes share an
     entry) to the registry entry of its own future, _type_atomic's result,
     and the (future, type) pairs that result read from the visible futures:
     exactly the futures it consumed. A hit counts only while the registry
-    entry is the same and each of those pairs still holds, so one memo may
-    serve all the configurations of one operation; a miss types the process
-    again and replaces its entry. Rejections are never stored, so an error
-    is always raised afresh, at its own location."""
-    if memo is None or not isinstance(p, Process):
+    entry is the same and each of those pairs still holds, so one table
+    serves every configuration the program is ever typed in: every run, SR
+    check, exploration and helpful check. A miss types the process again
+    and replaces its entry. Rejections are never stored, so an error is
+    always raised afresh, at its own location. Callers only read what the
+    table returns."""
+    if not isinstance(p, Process):
         return _type_atomic(prog, p, visible, registry)
     own = None if registry is None or isinstance(p, Idle) else registry.get(p.future)
-    seen = memo.get(p)
+    table = prog.typings
+    seen = table.get(p)
     if seen is not None and seen[0] == own and all(visible.get(f) == t for f, t in seen[2]):
         return seen[1]
     result = _type_atomic(prog, p, visible, registry)
-    memo[p] = own, result, tuple((f, visible[f]) for f in result[1])
+    table[p] = own, result, tuple((f, visible[f]) for f in result[1])
     return result
 
 
 def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
-                 registry=None, memo: Optional[dict] = None) -> ProcTyping:
+                 registry=None) -> ProcTyping:
     """Type a process or a whole sequence, composing left to right: a
     future may be consumed only after its producer, each exactly once.
 
-    `memo`, owned by the caller, lets one operation type each process once
-    across the configurations it looks at."""
+    Each process is typed through the program's typing table, so a process
+    the program has typed before, under the same own-future entry and
+    reads, is not typed again. The result is built afresh and is the
+    caller's to change."""
     if isinstance(processes, Process):
         processes = [processes]
     sigma = sigma or {}
@@ -553,7 +557,7 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
     visible = dict(sigma)
     for p in processes:
         try:
-            req, futs, n, prod = _type_atomic_memo(prog, p, visible, registry, memo)
+            req, futs, n, prod = _type_atomic_memo(prog, p, visible, registry)
         except CheckError as err:
             if err.code == "UnknownFuture" and err.detail in will_produce:
                 raise CheckError("FutureConsumedBeforeProduced",
@@ -577,7 +581,7 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
         visible.update(prod)
         # summed in place, normalized once below: no algebra sums non-zero
         # grades to zero, so this is the ctx_plus fold, key order included;
-        # req may be the memo's, so it is only read
+        # req may be the table's, so it is only read
         for actor, env in req.items():
             have = requires.get(actor)
             if have is None:
@@ -596,8 +600,7 @@ def _grades_json(ctx: ActorContext) -> dict:
     return {a: {r: format_grade(g) for r, g in env.items()} for a, env in ctx.items()}
 
 
-def type_config(prog: Program, config: Configuration,
-                memo: Optional[dict] = None) -> dict:
+def type_config(prog: Program, config: Configuration) -> dict:
     """Type the whole configuration and check its claims fit the graded
     state. The report is JSON-ready; ok is False on any error."""
     m = prog.monoid
@@ -608,7 +611,7 @@ def type_config(prog: Program, config: Configuration,
     measure = 0
     if not errors:
         try:
-            pt = type_process(prog, config.processes, {}, config.registry, memo)
+            pt = type_process(prog, config.processes, {}, config.registry)
             requires, measure = pt.requires, pt.measure
             if not ctx_leq(m, requires, config.alpha):
                 for actor, env in requires.items():
@@ -631,10 +634,9 @@ def type_config(prog: Program, config: Configuration,
     }
 
 
-def measure_of_config(prog: Program, config: Configuration,
-                      memo: Optional[dict] = None) -> Optional[int]:
+def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
     try:
-        return type_process(prog, config.processes, {}, config.registry, memo).measure
+        return type_process(prog, config.processes, {}, config.registry).measure
     except CheckError:
         return None
 

@@ -173,13 +173,16 @@ def test_run_step_strategy_rejects_a_non_integer(capsys, monkeypatch):
     ["explore", CAFE, "--unfold", "-1"],
     ["explore", CAFE, "--depth", "-1"],
     ["explore", CAFE, "--states", "-1"],
+    # a state cap of 0 would still store the start state
+    ["explore", CAFE, "--states", "0"],
 ], ids=lambda argv: f"{argv[0]}{argv[2]}={argv[3]}")
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    low = 1 if argv[2] == "--states" else 0
     assert run_cli(argv) == 2
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == "" and err.startswith(f"usage: gract {argv[0]}")
     assert err.splitlines()[-1].endswith(
-        f"error: argument {argv[2]}: must be at least 0, got {argv[3]}")
+        f"error: argument {argv[2]}: must be at least {low}, got {argv[3]}")
 
 
 def test_jobs_is_an_unrecognized_argument(capsys):

@@ -57,10 +57,10 @@ def test_requires_of_one_resource_add_up():
     order = (GradedRes("Order", 1),)
     msgs = [CallMsg("f#1", "B", "takeOrder", order), CallMsg("f#2", "Cn", "pickup", ()),
             CallMsg("f#3", "B", "takeOrder", order)]
-    memo: dict = {}
     for _ in range(2):
         # two linear obligations on one cup add up to unrestricted use
-        got = type_process(cafe, msgs, memo=memo).requires
+        got = type_process(cafe, msgs).requires
         assert _ordered(got) == [("B", [("CC", INF)]), ("Cn", [("Cf", 1)])]
-        # the sum is not written into the contexts the memo holds
-        assert type_process(cafe, msgs[0], memo=memo).requires == {"B": {"CC": 1}}
+        # the sum is not written into the contexts the program's table holds
+        assert type_process(cafe, msgs[0]).requires == {"B": {"CC": 1}}
+        assert cafe.typings[msgs[0]][1][0] == {"B": {"CC": 1}}

@@ -30,15 +30,14 @@ from gract.terms import (
     CallMsg,
     Var,
     free_vars,
-    futures_consumed,
     futures_consumed_one,
-    futures_produced,
     futures_produced_one,
     rename_var,
     well_formed,
 )
 
 from corpus import EXAMPLES, TWO_CAFES
+from term_helpers import fresh_var, futures_consumed, futures_produced
 
 u = Lit(UnitVal())
 
@@ -184,7 +183,7 @@ def test_fresh_names_are_monotone():
     c = Configuration(alpha={}, processes=[])
     assert c.fresh_future() == "f#0"
     assert c.fresh_future() == "f#1"
-    assert c.fresh_var() == "y#0"
+    assert fresh_var(c) == "y#0"
     d = c.copy()
     assert d.fresh_future() == "f#2"
     assert c.next_future == 2  # the copy does not feed back

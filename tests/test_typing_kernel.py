@@ -145,6 +145,8 @@ def test_process_typings_alike(monkeypatch, name):
     registries = [cfg.registry for cfg in states] * 2
     got = [_process_typing(prog, ps, reg) for ps, reg in zip(lists, registries)]
     monkeypatch.setattr(typecheck, "_type_atomic", oracle._type_atomic)
+    # a program whose typing table is empty, so the oracle types every process
+    prog = parse_program((EXAMPLES / name).read_text())
     want = [_process_typing(prog, ps, reg) for ps, reg in zip(lists, registries)]
     assert len(got) == 2 * len(states) and got == want
     assert any(isinstance(t, tuple) for t in got)

@@ -1,5 +1,6 @@
-"""The typing memo: one operation types each process once, and every typing,
-verdict and error is the one typing without a memo gives."""
+"""The program's typing table: a program types each process once, whatever
+operation asks, and every typing, verdict and error is the one typing
+without the table gives."""
 
 import io
 import random
@@ -16,8 +17,10 @@ from gract.semantics import fifo_chooser, initial_config, random_chooser, run, s
 from gract.terms import (
     ActiveThread,
     Await,
+    CallMsg,
     FulfilledFut,
     FutRef,
+    GradedRes,
     Lit,
     ResT,
     UnitT,
@@ -27,15 +30,25 @@ from gract.terms import (
 )
 from gract.typecheck import CheckError, measure_of_config, type_config, type_process
 
-from corpus import EXAMPLES
+from corpus import EXAMPLES, TWO_CAFES
 
 CAFE = EXAMPLES / "cafe.gract"
 UNIT_FUT = fut_type(UnitT(), {})
 
 
+def _parse_cafe():
+    return parse_program(CAFE.read_text())
+
+
 @pytest.fixture(scope="module")
 def cafe():
-    return parse_program(CAFE.read_text())
+    return _parse_cafe()
+
+
+@pytest.fixture
+def fresh_cafe():
+    """A cafe whose typing table is still empty."""
+    return _parse_cafe()
 
 
 @pytest.fixture(scope="module")
@@ -45,24 +58,25 @@ def states(cafe):
     return rep.visited
 
 
-def _afresh(prog, p, visible, registry, memo):
+def _afresh(prog, p, visible, registry):
     return typecheck._type_atomic(prog, p, visible, registry)
 
 
 @contextmanager
 def without_memo():
-    """Type every process afresh, whatever memo the caller passes."""
+    """Type every process afresh: the program's table is neither read nor
+    written."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(typecheck, "_type_atomic_memo", _afresh)
         yield
 
 
-def typings(prog, cfg, memo):
+def typings(prog, cfg):
     try:
-        pt = type_process(prog, cfg.processes, {}, cfg.registry, memo)
+        pt = type_process(prog, cfg.processes, {}, cfg.registry)
     except CheckError as err:
         pt = err.to_json()
-    return measure_of_config(prog, cfg, memo), type_config(prog, cfg, memo=memo), pt
+    return measure_of_config(prog, cfg), type_config(prog, cfg), pt
 
 
 def test_memo_changes_no_typing_of_explored_states(cafe, states):
@@ -70,10 +84,9 @@ def test_memo_changes_no_typing_of_explored_states(cafe, states):
                for c in [cfg, *(s.config for s in step_config(cfg, cafe))]]
     # reversed, most configurations consume futures before producing them
     configs += [replace(c, processes=c.processes[::-1]) for c in configs]
-    memo: dict = {}
-    got = [typings(cafe, c, memo) for c in configs]
+    got = [typings(cafe, c) for c in configs]
     with without_memo():
-        want = [typings(cafe, c, None) for c in configs]
+        want = [typings(cafe, c) for c in configs]
     assert got == want
     assert any(mu is None for mu, _, _ in got) and any(mu is not None for mu, _, _ in got)
 
@@ -84,31 +97,35 @@ def _cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def test_memo_changes_no_subject_reduction_result(cafe):
+def test_memo_changes_no_subject_reduction_result(cafe, tmp_path):
     rng = random.Random(4)
     traces = [run(initial_config(cafe), cafe, random_chooser(rng), 200) for _ in range(100)]
     got = [check_subject_reduction(cafe, tr) for tr in traces]
+    two_cafes = tmp_path / "two-cafes.gract"
+    two_cafes.write_text(TWO_CAFES)
     commands = [["sr", str(CAFE), "--replay", str(EXAMPLES / "corrupted-trace.json"), "--json"],
-                ["run", str(CAFE), "--strategy", "helpful", "--json"]]
+                ["run", str(CAFE), "--strategy", "helpful", "--json"],
+                ["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"],
+                ["explore", str(two_cafes), "--states", "200", "--json"]]
     got_cli = [_cli(argv) for argv in commands]
     with without_memo():
         want = [check_subject_reduction(cafe, tr) for tr in traces]
         want_cli = [_cli(argv) for argv in commands]
     assert got == want and all(law["ok"] for law in got)
     assert got_cli == want_cli
-    assert [code for code, _ in got_cli] == [5, 0]
+    assert [code for code, _ in got_cli] == [5, 0, 0, 4]
 
 
 def test_memo_rechecks_the_futures_a_process_read(cafe):
     thread = ActiveThread({}, Await(Lit(FutRef("f#1"))), "f#2", "Cn")
     cup = fut_type(ResT("Cf", 1), {})
-    memo: dict = {}
-    first = type_process(cafe, thread, {"f#1": UNIT_FUT}, memo=memo)
-    second = type_process(cafe, thread, {"f#1": cup}, memo=memo)
-    assert second == type_process(cafe, thread, {"f#1": cup})
+    first = type_process(cafe, thread, {"f#1": UNIT_FUT})
+    second = type_process(cafe, thread, {"f#1": cup})
+    with without_memo():
+        assert second == type_process(cafe, thread, {"f#1": cup})
     assert second.produced != first.produced
     with pytest.raises(CheckError) as err:
-        type_process(cafe, thread, {}, memo=memo)
+        type_process(cafe, thread, {})
     assert err.value.code == "UnknownFuture"
 
 
@@ -116,21 +133,54 @@ def test_memo_keys_on_the_own_future_registry_entry(cafe):
     ff = FulfilledFut("f#1", UnitVal())
     plain = {"f#1": (UnitT(), ())}
     cup = {"f#1": (UnitT(), ctx_key({"B": {"CC": 1}}))}
-    memo: dict = {}
-    assert type_process(cafe, ff, registry=plain, memo=memo).requires == {}
-    assert type_process(cafe, ff, registry=cup, memo=memo).requires == {"B": {"CC": 1}}
+    assert type_process(cafe, ff, registry=plain).requires == {}
+    assert cafe.typings[ff][0] == plain["f#1"]
+    assert type_process(cafe, ff, registry=cup).requires == {"B": {"CC": 1}}
+    assert cafe.typings[ff][0] == cup["f#1"]
 
 
 def test_memo_stores_no_rejection(cafe):
     thread = ActiveThread({}, Await(Lit(FutRef("f#9"))), "f#2", "Cn")
-    memo: dict = {}
     errors = []
     for _ in range(2):
+        before = len(cafe.typings)
         with pytest.raises(CheckError) as err:
-            type_process(cafe, thread, {}, memo=memo)
+            type_process(cafe, thread, {})
         errors.append(err.value.to_json())
-        assert memo == {}
+        assert len(cafe.typings) == before and thread not in cafe.typings
     assert errors[0] == errors[1] and errors[0]["code"] == "UnknownFuture"
+
+
+def test_a_variant_program_types_with_its_own_table(cafe):
+    order = (GradedRes("Order", 1),)
+    msg = CallMsg("f#1", "B", "takeOrder", order)
+    mu = type_process(cafe, msg).measure
+    assert msg in cafe.typings
+    b = cafe.actors["B"]
+    decl = b.methods["takeOrder"]
+    variant = replace(cafe, actors={**cafe.actors, "B": replace(
+        b, methods={**b.methods, "takeOrder": replace(decl, measure=decl.measure + 1)})})
+    assert variant.typings == {} and variant.typings is not cafe.typings
+    assert type_process(variant, msg).measure == mu + 1
+    # the original's entry is neither read nor overwritten by the variant
+    assert type_process(cafe, msg).measure == mu
+
+
+def test_a_returned_typing_is_the_callers_to_change(fresh_cafe):
+    order = (GradedRes("Order", 1),)
+    msgs = [CallMsg("f#1", "B", "takeOrder", order), CallMsg("f#2", "Cn", "pickup", ()),
+            FulfilledFut("f#3", UnitVal())]
+    for ps in (msgs, msgs[0]):
+        pt = type_process(fresh_cafe, ps)
+        with without_memo():
+            want = type_process(fresh_cafe, ps)
+        for env in pt.requires.values():
+            env["CC"] = 7
+        pt.requires["X"] = {"CC": 1}
+        pt.produced.clear()
+        pt.consumed.add("f#9")
+        pt.marked.add("f#9")
+        assert type_process(fresh_cafe, ps) == want
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +199,29 @@ def atomic_calls(monkeypatch):
     return calls
 
 
-def test_subject_reduction_types_each_process_once(cafe, atomic_calls):
-    tr = run(initial_config(cafe), cafe, fifo_chooser, 1000)
+def test_subject_reduction_types_each_process_once(fresh_cafe, atomic_calls):
+    tr = run(initial_config(fresh_cafe), fresh_cafe, fifo_chooser, 1000)
     assert len(tr.steps) == 41
-    assert check_subject_reduction(cafe, tr)["ok"]
+    assert check_subject_reduction(fresh_cafe, tr)["ok"]
     # re-typing every process of both typings of each snapshot takes 280
     assert len(atomic_calls) < 100
 
 
-def test_explore_and_helpful_type_each_process_once(cafe, atomic_calls):
-    rep = explore(cafe, unfold=2)
+def test_explore_and_helpful_type_each_process_once(fresh_cafe, atomic_calls):
+    rep = explore(fresh_cafe, unfold=2)
     assert rep.states_visited == 153
-    assert check_helpful(cafe, rep.visited)["ok"]
+    assert check_helpful(fresh_cafe, rep.visited)["ok"]
     # re-typing every process of every state and successor takes 1,727
     assert len(atomic_calls) < 400
+
+
+def test_many_subject_reduction_checks_share_the_programs_typings(fresh_cafe, atomic_calls):
+    rng = random.Random(4)
+    distinct = set()
+    for _ in range(100):
+        tr = run(initial_config(fresh_cafe), fresh_cafe, random_chooser(rng), 200)
+        assert check_subject_reduction(fresh_cafe, tr)["ok"]
+        for cfg in [tr.initial, *(st.result.config for st in tr.steps)]:
+            distinct.update(cfg.processes)
+    # a typing memo per check types each process about 28 times
+    assert len(atomic_calls) <= 2 * len(distinct)
