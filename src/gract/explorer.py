@@ -167,17 +167,16 @@ class Successors:
     raw_count: int
 
 
-def bounded_successors(prog: Program, config: Configuration,
-                       unfold: int, memo: Optional[dict] = None) -> Successors:
+def bounded_successors(prog: Program, config: Configuration, unfold: int) -> Successors:
     """All one-step successors, minus those the call budget rules out.
 
     A call that would push its method past the budget is dropped.  A choice
     branch whose body syntactically mentions a call to an already-exhausted
     method is dropped too: taking it could only end at the budget wall, and
     cutting it here models the fair scheduler that eventually picks the
-    other branch.  `memo` is `step_config`'s.
+    other branch.
     """
-    raw = step_config(config, prog, memo)
+    raw = step_config(config, prog)
     kept: list[StepResult] = []
     pruned_calls = pruned_choices = 0
     for s in raw:
@@ -258,8 +257,11 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
 
     The start state has depth 0. A level at `max_depth` is stored but never
     stepped, so a stuck state there is not found. A StuckFound report's
-    `max_depth` is the stuck state's depth plus one.
+    `max_depth` is the stuck state's depth plus one. At most `max_states`
+    states are stored, the start state among them, so it must be at least 1.
     """
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, not {max_states}")
     start = config if config is not None else initial_config(prog)
     key_memo: dict = {}
     key0 = canonical_key(start, key_memo)
@@ -272,7 +274,6 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     terminal_key: Optional[tuple] = None
     stuck: Optional[tuple[tuple, Configuration]] = None
     depth = 0
-    step_memo: dict = {}
 
     def note_measure(cfg: Configuration) -> None:
         mu = measure_of_config(prog, cfg)
@@ -288,7 +289,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             break
         nxt: list[tuple[tuple, Configuration]] = []
         for key, cfg in level:
-            succ = bounded_successors(prog, cfg, unfold, step_memo)
+            succ = bounded_successors(prog, cfg, unfold)
             pruned_calls += succ.pruned_calls
             pruned_choices += succ.pruned_choices
             if succ.raw_count == 0:
@@ -360,12 +361,11 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
     strictly smaller measure. Pruning never hides successors here."""
     violations = []
     checked = 0
-    step_memo: dict = {}  # this check's own, never explore's
     for cfg in configs:
         mu = measure_of_config(prog, cfg)
         if mu is None:
             continue
-        succ = step_config(cfg, prog, step_memo)
+        succ = step_config(cfg, prog)
         if not succ:
             continue
         checked += 1

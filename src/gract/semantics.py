@@ -425,15 +425,16 @@ def _offered_future(config: Configuration, m: GradeMonoid,
 
 
 def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
-                  variant: str, memo: Optional[dict] = None) -> list[StepResult]:
+                  variant: str) -> list[StepResult]:
     """Steps of `thread` (active, or suspended and activated by the
     variant) at position i of `config`, which reflects the variant.
 
-    `memo`, the caller's, maps the thread (a value, so equal threads share
-    an entry), fresh names, offered future and actor resources to the
-    expression steps with their updated threads, built once. A successor
-    gets a new dict for the one field its rule changes and shares the
-    others with `config`."""
+    The program's step table, `prog.steps`, maps the thread (a value, so
+    equal threads share an entry), fresh names, offered future and actor
+    resources to the expression steps with their updated threads, built
+    once for every run and exploration of the program. A successor gets a
+    new dict for the one field its rule changes and shares the others with
+    `config`."""
     m = prog.monoid
     a = thread.actor
     out: list[StepResult] = []
@@ -454,18 +455,16 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
     alpha_a = config.alpha.get(a, {})
     candidate_future = f"f#{config.next_future}"
     candidate_var = f"y#{config.next_var}"
-    key = memo is not None and (thread, candidate_future, candidate_var,
-                                reachable and reachable[:2], tuple(alpha_a.items()))
-    steps = memo.get(key) if key else None
+    key = (thread, candidate_future, candidate_var,
+           reachable and reachable[:2], tuple(alpha_a.items()))
+    steps = prog.steps.get(key)
     if steps is None:
         offered = Offered(futures={reachable[0]: reachable[1]} if reachable else {},
                           alpha=alpha_a)
         res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
                         offered)
-        steps = [(label, env2, ActiveThread(env2, expr2, thread.future, a))
-                 for label, env2, expr2 in res.steps]
-        if key:
-            memo[key] = steps
+        steps = prog.steps[key] = [(label, env2, ActiveThread(env2, expr2, thread.future, a))
+                                   for label, env2, expr2 in res.steps]
 
     for label, env2, updated in steps:
         c = config.copy()
@@ -528,10 +527,9 @@ def _free_actor(config: Configuration, prog: Program, a: str,
     return c, i, "yld"
 
 
-def step_config(config: Configuration, prog: Program,
-                memo: Optional[dict] = None) -> list[StepResult]:
+def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     """Every successor reachable by one rule after folded rearrangement;
-    `memo` is the caller's thread-step memo (see `_thread_steps`)."""
+    threads step through the program's step table (see `_thread_steps`)."""
     out: list[StepResult] = []
     for i, p in enumerate(config.processes):
         match p:
@@ -547,13 +545,13 @@ def step_config(config: Configuration, prog: Program,
                     out.append(StepResult("spawn", Tau(), c, a, f, i,
                                           "base" if variant == "act" else variant))
             case ActiveThread():
-                out.extend(_thread_steps(config, prog, p, i, "base", memo))
+                out.extend(_thread_steps(config, prog, p, i, "base"))
             case SuspendedThread():
                 freed = _free_actor(config, prog, p.actor, i)
                 if freed is not None:
                     base, pos, variant = freed
                     base.processes[pos] = ActiveThread(p.env, p.expr, p.future, p.actor)
-                    out.extend(_thread_steps(base, prog, p, pos, variant, memo))
+                    out.extend(_thread_steps(base, prog, p, pos, variant))
     out.sort(key=StepResult.sort_key)
     return out
 
@@ -609,18 +607,15 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
 # Programs to configurations, runs, traces
 
 def initial_config(prog: Program) -> Configuration:
-    config = Configuration(
-        alpha={a: dict(env) for a, env in prog.init_ctx.items()},
-        processes=[],
-    )
-    f0 = config.fresh_future()
-    config.processes.append(CallMsg(f0, prog.start_actor, prog.start_method, prog.start_args))
-    for a in prog.actors:
-        config.processes.append(Idle(a))
     decl = prog.method(prog.start_actor, prog.start_method)
-    config.registry[f0] = (decl.result, ctx_key(decl.produces)) if decl else None
-    config.call_counts[(prog.start_actor, prog.start_method)] = 1
-    return config
+    return Configuration(
+        alpha={a: dict(env) for a, env in prog.init_ctx.items()},
+        processes=[CallMsg("f#0", prog.start_actor, prog.start_method, prog.start_args),
+                   *(Idle(a) for a in prog.actors)],
+        next_future=1,
+        registry={"f#0": (decl.result, ctx_key(decl.produces)) if decl else None},
+        call_counts={(prog.start_actor, prog.start_method): 1},
+    )
 
 
 @dataclass

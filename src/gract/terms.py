@@ -442,11 +442,6 @@ class Configuration:
         return Configuration(self.alpha, list(self.processes), self.next_future,
                              self.next_var, self.registry, self.call_counts)
 
-    def fresh_future(self) -> str:
-        name = f"f#{self.next_future}"
-        self.next_future += 1
-        return name
-
 
 def well_formed(config: Configuration) -> list[str]:
     """Diagnostics, empty when the configuration is well formed.
@@ -518,11 +513,12 @@ class MethodSig(NamedTuple):
 class Program:
     """A checked program's declarations are not changed after it is built;
     a variant is a new Program (`dataclasses.replace`), which builds its
-    own `signatures` and its own `typings`.
+    own `signatures`, `typings` and `steps`.
 
-    `typings` is the program's process typing table, filled by
-    `typecheck.type_process`: it lives as long as the program and is
-    shared by everything that types the program's configurations."""
+    Two tables live as long as the program and are shared by everything
+    that runs, explores or types its configurations: `typings`, the
+    process typing table filled by `typecheck.type_process`, and `steps`,
+    the thread-step table filled by `semantics.step_config`."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
@@ -534,6 +530,7 @@ class Program:
 
     def __post_init__(self) -> None:
         self.typings: dict[Process, tuple] = {}
+        self.steps: dict[tuple, list] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}
         for actor, adecl in self.actors.items():
             for name, d in adecl.methods.items():

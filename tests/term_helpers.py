@@ -1,5 +1,6 @@
 """Helpers over processes and configurations that only the tests use:
-future sets of a whole process sequence, and fresh variable names."""
+future sets of a whole process sequence, and fresh future and variable
+names."""
 
 from gract.terms import Configuration, Process, futures_consumed_one, futures_produced_one
 
@@ -19,6 +20,12 @@ def futures_consumed(ps: list[Process]) -> set[str]:
         out |= futures_consumed_one(p) - produced
         produced |= futures_produced_one(p)
     return out
+
+
+def fresh_future(config: Configuration) -> str:
+    name = f"f#{config.next_future}"
+    config.next_future += 1
+    return name
 
 
 def fresh_var(config: Configuration) -> str:

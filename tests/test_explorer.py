@@ -118,6 +118,16 @@ def test_state_budget_reports_bound(cafe):
     assert rep.verdict == "BoundExhausted"
 
 
+def test_state_cap_is_an_upper_bound(cafe):
+    """The start state counts against the cap, so a cap below 1 is refused,
+    as `gract explore --states 0` is."""
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="max_states"):
+            explore(cafe, unfold=2, max_states=cap)
+    rep = explore(cafe, unfold=2, max_states=1)
+    assert rep.states_visited == 1 and rep.bound_hit
+
+
 def test_depth_budget_reports_bound(cafe):
     rep = explore(cafe, unfold=2, max_depth=3)
     assert rep.bound_hit

@@ -133,8 +133,8 @@ def test_explore_stores_configurations_as_step_config_built_them(
     same list, that `step_config` put there: exploring writes no state."""
     built = {}
 
-    def recording(config, prog, memo=None):
-        succ = step_config(config, prog, memo)
+    def recording(config, prog):
+        succ = step_config(config, prog)
         for s in succ:
             built[id(s.config)] = (s.config, s.config.processes, list(s.config.processes))
         return succ

@@ -1,14 +1,31 @@
-"""The thread-step memo: one exploration steps each thread once per distinct
-input, and a memo changes no successor and no verdict."""
+"""The program's step table: a program steps each thread once per distinct
+input, whatever operation asks, and every successor, verdict and output is
+the one stepping afresh gives."""
+
+import io
+import random
+from contextlib import contextmanager, redirect_stdout
+from dataclasses import replace
 
 import pytest
 
-from gract import explorer, semantics
-from gract.explorer import check_helpful, explore
+from gract import semantics
+from gract.cli import main
+from gract.explorer import check_helpful, check_subject_reduction, explore
 from gract.parser import parse_program
-from gract.semantics import fifo_chooser, initial_config, run, step_config
+from gract.semantics import (
+    config_to_json,
+    fifo_chooser,
+    initial_config,
+    random_chooser,
+    run,
+    step_config,
+)
+from gract.terms import OpSig, ResT
 
 from corpus import EXAMPLES, TWO_CAFES
+
+CAFE = EXAMPLES / "cafe.gract"
 
 
 def _load(name):
@@ -20,7 +37,26 @@ def _explorations():
             (parse_program(TWO_CAFES), {"unfold": 2, "max_states": 200}, 200)]
 
 
-def _counting_step_expr(monkeypatch):
+@contextmanager
+def afresh():
+    """Step every thread afresh: each `_thread_steps` call gets a throwaway
+    table, so the program's table is neither read nor written."""
+    real = semantics._thread_steps
+
+    def throwaway(config, prog, *args):
+        kept, prog.steps = prog.steps, {}
+        try:
+            return real(config, prog, *args)
+        finally:
+            prog.steps = kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_thread_steps", throwaway)
+        yield
+
+
+@pytest.fixture
+def step_expr_calls(monkeypatch):
     real = semantics.step_expr
     calls = [0]
 
@@ -32,24 +68,68 @@ def _counting_step_expr(monkeypatch):
     return calls
 
 
-def test_explore_steps_each_thread_once(monkeypatch):
+# ---------------------------------------------------------------------------
+# timing-free guards: how often a thread is stepped afresh
+
+def test_explore_steps_each_thread_once(step_expr_calls):
     """A timing-free guard: 282 expression steps at unfold 2 without the
-    memo, 167 of them with distinct inputs."""
-    calls = _counting_step_expr(monkeypatch)
+    table, 167 of them with distinct inputs."""
     rep = explore(_load("cafe.gract"), unfold=2)
     assert rep.states_visited == 153
-    assert 0 < calls[0] < 200
+    assert 0 < step_expr_calls[0] < 200
 
 
-def test_run_keeps_no_memo(monkeypatch):
-    """A run's states do not repeat, so it steps every thread afresh."""
+def test_a_second_run_steps_nothing(step_expr_calls):
+    """Runs of one program start from the same configuration with the same
+    counters, so a second identical run takes every step from the table."""
     cafe = _load("cafe.gract")
-    calls = _counting_step_expr(monkeypatch)
-    trace = run(initial_config(cafe), cafe, fifo_chooser, 200)
-    assert trace.status == "terminated"
-    first = calls[0]
-    run(initial_config(cafe), cafe, fifo_chooser, 200)
-    assert calls[0] == 2 * first
+    first = run(initial_config(cafe), cafe, fifo_chooser, 200)
+    assert first.status == "terminated" and len(first.steps) == 41
+    assert step_expr_calls[0] > 0
+    step_expr_calls[0] = 0
+    again = run(initial_config(cafe), cafe, fifo_chooser, 200)
+    assert step_expr_calls[0] == 0
+    assert ([config_to_json(st.result.config) for st in again.steps]
+            == [config_to_json(st.result.config) for st in first.steps])
+
+
+@pytest.mark.parametrize("case", range(2), ids=["cafe", "two-cafes"])
+def test_check_helpful_after_explore_steps_nothing(step_expr_calls, case):
+    prog, bounds, states = _explorations()[case]
+    rep = explore(prog, **bounds)
+    assert rep.states_visited == states
+    step_expr_calls[0] = 0
+    assert check_helpful(prog, rep.visited)["ok"]
+    assert step_expr_calls[0] == 0
+
+
+def test_a_variant_program_steps_with_its_own_table(step_expr_calls):
+    """A variant whose coffee comes out at grade 2 steps the same threads
+    to different results, so reading the original's entries would show."""
+    cafe = _load("cafe.gract")
+    fifo = run(initial_config(cafe), cafe, fifo_chooser, 200)
+    table = dict(cafe.steps)
+    sig = cafe.op_sigs["makeCoffee"]
+    variant = replace(cafe, op_sigs={**cafe.op_sigs,
+                                     "makeCoffee": OpSig(sig.params, ResT("Cf", 2))})
+    assert variant.steps == {} and variant.steps is not cafe.steps
+    step_expr_calls[0] = 0
+    got = run(initial_config(variant), variant, fifo_chooser, 200)
+    assert step_expr_calls[0] > 0
+    with afresh():
+        want = run(initial_config(variant), variant, fifo_chooser, 200)
+    assert _briefs(got) == _briefs(want) != _briefs(fifo)
+    # the original's entries are neither read nor overwritten by the variant
+    assert cafe.steps.keys() == table.keys()
+    assert all(cafe.steps[k] is v for k, v in table.items())
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the table against stepping afresh
+
+def _briefs(trace):
+    return [(st.result.rule, st.result.label, config_to_json(st.result.config))
+            for st in trace.steps]
 
 
 @pytest.mark.parametrize("case", range(2))
@@ -57,17 +137,19 @@ def test_memo_changes_no_successor(case):
     prog, bounds, states = _explorations()[case]
     rep = explore(prog, **bounds)
     assert rep.states_visited == states
-    memo: dict = {}
     for cfg in rep.visited:
-        assert step_config(cfg, prog, memo) == step_config(cfg, prog)
+        got = step_config(cfg, prog)
+        with afresh():
+            want = step_config(cfg, prog)
+        assert got == want
+        assert [config_to_json(s.config) for s in got] == [config_to_json(s.config) for s in want]
 
 
 def test_equal_steps_share_the_updated_thread():
     cafe = _load("cafe.gract")
-    memo: dict = {}
     pairs = []
     for cfg in explore(cafe, unfold=2).visited:
-        first, again = step_config(cfg, cafe, memo), step_config(cfg, cafe, memo)
+        first, again = step_config(cfg, cafe), step_config(cfg, cafe)
         assert all(s.config is not t.config for s, t in zip(first, again))
         pairs += [(s.config.processes[s.pos], t.config.processes[t.pos])
                   for s, t in zip(first, again) if s.rule == "silent"]
@@ -75,12 +157,43 @@ def test_equal_steps_share_the_updated_thread():
 
 
 @pytest.mark.parametrize("case", range(2))
-def test_check_helpful_is_the_same_without_its_memo(monkeypatch, case):
+def test_check_helpful_is_the_same_without_its_memo(case):
     prog, bounds, states = _explorations()[case]
     rep = explore(prog, **bounds)
     assert rep.states_visited == states
-    with_memo = check_helpful(prog, rep.visited)
-    real = semantics.step_config
-    monkeypatch.setattr(explorer, "step_config", lambda cfg, p, memo=None: real(cfg, p))
-    assert check_helpful(prog, rep.visited) == with_memo
-    assert with_memo["ok"] and with_memo["checked"] > 0
+    with_table = check_helpful(prog, rep.visited)
+    with afresh():
+        assert check_helpful(prog, rep.visited) == with_table
+    assert with_table["ok"] and with_table["checked"] > 0
+
+
+def _runs(prog):
+    rng = random.Random(4)
+    traces = [run(initial_config(prog), prog, random_chooser(rng), 200) for _ in range(100)]
+    return [_briefs(tr) for tr in traces], [check_subject_reduction(prog, tr) for tr in traces]
+
+
+def _cli(argv) -> tuple[int, str]:
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_the_table_changes_no_run_law_or_output(tmp_path):
+    cafe = _load("cafe.gract")
+    steps, laws = _runs(cafe)
+    two_cafes = tmp_path / "two-cafes.gract"
+    two_cafes.write_text(TWO_CAFES)
+    commands = [["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"],
+                ["run", str(CAFE), "--strategy", "helpful", "--json"],
+                ["run", str(CAFE), "--replay", str(EXAMPLES / "cafe-replay.json"), "--json"],
+                ["explore", str(two_cafes), "--states", "200", "--json"]]
+    got_cli = [_cli(argv) for argv in commands]
+    table = dict(cafe.steps)
+    with afresh():
+        want_steps, want_laws = _runs(cafe)
+        want_cli = [_cli(argv) for argv in commands]
+    assert cafe.steps == table
+    assert steps == want_steps and laws == want_laws and all(law["ok"] for law in laws)
+    assert got_cli == want_cli
+    assert [code for code, _ in got_cli] == [0, 0, 0, 4]

@@ -37,7 +37,7 @@ from gract.terms import (
 )
 
 from corpus import EXAMPLES, TWO_CAFES
-from term_helpers import fresh_var, futures_consumed, futures_produced
+from term_helpers import fresh_future, fresh_var, futures_consumed, futures_produced
 
 u = Lit(UnitVal())
 
@@ -181,11 +181,11 @@ def test_rename_matches_the_pattern_matching_original():
 
 def test_fresh_names_are_monotone():
     c = Configuration(alpha={}, processes=[])
-    assert c.fresh_future() == "f#0"
-    assert c.fresh_future() == "f#1"
+    assert fresh_future(c) == "f#0"
+    assert fresh_future(c) == "f#1"
     assert fresh_var(c) == "y#0"
     d = c.copy()
-    assert d.fresh_future() == "f#2"
+    assert fresh_future(d) == "f#2"
     assert c.next_future == 2  # the copy does not feed back
 
 
