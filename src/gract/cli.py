@@ -205,6 +205,16 @@ def _refuse_illtyped(args, prog: Program, command: str) -> bool:
     return True
 
 
+def _replay_failed(args, command: str, exc: Stuck) -> int:
+    """Report a replay whose script does not fit the run it drives."""
+    if args.json:
+        _emit_json({"schema": "gract/1", "command": command,
+                    "program": args.program, "status": "replay-failed",
+                    "error": {"code": exc.code, "detail": exc.detail}})
+        return EXIT_STUCK
+    return _fail(f"replay failed: {exc.code}: {exc.detail}", EXIT_STUCK)
+
+
 def cmd_run(args) -> int:
     prog = _load(args.program)
     checked = False
@@ -217,13 +227,7 @@ def cmd_run(args) -> int:
     try:
         tr = run(cfg, prog, chooser, args.steps)
     except Stuck as exc:
-        if args.json:
-            _emit_json({"schema": "gract/1", "command": "run",
-                        "program": args.program, "status": "replay-failed",
-                        "error": {"code": exc.code, "detail": exc.detail}})
-        else:
-            print(f"replay failed: {exc.code}: {exc.detail}", file=sys.stderr)
-        return EXIT_STUCK
+        return _replay_failed(args, "run", exc)
 
     def mu(c) -> Optional[int]:
         return measure_of_config(prog, c) if checked else None
@@ -295,13 +299,7 @@ def _sr_replay(args, prog: Program) -> int:
     try:
         tr = run(initial_config(prog), prog, script_chooser(entries), len(entries))
     except Stuck as exc:
-        if args.json:
-            _emit_json({"schema": "gract/1", "command": "sr",
-                        "program": args.program, "status": "replay-failed",
-                        "error": {"code": exc.code, "detail": exc.detail}})
-        else:
-            print(f"replay failed: {exc.code}: {exc.detail}", file=sys.stderr)
-        return EXIT_STUCK
+        return _replay_failed(args, "sr", exc)
     law = check_subject_reduction(prog, tr)
     violations = list(law["violations"])
     for st, entry in zip(tr.steps, entries):

@@ -33,13 +33,13 @@ from .semantics import (
     stuck_diagnosis,
 )
 from .terms import (
-    ActiveThread,
     Call,
     Choice,
     Configuration,
     Let,
     Process,
     Program,
+    Thread,
     futures_consumed_one,
     futures_produced_one,
 )
@@ -146,7 +146,7 @@ def _is_choice_step(pre: Configuration, s: StepResult) -> bool:
     if s.rule != "silent" or s.pos >= len(pre.processes):
         return False
     p = pre.processes[s.pos]
-    return isinstance(p, ActiveThread) and isinstance(redex(p.expr), Choice)
+    return isinstance(p, Thread) and not p.suspended and isinstance(redex(p.expr), Choice)
 
 
 def _choice_index(config: Configuration, succ: list[StepResult],
@@ -404,12 +404,6 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
     violations: list[dict] = []
     measures: list[Optional[int]] = []
 
-    def proc_typing(cfg):
-        try:
-            return type_process(prog, cfg.processes, {}, cfg.registry)
-        except Exception:
-            return None
-
     def snap(cfg, where):
         report = type_config(prog, cfg)
         if not report["ok"]:
@@ -418,7 +412,7 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
             measures.append(None)
             return None
         measures.append(report["measure"])
-        return proc_typing(cfg)
+        return type_process(prog, cfg.processes, {}, cfg.registry)
 
     pre = trace.initial
     pt = snap(pre, -1)

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from .grades import GradeMonoid, ResourceEnv, format_grade
 from .terms import (
-    ActiveThread,
     Await,
     Call,
     CallMsg,
@@ -51,7 +50,7 @@ from .terms import (
     Release,
     ResT,
     Return,
-    SuspendedThread,
+    Thread,
     UnitT,
     UnitVal,
     Value,
@@ -222,14 +221,13 @@ class Offered:
 class ExprSteps:
     steps: list[tuple[Label, LocalEnv, Expr]]
     faults: list[Stuck]
-    waiting_on: Optional[str]  # future the redex awaits but was not offered
 
 
 def step_expr(m: GradeMonoid, env: LocalEnv, e: Expr, prog: Program,
               fresh_future: str, fresh_var: str, offered: Offered) -> ExprSteps:
     """All labelled steps of (env, e); at most one redex, so the only
     source of multiple steps is a choice at the redex."""
-    out = ExprSteps([], [], None)
+    out = ExprSteps([], [])
     _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, out)
     return out
 
@@ -249,10 +247,9 @@ def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, out) -> None:
                 env2[fresh_var] = v
                 out.steps.append((Tau(), env2, rename_var(body, x, fresh_var)))
                 return
-            inner = ExprSteps([], [], None)
+            inner = ExprSteps([], [])
             _step_expr(m, env, bound, prog, fresh_future, fresh_var, offered, inner)
             out.faults += inner.faults
-            out.waiting_on = inner.waiting_on
             for label, env2, bound2 in inner.steps:
                 out.steps.append((label, env2, Let(x, bound2, body)))
             return
@@ -277,8 +274,6 @@ def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, out) -> None:
             if v.name in offered.futures:
                 value = offered.futures[v.name]
                 out.steps.append((FutLbl(v.name, value), env2, Return(Lit(value))))
-            else:
-                out.waiting_on = v.name
             return
         case Hold(g, r):
             if offered.alpha is not None and m.minus(offered.alpha.get(r, m.zero()), g) is None:
@@ -386,22 +381,8 @@ def is_terminated(config: Configuration) -> bool:
     return all(isinstance(p, (Idle, FulfilledFut)) for p in config.processes)
 
 
-def _first_idle(processes: list[Process], actor: str) -> Optional[int]:
-    for i, p in enumerate(processes):
-        if isinstance(p, Idle) and p.actor == actor:
-            return i
-    return None
-
-
-def _active_of(processes: list[Process], actor: str) -> Optional[int]:
-    for i, p in enumerate(processes):
-        if isinstance(p, ActiveThread) and p.actor == actor:
-            return i
-    return None
-
-
 def _offered_future(config: Configuration, m: GradeMonoid,
-                    thread: ActiveThread, i: int) -> Optional[tuple[str, Value, int, str]]:
+                    thread: Thread, i: int) -> Optional[tuple[str, Value, int, str]]:
     """The fulfilment this thread could consume.
 
     It must sit to the left of the thread and reach it by legal swaps:
@@ -424,10 +405,11 @@ def _offered_future(config: Configuration, m: GradeMonoid,
     return None
 
 
-def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
+def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
                   variant: str) -> list[StepResult]:
-    """Steps of `thread` (active, or suspended and activated by the
-    variant) at position i of `config`, which reflects the variant.
+    """Steps of the active `thread` at position i of `config`, which
+    reflects the variant: a thread activated by `act` or `yld` steps as
+    its active twin does.
 
     The program's step table, `prog.steps`, maps the thread (a value, so
     equal threads share an entry), fresh names, offered future and actor
@@ -463,7 +445,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: Process, i: int,
                           alpha=alpha_a)
         res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
                         offered)
-        steps = prog.steps[key] = [(label, env2, ActiveThread(env2, expr2, thread.future, a))
+        steps = prog.steps[key] = [(label, env2, Thread(env2, expr2, thread.future, a))
                                    for label, env2, expr2 in res.steps]
 
     for label, env2, updated in steps:
@@ -512,18 +494,18 @@ def _free_actor(config: Configuration, prog: Program, a: str,
     awaits (variant "yld"). Returns a copy of the configuration, the
     position where the caller puts the thread, and the variant; None when
     a is busy."""
-    processes = config.processes
-    j = _first_idle(processes, a)
-    if j is not None:
-        c = config.copy()
-        del c.processes[j]
-        return c, i - 1 if j < i else i, "act"
-    k = _active_of(processes, a)
-    if k is None or awaiting_future(prog.monoid, processes[k].env, processes[k].expr) is None:
+    k = t = None
+    for j, p in enumerate(config.processes):
+        if type(p) is Idle and p.actor == a:
+            c = config.copy()
+            del c.processes[j]
+            return c, i - 1 if j < i else i, "act"
+        if t is None and type(p) is Thread and p.actor == a and not p.suspended:
+            k, t = j, p
+    if t is None or awaiting_future(prog.monoid, t.env, t.expr) is None:
         return None
     c = config.copy()
-    t = processes[k]
-    c.processes[k] = SuspendedThread(t.env, t.expr, t.future, a)
+    c.processes[k] = t.twin(suspended=True)
     return c, i, "yld"
 
 
@@ -544,22 +526,22 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     # a spawn keeps its message's position; an idle actor is its base case
                     out.append(StepResult("spawn", Tau(), c, a, f, i,
                                           "base" if variant == "act" else variant))
-            case ActiveThread():
+            case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))
-            case SuspendedThread():
+            case Thread():
                 freed = _free_actor(config, prog, p.actor, i)
                 if freed is not None:
                     base, pos, variant = freed
-                    base.processes[pos] = ActiveThread(p.env, p.expr, p.future, p.actor)
-                    out.extend(_thread_steps(base, prog, p, pos, variant))
+                    active = base.processes[pos] = p.twin(suspended=False)
+                    out.extend(_thread_steps(base, prog, active, pos, variant))
     out.sort(key=StepResult.sort_key)
     return out
 
 
 def _spawn_thread(decl: MethodDecl, future: str, actor: str,
-                  vals: tuple[Value, ...]) -> ActiveThread:
+                  vals: tuple[Value, ...]) -> Thread:
     env = {x: v for (x, _), v in zip(decl.params, vals)}
-    return ActiveThread(env, decl.body, future, actor)
+    return Thread(env, decl.body, future, actor)
 
 
 def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
@@ -569,7 +551,7 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
     out: list[dict] = []
     fulfilled = {p.future for p in config.processes if isinstance(p, FulfilledFut)}
     for p in config.processes:
-        if isinstance(p, (ActiveThread, SuspendedThread)):
+        if isinstance(p, Thread):
             offered = Offered(futures={}, alpha=config.alpha.get(p.actor, {}))
             res = step_expr(m, p.env, p.expr, prog, "f#?", "y#?", offered)
             for fault in res.faults:
@@ -585,12 +567,13 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
                     })
                 else:
                     out.append({"code": code, "actor": p.actor, "detail": detail})
-            if res.waiting_on is not None:
+            awaited = awaiting_future(m, p.env, p.expr)
+            if awaited is not None:
                 out.append({
                     "code": "AwaitPending",
                     "actor": p.actor,
-                    "future": res.waiting_on,
-                    "fulfilled": res.waiting_on in fulfilled,
+                    "future": awaited,
+                    "fulfilled": awaited in fulfilled,
                 })
         elif isinstance(p, CallMsg):
             decl = prog.method(p.actor, p.method)
@@ -723,12 +706,10 @@ def script_chooser(entries: list[dict]) -> Chooser:
 
 def process_to_json(p: Process) -> dict:
     match p:
-        case ActiveThread(env, expr, future, actor):
-            return {"kind": "active", "actor": actor, "future": future,
-                    "env": {x: str(v) for x, v in env.items()}, "expr": str(expr)}
-        case SuspendedThread(env, expr, future, actor):
-            return {"kind": "suspended", "actor": actor, "future": future,
-                    "env": {x: str(v) for x, v in env.items()}, "expr": str(expr)}
+        case Thread(env, expr, future, actor, suspended):
+            return {"kind": "suspended" if suspended else "active", "actor": actor,
+                    "future": future, "env": {x: str(v) for x, v in env.items()},
+                    "expr": str(expr)}
         case Idle(actor):
             return {"kind": "idle", "actor": actor}
         case CallMsg(future, actor, method, args):

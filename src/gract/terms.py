@@ -327,25 +327,31 @@ class Process:
     process object as it is, so a process's environment is never written
     after construction. A process hashes by value, computed once (see
     `_hash_once` and `_hash_thread`), so it is its own key in every memo.
+    Every process but `Idle` produces its own `future`.
     """
 
     _hash = None
 
 
 @dataclass(frozen=True)
-class ActiveThread(Process):
+class Thread(Process):
+    """A thread of `actor` running `expr` in `env` for `future`. A
+    suspended thread waits at an await until its actor is free again; it
+    is otherwise the thread it was, so suspending or activating one
+    changes only the flag."""
+
     env: LocalEnv
     expr: Expr
     future: str
     actor: str
+    suspended: bool = False
 
-
-@dataclass(frozen=True)
-class SuspendedThread(Process):
-    env: LocalEnv
-    expr: Expr
-    future: str
-    actor: str
+    def twin(self, suspended: bool) -> "Thread":
+        """This thread with the flag set as given. The flag is not hashed,
+        so the twin takes this thread's hash, computed at most once."""
+        t = Thread(self.env, self.expr, self.future, self.actor, suspended)
+        object.__setattr__(t, "_hash", hash(self))
+        return t
 
 
 @dataclass(frozen=True)
@@ -369,7 +375,8 @@ class FulfilledFut(Process):
 
 def _hash_thread(t) -> int:
     """A thread's hash, computed once like `_hash_once`'s; the environment
-    hashes by its items in any order, as dict equality compares them."""
+    hashes by its items in any order, as dict equality compares them. The
+    flag is left out, so a suspended thread hashes as its active twin."""
     h = t._hash
     if h is None:
         h = hash((frozenset(t.env.items()), t.expr, t.future, t.actor))
@@ -377,35 +384,20 @@ def _hash_thread(t) -> int:
     return h
 
 
-ActiveThread.__hash__ = SuspendedThread.__hash__ = _hash_thread
+Thread.__hash__ = _hash_thread
 Idle.__hash__ = CallMsg.__hash__ = FulfilledFut.__hash__ = _hash_once
 
 
 def futures_produced_one(p: Process) -> set[str]:
-    match p:
-        case ActiveThread() | SuspendedThread():
-            return {p.future}
-        case CallMsg():
-            return {p.future}
-        case FulfilledFut():
-            return {p.future}
-        case Idle():
-            return set()
-    raise TypeError(f"not a process: {p!r}")
+    return set() if isinstance(p, Idle) else {p.future}
 
 
 def futures_consumed_one(p: Process) -> set[str]:
     match p:
-        case ActiveThread() | SuspendedThread():
-            out: set[str] = set()
-            for v in p.env.values():
-                out |= futures_in_value(v)
-            return out | futures_in_expr(p.expr)
+        case Thread():
+            return set().union(*map(futures_in_value, p.env.values()), futures_in_expr(p.expr))
         case CallMsg():
-            out = set()
-            for v in p.args:
-                out |= futures_in_value(v)
-            return out
+            return set().union(*map(futures_in_value, p.args))
         case FulfilledFut():
             return futures_in_value(p.value)
         case Idle():
@@ -459,7 +451,7 @@ def well_formed(config: Configuration) -> list[str]:
                 problems.append(f"future {f} produced twice")
             seen_futures.add(f)
         match p:
-            case ActiveThread():
+            case Thread(suspended=False):
                 active[p.actor] = active.get(p.actor, 0) + 1
             case Idle(actor):
                 idle[actor] = idle.get(actor, 0) + 1
@@ -518,7 +510,9 @@ class Program:
     Two tables live as long as the program and are shared by everything
     that runs, explores or types its configurations: `typings`, the
     process typing table filled by `typecheck.type_process`, and `steps`,
-    the thread-step table filled by `semantics.step_config`."""
+    the thread-step table filled by `semantics.step_config`, keyed on
+    active threads: a suspended thread steps once activated, from its
+    active twin's entry."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]

@@ -31,7 +31,6 @@ from .grades import (
 )
 from .semantics import initial_config
 from .terms import (
-    ActiveThread,
     Await,
     Call,
     CallMsg,
@@ -54,7 +53,7 @@ from .terms import (
     Release,
     ResT,
     Return,
-    SuspendedThread,
+    Thread,
     Type,
     UnitT,
     UnitVal,
@@ -482,7 +481,7 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
                 futs = futs_add(futs, uf)
                 fits_expected(m, ty, want, f"message {f} argument {x}")
             return sig.requires, futs, decl.measure + 2, {f: sig.fut}
-        case ActiveThread(lam, e, f, a) | SuspendedThread(lam, e, f, a):
+        case Thread(lam, e, f, a):
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
             t = type_expr(prog, a, gamma, sigma, e, loc)
@@ -545,12 +544,7 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
     produced: dict[str, FutT] = {}
     marked: set[str] = set()
     consumed_ambient: set[str] = set()
-    will_produce: set[str] = set()
-    for p in processes:
-        match p:
-            case FulfilledFut(f, _) | CallMsg(f, _, _, _) | \
-                    ActiveThread(_, _, f, _) | SuspendedThread(_, _, f, _):
-                will_produce.add(f)
+    will_produce = {p.future for p in processes if not isinstance(p, Idle)}
     # marked futures stay resolvable so reuse is reported as reuse, not as
     # an unknown name; a future is produced once and is never also ambient,
     # so what is visible only grows

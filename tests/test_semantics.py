@@ -30,7 +30,6 @@ from gract.semantics import (
     step_expr,
 )
 from gract.terms import (
-    ActiveThread,
     Await,
     Call,
     CallMsg,
@@ -46,7 +45,7 @@ from gract.terms import (
     Lit,
     Release,
     Return,
-    SuspendedThread,
+    Thread,
     UnitVal,
     Var,
     well_formed,
@@ -185,7 +184,7 @@ def test_await_without_offer_waits(cafe):
     env = {"y": FutRef("f#2")}
     out = step_expr(M, env, Await(Var("y")), cafe, "f#9", "y#9", free_offer())
     assert out.steps == [] and out.faults == []
-    assert out.waiting_on == "f#2"
+    assert awaiting_future(M, env, Await(Var("y"))) == "f#2"
 
 
 def test_choice_offers_both_branches(cafe):
@@ -239,7 +238,7 @@ def test_awaiting_future_sees_through_lets():
 # rearrangement
 
 def thread_awaiting(f, actor="A", future="f#8"):
-    return ActiveThread({"y": FutRef(f)}, Await(Var("y")), future, actor)
+    return Thread({"y": FutRef(f)}, Await(Var("y")), future, actor)
 
 
 def test_swap_blocked_by_dataflow():
@@ -251,7 +250,7 @@ def test_swap_blocked_by_dataflow():
 
 
 def test_idle_actor_activates_a_suspended_thread(cafe):
-    s = SuspendedThread({}, Return(Lit(UnitVal())), "f#1", "A")
+    s = Thread({}, Return(Lit(UnitVal())), "f#1", "A", suspended=True)
     [only] = step_config(Configuration(alpha={}, processes=[Idle("A"), s]), cafe)
     # activation takes the idle marker to its left, so the thread acts at 0
     assert (only.rule, only.variant, only.pos) == ("return", "act", 0)
@@ -264,7 +263,8 @@ def test_spawn_reports_its_message_position(cafe):
     # the idle marker on the left goes, so the thread lands at 1
     assert (only.rule, only.variant, only.pos) == ("spawn", "base", 2)
     assert only.config.processes[0] == Idle("B")
-    assert isinstance(only.config.processes[1], ActiveThread)
+    assert isinstance(only.config.processes[1], Thread)
+    assert not only.config.processes[1].suspended
 
 
 def test_message_to_an_awaiting_actor_yields(cafe):
@@ -274,13 +274,13 @@ def test_message_to_an_awaiting_actor_yields(cafe):
     [only] = step_config(cfg, cafe)
     assert (only.rule, only.variant, only.pos) == ("spawn", "yld", 0)
     spawned, suspended = only.config.processes
-    assert isinstance(spawned, ActiveThread) and spawned.future == "f#2"
-    assert isinstance(suspended, SuspendedThread) and suspended.future == "f#0"
+    assert isinstance(spawned, Thread) and not spawned.suspended and spawned.future == "f#2"
+    assert isinstance(suspended, Thread) and suspended.suspended and suspended.future == "f#0"
 
 
 def test_busy_actor_does_not_yield(cafe):
     msg = CallMsg("f#2", "Cn", "pickup", ())
-    busy = ActiveThread({}, Hold(1, "Cf"), "f#1", "Cn")
+    busy = Thread({}, Hold(1, "Cf"), "f#1", "Cn")
     succ = step_config(Configuration(alpha={"Cn": {"Cf": 1}}, processes=[msg, busy]), cafe)
     assert [(s.rule, s.variant) for s in succ] == [("hold", "base")]
 
@@ -305,7 +305,7 @@ def test_first_step_is_spawn(cafe):
     [only] = step_config(cfg, cafe)
     assert only.rule == "spawn" and only.actor == "Cs"
     spawned = only.config.processes[0]
-    assert isinstance(spawned, ActiveThread) and spawned.actor == "Cs"
+    assert isinstance(spawned, Thread) and not spawned.suspended and spawned.actor == "Cs"
     assert not any(isinstance(p, Idle) and p.actor == "Cs" for p in only.config.processes)
 
 
@@ -406,7 +406,7 @@ def test_get_falls_back_to_moving_the_thread(cafe):
     # a message mentioning f blocks the fulfilment from travelling right,
     # so the consumer travels left instead and lands where the value was
     blocker = CallMsg("f#5", "B", "clean", (FutRef("f#1"),))
-    consumer = ActiveThread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
+    consumer = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
     cfg = Configuration(
         alpha={}, processes=[FulfilledFut("f#1", UnitVal()), blocker, consumer, Idle("Cs")],
         next_future=6,
@@ -416,7 +416,7 @@ def test_get_falls_back_to_moving_the_thread(cafe):
     steps = [s for s in step_config(cfg, cafe) if s.rule == "get"]
     assert len(steps) == 1
     got = steps[0].config.processes
-    assert isinstance(got[0], ActiveThread) and got[0].actor == "Cs"
+    assert isinstance(got[0], Thread) and not got[0].suspended and got[0].actor == "Cs"
     assert got[1] == blocker
     assert not any(isinstance(p, FulfilledFut) for p in got)
 

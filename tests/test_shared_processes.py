@@ -12,7 +12,6 @@ from gract.explorer import explore
 from gract.parser import parse_program
 from gract.semantics import config_to_json, step_config
 from gract.terms import (
-    ActiveThread,
     CallMsg,
     FulfilledFut,
     FutRef,
@@ -20,7 +19,7 @@ from gract.terms import (
     Idle,
     Lit,
     Return,
-    SuspendedThread,
+    Thread,
     UnitVal,
 )
 
@@ -41,15 +40,16 @@ def cafe_states(cafe):
 
 
 SAMPLES = [
-    ActiveThread({"x": UnitVal()}, Return(Lit(UnitVal())), "f#1", "A"),
-    SuspendedThread({"g": FutRef("f#2")}, Return(Lit(UnitVal())), "f#1", "A"),
+    Thread({"x": UnitVal()}, Return(Lit(UnitVal())), "f#1", "A"),
+    Thread({"g": FutRef("f#2")}, Return(Lit(UnitVal())), "f#1", "A", suspended=True),
     Idle("A"),
     CallMsg("f#3", "B", "m", (UnitVal(),)),
     FulfilledFut("f#4", UnitVal()),
 ]
 
 
-@pytest.mark.parametrize("p", SAMPLES, ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("p", SAMPLES, ids=["Thread", "Thread-suspended", "Idle", "CallMsg",
+                                             "FulfilledFut"])
 def test_every_process_field_is_frozen(p):
     for f in dataclasses.fields(p):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -117,8 +117,8 @@ def test_env_order_is_not_part_of_a_thread():
     """Two threads whose environments differ only in insertion order are
     one value."""
     env = {"x": UnitVal(), "y": GradedRes("Order", 1)}
-    t1 = SuspendedThread(env, Return(Lit(UnitVal())), "f#99", "Z")
-    t2 = SuspendedThread(dict(reversed(env.items())), Return(Lit(UnitVal())), "f#99", "Z")
+    t1 = Thread(env, Return(Lit(UnitVal())), "f#99", "Z", suspended=True)
+    t2 = Thread(dict(reversed(env.items())), Return(Lit(UnitVal())), "f#99", "Z", suspended=True)
     assert list(t1.env) != list(t2.env)
     assert t1 == t2 and hash(t1) == hash(t2) and t1 is not t2
 

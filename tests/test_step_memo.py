@@ -21,7 +21,18 @@ from gract.semantics import (
     run,
     step_config,
 )
-from gract.terms import OpSig, ResT
+from gract.terms import (
+    Configuration,
+    Hold,
+    Idle,
+    Let,
+    Lit,
+    OpSig,
+    ResT,
+    Return,
+    Thread,
+    UnitVal,
+)
 
 from corpus import EXAMPLES, TWO_CAFES
 
@@ -101,6 +112,22 @@ def test_check_helpful_after_explore_steps_nothing(step_expr_calls, case):
     step_expr_calls[0] = 0
     assert check_helpful(prog, rep.visited)["ok"]
     assert step_expr_calls[0] == 0
+
+
+def test_an_activated_thread_steps_from_its_active_twins_entry(step_expr_calls):
+    """A suspended thread activated on its idle actor takes its steps from
+    the entry its active twin filled (stepping both took two calls when a
+    suspended thread had an entry of its own)."""
+    cafe = _load("cafe.gract")
+    thread = Thread({}, Let("x", Hold(1, "Cf"), Return(Lit(UnitVal()))), "f#1", "Cn")
+    suspended = Thread(thread.env, thread.expr, thread.future, thread.actor, suspended=True)
+    alpha = {"Cn": {"Cf": 1}}
+    active = step_config(Configuration(alpha, [thread]), cafe)
+    activated = step_config(Configuration(alpha, [suspended, Idle("Cn")]), cafe)
+    assert step_expr_calls[0] == 1
+    assert [s.variant for s in activated] == ["act"]
+    assert ([s.config.processes for s in activated]
+            == [s.config.processes for s in active] != [])
 
 
 def test_a_variant_program_steps_with_its_own_table(step_expr_calls):

@@ -7,7 +7,7 @@ import random
 from gract.grades import Lin
 from gract.parser import parse_program
 from gract.terms import (
-    ActiveThread,
+    Thread,
     PrimOp,
     ValueExpr,
     Await,
@@ -24,7 +24,6 @@ from gract.terms import (
     Lit,
     Release,
     Return,
-    SuspendedThread,
     UnitVal,
     Value,
     CallMsg,
@@ -45,13 +44,13 @@ u = Lit(UnitVal())
 def test_produced_futures_per_process():
     assert futures_produced_one(FulfilledFut("f", UnitVal())) == {"f"}
     assert futures_produced([]) == set()
-    ps = [CallMsg("f", "a", "m", ()), ActiveThread({}, Return(u), "g", "b")]
+    ps = [CallMsg("f", "a", "m", ()), Thread({}, Return(u), "g", "b")]
     assert futures_produced(ps) == {"f", "g"}
     assert futures_produced_one(Idle("a")) == set()
 
 
 def test_consumed_futures_per_process():
-    th = ActiveThread({"y": FutRef("f")}, Await(Var("y")), "g", "a")
+    th = Thread({"y": FutRef("f")}, Await(Var("y")), "g", "a")
     assert futures_consumed_one(th) == {"f"}
     assert futures_consumed_one(FulfilledFut("f", UnitVal())) == set()
     # a future produced on the left shadows its occurrences on the right
@@ -63,10 +62,10 @@ def test_consumed_futures_per_process():
 def test_future_sets_flatten_like_the_binary_tree():
     atoms = [
         FulfilledFut("f1", FutRef("f9")),
-        ActiveThread({"x": FutRef("f1")}, Await(Var("x")), "f2", "a"),
+        Thread({"x": FutRef("f1")}, Await(Var("x")), "f2", "a"),
         CallMsg("f3", "b", "m", (FutRef("f2"),)),
         Idle("c"),
-        SuspendedThread({}, Await(Lit(FutRef("f3"))), "f4", "d"),
+        Thread({}, Await(Lit(FutRef("f3"))), "f4", "d", suspended=True),
     ]
 
     def tree_fp(node):
@@ -96,15 +95,15 @@ def test_well_formed_one_active_or_idle():
     two_active = Configuration(
         alpha={},
         processes=[
-            ActiveThread({}, Return(u), "f", "a"),
-            ActiveThread({}, Return(u), "g", "a"),
+            Thread({}, Return(u), "f", "a"),
+            Thread({}, Return(u), "g", "a"),
         ],
     )
     assert any("a" in p for p in well_formed(two_active))
 
     ok = Configuration(
         alpha={},
-        processes=[Idle("a"), SuspendedThread({}, Return(u), "f", "a")],
+        processes=[Idle("a"), Thread({}, Return(u), "f", "a", suspended=True)],
     )
     assert well_formed(ok) == []
 
@@ -116,7 +115,7 @@ def test_well_formed_one_active_or_idle():
 
     both = Configuration(
         alpha={},
-        processes=[Idle("a"), ActiveThread({}, Return(u), "f", "a")],
+        processes=[Idle("a"), Thread({}, Return(u), "f", "a")],
     )
     assert well_formed(both) != []
 
@@ -239,13 +238,23 @@ class _CountedValue(Value):
 
 def test_processes_hash_once():
     v = _CountedValue()
-    procs = [ActiveThread({"x": v}, Return(Var("x")), "f#1", "A"),
-             SuspendedThread({"x": v}, Return(Var("x")), "f#1", "A"),
+    procs = [Thread({"x": v}, Return(Var("x")), "f#1", "A"),
+             Thread({"x": v}, Return(Var("x")), "f#1", "A", suspended=True),
              CallMsg("f#2", "B", "m", (v,)), FulfilledFut("f#3", v), Idle("A")]
     for p in procs:
         assert hash(p) == hash(p)
     assert _CountedValue.hashed == 4  # once per process holding it
     assert procs[-1]._hash == hash(("A",))
+
+
+def test_a_twin_differs_only_in_the_flag_and_keeps_the_hash():
+    v = _CountedValue()
+    before = _CountedValue.hashed
+    t = Thread({"x": v}, Return(Var("x")), "f#1", "A")
+    s = t.twin(suspended=True)
+    assert s == Thread({"x": v}, Return(Var("x")), "f#1", "A", suspended=True) != t
+    assert hash(s) == hash(t) and s.twin(suspended=False) == t
+    assert _CountedValue.hashed == before + 1  # t's hash, computed once for both
 
 
 def test_cached_hash_leaves_equality_repr_and_str_alone():

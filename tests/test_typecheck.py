@@ -8,7 +8,6 @@ from gract.grades import INF, Lin
 from gract.parser import parse_program
 from gract.semantics import initial_config, run, fifo_chooser
 from gract.terms import (
-    ActiveThread,
     Await,
     Call,
     CallMsg,
@@ -25,6 +24,7 @@ from gract.terms import (
     Release,
     ResT,
     Return,
+    Thread,
     UnitT,
     UnitVal,
     Var,
@@ -300,7 +300,7 @@ def test_message_charges_two_extra(cafe):
 
 
 def test_fulfilment_right_of_consumer_rejected(cafe):
-    consumer = ActiveThread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
+    consumer = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
     ff = FulfilledFut("f#1", UnitVal())
     registry = {"f#1": (UnitT(), ctx_key({})), "f#2": (UnitT(), ctx_key({}))}
     with pytest.raises(CheckError) as e:
@@ -319,8 +319,8 @@ def test_double_produce_rejected(cafe):
 
 def test_marked_reuse_rejected(cafe):
     ff = FulfilledFut("f#1", UnitVal())
-    r1 = ActiveThread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
-    r2 = ActiveThread({"z": FutRef("f#1")}, Await(Var("z")), "f#3", "B")
+    r1 = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
+    r2 = Thread({"z": FutRef("f#1")}, Await(Var("z")), "f#3", "B")
     registry = {"f#1": (UnitT(), ctx_key({})), "f#2": (UnitT(), ctx_key({})),
                 "f#3": (UnitT(), ctx_key({}))}
     with pytest.raises(CheckError) as e:

@@ -3,6 +3,7 @@ operation asks, and every typing, verdict and error is the one typing
 without the table gives."""
 
 import io
+import json
 import random
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import replace
@@ -15,7 +16,6 @@ from gract.explorer import check_helpful, check_subject_reduction, explore
 from gract.parser import parse_program
 from gract.semantics import fifo_chooser, initial_config, random_chooser, run, step_config
 from gract.terms import (
-    ActiveThread,
     Await,
     CallMsg,
     FulfilledFut,
@@ -23,6 +23,7 @@ from gract.terms import (
     GradedRes,
     Lit,
     ResT,
+    Thread,
     UnitT,
     UnitVal,
     ctx_key,
@@ -99,13 +100,14 @@ def _cli(argv) -> tuple[int, str]:
 
 def test_memo_changes_no_subject_reduction_result(cafe, tmp_path):
     rng = random.Random(4)
-    traces = [run(initial_config(cafe), cafe, random_chooser(rng), 200) for _ in range(100)]
+    # `gract sr`'s default step budget, so its seed-4 runs are these traces
+    traces = [run(initial_config(cafe), cafe, random_chooser(rng), 400) for _ in range(100)]
     got = [check_subject_reduction(cafe, tr) for tr in traces]
+    sr_code, sr_out = _cli(["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"])
     two_cafes = tmp_path / "two-cafes.gract"
     two_cafes.write_text(TWO_CAFES)
     commands = [["sr", str(CAFE), "--replay", str(EXAMPLES / "corrupted-trace.json"), "--json"],
                 ["run", str(CAFE), "--strategy", "helpful", "--json"],
-                ["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"],
                 ["explore", str(two_cafes), "--states", "200", "--json"]]
     got_cli = [_cli(argv) for argv in commands]
     with without_memo():
@@ -113,11 +115,14 @@ def test_memo_changes_no_subject_reduction_result(cafe, tmp_path):
         want_cli = [_cli(argv) for argv in commands]
     assert got == want and all(law["ok"] for law in got)
     assert got_cli == want_cli
-    assert [code for code, _ in got_cli] == [5, 0, 0, 4]
+    runs = [{"run": k, "status": tr.status, "steps": law["steps"], "ok": law["ok"],
+             "violations": law["violations"]} for k, (tr, law) in enumerate(zip(traces, got))]
+    assert sr_code == 0 and json.loads(sr_out)["runs"] == runs
+    assert [code for code, _ in got_cli] == [5, 0, 4]
 
 
 def test_memo_rechecks_the_futures_a_process_read(cafe):
-    thread = ActiveThread({}, Await(Lit(FutRef("f#1"))), "f#2", "Cn")
+    thread = Thread({}, Await(Lit(FutRef("f#1"))), "f#2", "Cn")
     cup = fut_type(ResT("Cf", 1), {})
     first = type_process(cafe, thread, {"f#1": UNIT_FUT})
     second = type_process(cafe, thread, {"f#1": cup})
@@ -140,7 +145,7 @@ def test_memo_keys_on_the_own_future_registry_entry(cafe):
 
 
 def test_memo_stores_no_rejection(cafe):
-    thread = ActiveThread({}, Await(Lit(FutRef("f#9"))), "f#2", "Cn")
+    thread = Thread({}, Await(Lit(FutRef("f#9"))), "f#2", "Cn")
     errors = []
     for _ in range(2):
         before = len(cafe.typings)

@@ -27,7 +27,6 @@ from gract.grades import (
     format_grade,
 )
 from gract.terms import (
-    ActiveThread,
     Await,
     Call,
     CallMsg,
@@ -49,7 +48,7 @@ from gract.terms import (
     Release,
     ResT,
     Return,
-    SuspendedThread,
+    Thread,
     Type,
     UnitT,
     UnitVal,
@@ -444,7 +443,7 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
                 fits_expected(m, ty, want, f"message {f} argument {x}")
             return (ctx_norm(m, decl.requires), futs, decl.measure + 2,
                     {f: fut_type(decl.result, ctx_norm(m, decl.produces))})
-        case ActiveThread(lam, e, f, a) | SuspendedThread(lam, e, f, a):
+        case Thread(lam, e, f, a):
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
             t = type_expr(prog, a, gamma, sigma, e, loc)
