@@ -36,6 +36,7 @@ from .terms import (
     Call,
     Choice,
     Configuration,
+    Idle,
     Let,
     Process,
     Program,
@@ -71,10 +72,10 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     Adjacent processes are bubble-sorted by their serialization whenever the
     swap preserves behaviour.  The key is each process's template followed
     by codes for its fresh names (n for the n-th future, ~n for the n-th
-    let-variable, by first occurrence), then the resources, the live
-    futures' registry entries and the call budget.  Distinct keys may still
-    denote equivalent states; that only costs extra visits, never a wrong
-    merge.
+    let-variable, by first occurrence), then the resources, each produced
+    future's code with the declared type its producer carries, and the call
+    budget.  Distinct keys may still denote equivalent states; that only
+    costs extra visits, never a wrong merge.
 
     `memo`, owned by the caller, maps each process (a value, so equal
     processes share an entry) to its pieces, so configurations serialize
@@ -114,9 +115,7 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
                 mapping[name] = code
             body.append(code)
 
-    # a future that no longer occurs in the processes is not live
-    live = sorted((mapping[f], entry) for f, entry in config.registry.items()
-                  if f in mapping)
+    live = sorted((mapping[p.future], p.fut) for p in config.processes if type(p) is not Idle)
     alpha = tuple((a, tuple(sorted(env.items()))) for a, env in sorted(config.alpha.items()))
     rest = (alpha, tuple(live), tuple(sorted(config.call_counts.items())))
     return tuple(body), memo.setdefault(rest, rest)
@@ -412,7 +411,7 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
             measures.append(None)
             return None
         measures.append(report["measure"])
-        return type_process(prog, cfg.processes, {}, cfg.registry)
+        return type_process(prog, cfg.processes, {})
 
     pre = trace.initial
     pt = snap(pre, -1)

@@ -25,6 +25,7 @@ from .grades import (
     GradeParseError,
     LatticeError,
     Level,
+    ctx_norm,
 )
 from .terms import (
     ActorDecl,
@@ -202,7 +203,7 @@ class Parser:
             self.expect(",")
             ctx = self.actor_ctx()
             self.expect(")")
-            return fut_type(result, ctx)
+            return fut_type(result, ctx_norm(self.monoid, ctx))
         res = self.ident("type")
         self.expect("^")
         return ResT(res, self.grade())

@@ -22,7 +22,7 @@ that could enable a rule.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Callable, Optional
 
@@ -56,7 +56,6 @@ from .terms import (
     Value,
     ValueExpr,
     Var,
-    ctx_key,
     futures_consumed_one,
     futures_produced_one,
     rename_var,
@@ -429,7 +428,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
             v = None
         if v is not None:
             c = config.copy()
-            c.processes[i: i + 1] = [FulfilledFut(thread.future, v), Idle(a)]
+            c.processes[i: i + 1] = [FulfilledFut(thread.future, v, thread.fut), Idle(a)]
             out.append(StepResult("return", Tau(), c, a, thread.future, i, variant))
         return out
 
@@ -445,7 +444,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
                           alpha=alpha_a)
         res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
                         offered)
-        steps = prog.steps[key] = [(label, env2, Thread(env2, expr2, thread.future, a))
+        steps = prog.steps[key] = [(label, env2, replace(thread, env=env2, expr=expr2))
                                    for label, env2, expr2 in res.steps]
 
     for label, env2, updated in steps:
@@ -467,13 +466,11 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
                 out.append(StepResult("rls", label, c, a, thread.future, i, variant))
             case CallLbl(f_new, b, meth, vals):
                 c.next_future += 1
-                decl = prog.method(b, meth)
-                c.registry = {**c.registry,
-                              f_new: (decl.result, ctx_key(decl.produces)) if decl else None}
                 c.call_counts = {**c.call_counts, (b, meth): c.call_counts.get((b, meth), 0) + 1}
-                c.processes.insert(i, CallMsg(f_new, b, meth, vals))
+                sig = prog.signatures.get((b, meth))
+                c.processes.insert(i, CallMsg(f_new, b, meth, vals, sig and sig.fut))
                 out.append(StepResult("call", label, c, a, thread.future, i, variant))
-            case FutLbl(f, _):
+            case FutLbl():
                 _, _, j, route = reachable
                 if route == "ff":
                     del c.processes[j]  # thread shifts to i-1
@@ -481,7 +478,6 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
                     del c.processes[i]
                     del c.processes[j]
                     c.processes.insert(j, updated)
-                c.registry = {h: e for h, e in c.registry.items() if h != f}
                 out.append(StepResult("get", label, c, a, thread.future, i, variant))
     return out
 
@@ -522,7 +518,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                 freed = _free_actor(config, prog, a, i)
                 if freed is not None:
                     c, pos, variant = freed
-                    c.processes[pos] = _spawn_thread(decl, f, a, vals)
+                    c.processes[pos] = _spawn_thread(decl, p)
                     # a spawn keeps its message's position; an idle actor is its base case
                     out.append(StepResult("spawn", Tau(), c, a, f, i,
                                           "base" if variant == "act" else variant))
@@ -538,10 +534,9 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     return out
 
 
-def _spawn_thread(decl: MethodDecl, future: str, actor: str,
-                  vals: tuple[Value, ...]) -> Thread:
-    env = {x: v for (x, _), v in zip(decl.params, vals)}
-    return Thread(env, decl.body, future, actor)
+def _spawn_thread(decl: MethodDecl, msg: CallMsg) -> Thread:
+    env = {x: v for (x, _), v in zip(decl.params, msg.args)}
+    return Thread(env, decl.body, msg.future, msg.actor, fut=msg.fut)
 
 
 def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
@@ -590,14 +585,14 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
 # Programs to configurations, runs, traces
 
 def initial_config(prog: Program) -> Configuration:
-    decl = prog.method(prog.start_actor, prog.start_method)
+    actor, meth = prog.start_actor, prog.start_method
+    sig = prog.signatures.get((actor, meth))
     return Configuration(
         alpha={a: dict(env) for a, env in prog.init_ctx.items()},
-        processes=[CallMsg("f#0", prog.start_actor, prog.start_method, prog.start_args),
+        processes=[CallMsg("f#0", actor, meth, prog.start_args, sig and sig.fut),
                    *(Idle(a) for a in prog.actors)],
         next_future=1,
-        registry={"f#0": (decl.result, ctx_key(decl.produces)) if decl else None},
-        call_counts={(prog.start_actor, prog.start_method): 1},
+        call_counts={(actor, meth): 1},
     )
 
 
@@ -721,15 +716,13 @@ def process_to_json(p: Process) -> dict:
 
 
 def config_to_json(config: Configuration) -> dict:
-    registry = {}
-    for f, entry in config.registry.items():
-        if entry is None:
-            registry[f] = None
-        else:
-            ty, produces = entry
-            registry[f] = {
-                "result": str(ty),
-                "produces": {a: {r: format_grade(g) for r, g in env} for a, env in produces},
+    # "registry" maps each produced future to the declared type its producer carries
+    declared = {}
+    for p in config.processes:
+        if type(p) is not Idle:
+            declared[p.future] = None if p.fut is None else {
+                "result": str(p.fut.result),
+                "produces": {a: {r: format_grade(g) for r, g in env} for a, env in p.fut.produces},
             }
     return {
         "actors": {
@@ -737,7 +730,7 @@ def config_to_json(config: Configuration) -> dict:
             for a, env in config.alpha.items()
         },
         "processes": [process_to_json(p) for p in config.processes],
-        "registry": registry,
+        "registry": declared,
         "counters": {"future": config.next_future, "var": config.next_var},
         "callCounts": {f"{a}.{m}": n for (a, m), n in config.call_counts.items()},
     }

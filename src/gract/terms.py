@@ -47,6 +47,7 @@ class ResT(Type):
 class FutT(Type):
     """A future whose fulfilment has the given type and releases `produces`."""
 
+    _hash = None  # see _hash_once; processes carry future types into state keys
     result: Type
     produces: tuple[tuple[str, tuple[tuple[str, Grade], ...]], ...]
 
@@ -219,10 +220,10 @@ class Let(Expr):
 
 
 def _hash_once(node) -> int:
-    """A syntax node's or process's hash, computed on first use and kept
-    outside its fields (equality, repr and str ignore it). It is the value
-    the frozen dataclass computes, so hash-ordered iteration does not
-    change."""
+    """A syntax node's, future type's or process's hash, computed on first
+    use and kept outside its fields (equality, repr and str ignore it). It
+    is the value the frozen dataclass computes, so hash-ordered iteration
+    does not change."""
     h = node._hash
     if h is None:
         h = hash(tuple(getattr(node, f) for f in node.__match_args__))
@@ -230,7 +231,7 @@ def _hash_once(node) -> int:
     return h
 
 
-for _node in (Var, GradedVar, Lit, Call, Await, Hold, Release, PrimOp, Choice, Return, Let):
+for _node in (FutT, Var, GradedVar, Lit, Call, Await, Hold, Release, PrimOp, Choice, Return, Let):
     _node.__hash__ = _hash_once
 
 
@@ -327,7 +328,9 @@ class Process:
     process object as it is, so a process's environment is never written
     after construction. A process hashes by value, computed once (see
     `_hash_once` and `_hash_thread`), so it is its own key in every memo.
-    Every process but `Idle` produces its own `future`.
+    Every process but `Idle` produces its own `future`, and carries that
+    future's declared type, `fut`, fixed by the call that created it
+    (`None` for a call to an undeclared method).
     """
 
     _hash = None
@@ -345,11 +348,12 @@ class Thread(Process):
     future: str
     actor: str
     suspended: bool = False
+    fut: Optional[FutT] = None
 
     def twin(self, suspended: bool) -> "Thread":
         """This thread with the flag set as given. The flag is not hashed,
         so the twin takes this thread's hash, computed at most once."""
-        t = Thread(self.env, self.expr, self.future, self.actor, suspended)
+        t = Thread(self.env, self.expr, self.future, self.actor, suspended, self.fut)
         object.__setattr__(t, "_hash", hash(self))
         return t
 
@@ -365,12 +369,14 @@ class CallMsg(Process):
     actor: str
     method: str
     args: tuple[Value, ...]
+    fut: Optional[FutT] = None
 
 
 @dataclass(frozen=True)
 class FulfilledFut(Process):
     future: str
     value: Value
+    fut: Optional[FutT] = None
 
 
 def _hash_thread(t) -> int:
@@ -413,26 +419,25 @@ class Configuration:
     """Global resource state next to the running process sequence.
 
     The extra fields are run plumbing: monotone counters backing fresh
-    names, the future registry fixing each future's declared type and
-    release obligations at creation time, and per-target call counts that
-    bounded exploration uses as its recursion budget.
+    names, and per-target call counts that bounded exploration uses as its
+    recursion budget. Each future's declared type is carried by the
+    process that produces it (`fut`), not stored here.
 
     A configuration is not written once it is built. `copy` gives the copy
     its own process list and shares everything else with the original: the
-    processes, which are immutable, and `alpha`, `registry` and
-    `call_counts`, which a step that changes one replaces with a new dict.
+    processes, which are immutable, and `alpha` and `call_counts`, which a
+    step that changes one replaces with a new dict.
     """
 
     alpha: ActorContext
     processes: list[Process]
     next_future: int = 0
     next_var: int = 0
-    registry: dict[str, Optional[tuple[Type, tuple]]] = field(default_factory=dict)
     call_counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def copy(self) -> "Configuration":
         return Configuration(self.alpha, list(self.processes), self.next_future,
-                             self.next_var, self.registry, self.call_counts)
+                             self.next_var, self.call_counts)
 
 
 def well_formed(config: Configuration) -> list[str]:

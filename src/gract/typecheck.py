@@ -442,29 +442,18 @@ class ProcTyping:
     marked: set[str] = field(default_factory=set)
 
 
-def _registry_entry(registry, f):
-    if registry is None:
-        return None
-    entry = registry.get(f)
-    if entry is None:
-        return None
-    ty, produces_key = entry
-    return ty, ctx_of(produces_key)
-
-
-def _type_atomic(prog: Program, p: Process, sigma: Sigma,
-                 registry) -> tuple[ActorContext, set[str], int, dict[str, FutT]]:
+def _type_atomic(prog: Program, p: Process,
+                 sigma: Sigma) -> tuple[ActorContext, set[str], int, dict[str, FutT]]:
+    # a producer that carries its future's declared type is typed against it
     m = prog.monoid
     match p:
         case Idle(_):
             return {}, set(), 0, {}
-        case FulfilledFut(f, v):
+        case FulfilledFut(f, v, fut):
             ty, futs = type_value(prog, sigma, v, f"fulfilment of {f}")
-            reg = _registry_entry(registry, f)
-            if reg is not None:
-                want, produces = reg
-                fits_expected(m, ty, want, f"fulfilment of {f}")
-                return ctx_norm(m, produces), futs, 0, {f: fut_type(want, produces)}
+            if fut is not None:
+                fits_expected(m, ty, fut.result, f"fulfilment of {f}")
+                return ctx_of(fut.produces), futs, 0, {f: fut}
             return {}, futs, 0, {f: fut_type(ty, {})}
         case CallMsg(f, b, meth, vals):
             sig = prog.signatures.get((b, meth))
@@ -481,60 +470,53 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
                 futs = futs_add(futs, uf)
                 fits_expected(m, ty, want, f"message {f} argument {x}")
             return sig.requires, futs, decl.measure + 2, {f: sig.fut}
-        case Thread(lam, e, f, a):
+        case Thread(lam, e, f, a, _, fut):
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
             t = type_expr(prog, a, gamma, sigma, e, loc)
             futs = futs_add(env_futs, t.used_futs)
-            reg = _registry_entry(registry, f)
-            if reg is not None:
-                want, declared = reg
-                fits_expected(m, t.ty, want, loc)
-                declared = ctx_norm(m, declared)
-                shift = ctx_minus(m, declared, t.produces)
+            if fut is not None:
+                fits_expected(m, t.ty, fut.result, loc)
+                shift = ctx_minus(m, ctx_of(fut.produces), t.produces)
                 if shift is None:
                     raise CheckError("ContextMismatch",
                                      "thread produces more than its future promises", loc)
-                return (ctx_plus(m, t.requires, shift), futs, 1 + t.measure,
-                        {f: fut_type(want, declared)})
+                return ctx_plus(m, t.requires, shift), futs, 1 + t.measure, {f: fut}
             return t.requires, futs, 1 + t.measure, {f: fut_type(t.ty, t.produces)}
     raise CheckError("TypeMismatch", f"not a process: {p!r}")
 
 
-def _type_atomic_memo(prog: Program, p: Process, visible: Sigma, registry):
+def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
     """_type_atomic through the program's typing table, `prog.typings`.
 
     The table maps each process (a value, so equal processes share an
-    entry) to the registry entry of its own future, _type_atomic's result,
-    and the (future, type) pairs that result read from the visible futures:
-    exactly the futures it consumed. A hit counts only while the registry
-    entry is the same and each of those pairs still holds, so one table
-    serves every configuration the program is ever typed in: every run, SR
-    check, exploration and helpful check. A miss types the process again
-    and replaces its entry. Rejections are never stored, so an error is
-    always raised afresh, at its own location. Callers only read what the
-    table returns."""
+    entry; its declared future type is part of that value) to
+    _type_atomic's result and the (future, type) pairs that result read
+    from the visible futures: exactly the futures it consumed. A hit counts
+    only while each of those pairs still holds, so one table serves every
+    configuration the program is ever typed in: every run, SR check,
+    exploration and helpful check. A miss types the process again and
+    replaces its entry. Rejections are never stored, so an error is always
+    raised afresh, at its own location. Callers only read what the table
+    returns."""
     if not isinstance(p, Process):
-        return _type_atomic(prog, p, visible, registry)
-    own = None if registry is None or isinstance(p, Idle) else registry.get(p.future)
+        return _type_atomic(prog, p, visible)
     table = prog.typings
     seen = table.get(p)
-    if seen is not None and seen[0] == own and all(visible.get(f) == t for f, t in seen[2]):
-        return seen[1]
-    result = _type_atomic(prog, p, visible, registry)
-    table[p] = own, result, tuple((f, visible[f]) for f in result[1])
+    if seen is not None and all(visible.get(f) == t for f, t in seen[1]):
+        return seen[0]
+    result = _type_atomic(prog, p, visible)
+    table[p] = result, tuple((f, visible[f]) for f in result[1])
     return result
 
 
-def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
-                 registry=None) -> ProcTyping:
+def type_process(prog: Program, processes, sigma: Optional[Sigma] = None) -> ProcTyping:
     """Type a process or a whole sequence, composing left to right: a
     future may be consumed only after its producer, each exactly once.
 
     Each process is typed through the program's typing table, so a process
-    the program has typed before, under the same own-future entry and
-    reads, is not typed again. The result is built afresh and is the
-    caller's to change."""
+    the program has typed before, under the same reads, is not typed
+    again. The result is built afresh and is the caller's to change."""
     if isinstance(processes, Process):
         processes = [processes]
     sigma = sigma or {}
@@ -551,7 +533,7 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None,
     visible = dict(sigma)
     for p in processes:
         try:
-            req, futs, n, prod = _type_atomic_memo(prog, p, visible, registry)
+            req, futs, n, prod = _type_atomic_memo(prog, p, visible)
         except CheckError as err:
             if err.code == "UnknownFuture" and err.detail in will_produce:
                 raise CheckError("FutureConsumedBeforeProduced",
@@ -605,7 +587,7 @@ def type_config(prog: Program, config: Configuration) -> dict:
     measure = 0
     if not errors:
         try:
-            pt = type_process(prog, config.processes, {}, config.registry)
+            pt = type_process(prog, config.processes, {})
             requires, measure = pt.requires, pt.measure
             if not ctx_leq(m, requires, config.alpha):
                 for actor, env in requires.items():
@@ -630,7 +612,7 @@ def type_config(prog: Program, config: Configuration) -> dict:
 
 def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
     try:
-        return type_process(prog, config.processes, {}, config.registry).measure
+        return type_process(prog, config.processes, {}).measure
     except CheckError:
         return None
 

@@ -1,6 +1,7 @@
 """Reference canonical state key, serialized from scratch on every call.
 
-This is the explorer's original `canonical_key`, kept verbatim: it
+This is the explorer's original `canonical_key`, kept verbatim but for the
+live futures, which it now reads from the processes that produce them: it
 serializes every process of the configuration with `json.dumps`, tests each
 adjacent pair with `disconnected`, and renames fresh names with one regex
 pass over the joined body.  The explorer's key reuses per-process pieces
@@ -15,7 +16,7 @@ import json
 import re
 
 from gract.semantics import disconnected, process_to_json
-from gract.terms import Configuration
+from gract.terms import Configuration, Idle
 
 _FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy])#\d+")
 
@@ -51,11 +52,10 @@ def canonical_key(config: Configuration) -> str:
     body = _FRESH.sub(fresh_name, body)
 
     live = {}
-    for f, entry in sorted(config.registry.items()):
-        if f not in mapping:
-            # the future no longer occurs anywhere in the processes
-            continue
-        live[mapping[f]] = "-" if entry is None else f"{entry[0]}|{entry[1]}"
+    for p in config.processes:
+        if not isinstance(p, Idle):
+            # every producer's future occurs in its own serialization
+            live[mapping[p.future]] = "-" if p.fut is None else f"{p.fut.result}|{p.fut.produces}"
 
     alpha = json.dumps({a: {r: str(g) for r, g in env.items()}
                         for a, env in sorted(config.alpha.items())}, sort_keys=True)

@@ -35,33 +35,27 @@ def nocup():
 # ---------------------------------------------------------------------------
 # canonical keys
 
-def _mini(procs, registry, nf=9, nv=9):
-    return Configuration(alpha={"A": {}}, processes=list(procs), registry=dict(registry),
+def _mini(procs, nf=9, nv=9):
+    return Configuration(alpha={"A": {}}, processes=list(procs),
                          next_future=nf, next_var=nv, call_counts={})
 
 
 def test_key_ignores_swappable_order():
-    a = _mini([Idle("A"), Idle("B")], {})
-    b = _mini([Idle("B"), Idle("A")], {})
+    a = _mini([Idle("A"), Idle("B")])
+    b = _mini([Idle("B"), Idle("A")])
     assert canonical_key(a) == canonical_key(b)
 
 
 def test_key_ignores_fresh_numbering_and_counters():
-    a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")], {"f#3": None}, nf=4)
-    b = _mini([FulfilledFut("f#7", UnitVal()), Idle("B")], {"f#7": None}, nf=8, nv=2)
+    a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")], nf=4)
+    b = _mini([FulfilledFut("f#7", UnitVal()), Idle("B")], nf=8, nv=2)
     assert canonical_key(a) == canonical_key(b)
 
 
 def test_key_separates_different_states():
-    a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")], {"f#3": None})
-    b = _mini([Idle("B")], {})
+    a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")])
+    b = _mini([Idle("B")])
     assert canonical_key(a) != canonical_key(b)
-
-
-def test_key_drops_registry_entries_for_gone_futures():
-    a = _mini([Idle("B")], {"f#5": None})
-    b = _mini([Idle("B")], {})
-    assert canonical_key(a) == canonical_key(b)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_requires_equal_the_ctx_plus_fold(monkeypatch):
             mp.setattr(typecheck, "_type_atomic_memo", recording)
             for cfg in states:
                 seen.clear()
-                got = type_process(prog, cfg.processes, {}, cfg.registry).requires
+                got = type_process(prog, cfg.processes, {}).requires
                 want: dict = {}
                 for req in seen:
                     want = ctx_plus(m, want, req)
@@ -63,4 +63,4 @@ def test_requires_of_one_resource_add_up():
         assert _ordered(got) == [("B", [("CC", INF)]), ("Cn", [("Cf", 1)])]
         # the sum is not written into the contexts the program's table holds
         assert type_process(cafe, msgs[0]).requires == {"B": {"CC": 1}}
-        assert cafe.typings[msgs[0]][1][0] == {"B": {"CC": 1}}
+        assert cafe.typings[msgs[0]][0][0] == {"B": {"CC": 1}}

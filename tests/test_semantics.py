@@ -296,7 +296,7 @@ def test_initial_config_shape(cafe):
     assert (msg.future, msg.actor, msg.method) == ("f#0", "Cs", "main")
     assert cfg.alpha == {"B": {"CC": 1}}
     assert cfg.call_counts == {("Cs", "main"): 1}
-    assert cfg.registry["f#0"] is not None
+    assert msg.fut is not None and msg.fut == cafe.signatures["Cs", "main"].fut
     assert not well_formed(cfg)
 
 

@@ -79,7 +79,7 @@ def test_successors_share_the_processes_they_do_not_rewrite(cafe, cafe_states):
 
 
 def _fields(cfg):
-    return cfg.alpha, cfg.registry, cfg.call_counts
+    return cfg.alpha, cfg.call_counts
 
 
 def test_step_config_leaves_the_parent_fields_alone(cafe, cafe_states):
@@ -96,21 +96,20 @@ def test_step_config_leaves_the_parent_fields_alone(cafe, cafe_states):
 
 
 def test_successors_share_the_fields_their_rule_does_not_change(cafe, cafe_states):
-    changes = {"hold": {"alpha"}, "rls": {"alpha"}, "call": {"registry", "call_counts"},
-               "get": {"registry"}}
+    changes = {"hold": {"alpha"}, "rls": {"alpha"}, "call": {"call_counts"}}
     seen = set()
     for cfg in cafe_states:
         for s in step_config(cfg, cafe):
             seen.add(s.rule)
             changed = changes.get(s.rule, set())
-            for name in ("alpha", "registry", "call_counts"):
+            for name in ("alpha", "call_counts"):
                 if name not in changed:
                     assert getattr(s.config, name) is getattr(cfg, name), (s.rule, name)
             if "alpha" in changed:
                 # the other actors' resources are shared even then
                 assert all(s.config.alpha[a] is env for a, env in cfg.alpha.items()
                            if a != s.actor)
-    assert seen >= set(changes) | {"spawn", "silent", "return"}
+    assert seen >= set(changes) | {"spawn", "silent", "get", "return"}
 
 
 def test_env_order_is_not_part_of_a_thread():

@@ -3,6 +3,7 @@ input, whatever operation asks, and every successor, verdict and output is
 the one stepping afresh gives."""
 
 import io
+import json
 import random
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import replace
@@ -196,8 +197,12 @@ def test_check_helpful_is_the_same_without_its_memo(case):
 
 def _runs(prog):
     rng = random.Random(4)
-    traces = [run(initial_config(prog), prog, random_chooser(rng), 200) for _ in range(100)]
-    return [_briefs(tr) for tr in traces], [check_subject_reduction(prog, tr) for tr in traces]
+    # `gract sr`'s default step budget, so its seed-4 runs are these traces
+    traces = [run(initial_config(prog), prog, random_chooser(rng), 400) for _ in range(100)]
+    laws = [check_subject_reduction(prog, tr) for tr in traces]
+    runs = [{"run": k, "status": tr.status, "steps": law["steps"], "ok": law["ok"],
+             "violations": law["violations"]} for k, (tr, law) in enumerate(zip(traces, laws))]
+    return [_briefs(tr) for tr in traces], laws, runs
 
 
 def _cli(argv) -> tuple[int, str]:
@@ -208,19 +213,20 @@ def _cli(argv) -> tuple[int, str]:
 
 def test_the_table_changes_no_run_law_or_output(tmp_path):
     cafe = _load("cafe.gract")
-    steps, laws = _runs(cafe)
+    steps, laws, runs = _runs(cafe)
+    sr_code, sr_out = _cli(["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"])
     two_cafes = tmp_path / "two-cafes.gract"
     two_cafes.write_text(TWO_CAFES)
-    commands = [["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"],
-                ["run", str(CAFE), "--strategy", "helpful", "--json"],
+    commands = [["run", str(CAFE), "--strategy", "helpful", "--json"],
                 ["run", str(CAFE), "--replay", str(EXAMPLES / "cafe-replay.json"), "--json"],
                 ["explore", str(two_cafes), "--states", "200", "--json"]]
     got_cli = [_cli(argv) for argv in commands]
     table = dict(cafe.steps)
     with afresh():
-        want_steps, want_laws = _runs(cafe)
+        want_steps, want_laws, _ = _runs(cafe)
         want_cli = [_cli(argv) for argv in commands]
     assert cafe.steps == table
     assert steps == want_steps and laws == want_laws and all(law["ok"] for law in laws)
     assert got_cli == want_cli
-    assert [code for code, _ in got_cli] == [0, 0, 0, 4]
+    assert sr_code == 0 and json.loads(sr_out)["runs"] == runs
+    assert [code for code, _ in got_cli] == [0, 0, 4]

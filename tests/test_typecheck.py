@@ -28,7 +28,6 @@ from gract.terms import (
     UnitT,
     UnitVal,
     Var,
-    ctx_key,
     fut_type,
 )
 from gract.typecheck import (
@@ -286,8 +285,8 @@ def test_idle_types_empty(cafe):
 
 
 def test_fulfilled_future_claims_its_promise(cafe):
-    registry = {"f#1": (UnitT(), ctx_key({"Cn": {"Cf": 1}}))}
-    pt = type_process(cafe, FulfilledFut("f#1", UnitVal()), registry=registry)
+    fut = fut_type(UnitT(), {"Cn": {"Cf": 1}})
+    pt = type_process(cafe, FulfilledFut("f#1", UnitVal(), fut))
     assert pt.requires == {"Cn": {"Cf": 1}}
     assert pt.measure == 0
     assert pt.produced == {"f#1": fut_type(UnitT(), {"Cn": {"Cf": 1}})}
@@ -300,14 +299,13 @@ def test_message_charges_two_extra(cafe):
 
 
 def test_fulfilment_right_of_consumer_rejected(cafe):
-    consumer = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
-    ff = FulfilledFut("f#1", UnitVal())
-    registry = {"f#1": (UnitT(), ctx_key({})), "f#2": (UnitT(), ctx_key({}))}
+    consumer = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs", fut=UNIT_FUT)
+    ff = FulfilledFut("f#1", UnitVal(), UNIT_FUT)
     with pytest.raises(CheckError) as e:
-        type_process(cafe, [consumer, ff, Idle("B")], registry=registry)
+        type_process(cafe, [consumer, ff, Idle("B")])
     assert e.value.code == "FutureConsumedBeforeProduced"
     # reversed order composes
-    pt = type_process(cafe, [ff, consumer, Idle("B")], registry=registry)
+    pt = type_process(cafe, [ff, consumer, Idle("B")])
     assert pt.marked == {"f#1"}
 
 
@@ -318,13 +316,11 @@ def test_double_produce_rejected(cafe):
 
 
 def test_marked_reuse_rejected(cafe):
-    ff = FulfilledFut("f#1", UnitVal())
-    r1 = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
-    r2 = Thread({"z": FutRef("f#1")}, Await(Var("z")), "f#3", "B")
-    registry = {"f#1": (UnitT(), ctx_key({})), "f#2": (UnitT(), ctx_key({})),
-                "f#3": (UnitT(), ctx_key({}))}
+    ff = FulfilledFut("f#1", UnitVal(), UNIT_FUT)
+    r1 = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs", fut=UNIT_FUT)
+    r2 = Thread({"z": FutRef("f#1")}, Await(Var("z")), "f#3", "B", fut=UNIT_FUT)
     with pytest.raises(CheckError) as e:
-        type_process(cafe, [ff, r1, r2], registry=registry)
+        type_process(cafe, [ff, r1, r2])
     assert e.value.code == "MarkedReuse"
 
 

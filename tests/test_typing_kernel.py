@@ -128,9 +128,9 @@ def test_method_table_reports_alike(name):
     assert repr(got) == repr(want)
 
 
-def _process_typing(prog, processes, registry):
+def _process_typing(prog, processes):
     try:
-        return typecheck.type_process(prog, processes, {}, registry)
+        return typecheck.type_process(prog, processes, {})
     except CheckError as err:
         return err.code, err.loc, err.detail
 
@@ -142,12 +142,11 @@ def test_process_typings_alike(monkeypatch, name):
     lists = [cfg.processes for cfg in states]
     # reversed, most lists consume futures before producing them
     lists += [ps[::-1] for ps in lists]
-    registries = [cfg.registry for cfg in states] * 2
-    got = [_process_typing(prog, ps, reg) for ps, reg in zip(lists, registries)]
+    got = [_process_typing(prog, ps) for ps in lists]
     monkeypatch.setattr(typecheck, "_type_atomic", oracle._type_atomic)
     # a program whose typing table is empty, so the oracle types every process
     prog = parse_program((EXAMPLES / name).read_text())
-    want = [_process_typing(prog, ps, reg) for ps, reg in zip(lists, registries)]
+    want = [_process_typing(prog, ps) for ps in lists]
     assert len(got) == 2 * len(states) and got == want
     assert any(isinstance(t, tuple) for t in got)
     assert any(isinstance(t, typecheck.ProcTyping) for t in got)

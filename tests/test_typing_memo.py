@@ -26,7 +26,6 @@ from gract.terms import (
     Thread,
     UnitT,
     UnitVal,
-    ctx_key,
     fut_type,
 )
 from gract.typecheck import CheckError, measure_of_config, type_config, type_process
@@ -59,8 +58,8 @@ def states(cafe):
     return rep.visited
 
 
-def _afresh(prog, p, visible, registry):
-    return typecheck._type_atomic(prog, p, visible, registry)
+def _afresh(prog, p, visible):
+    return typecheck._type_atomic(prog, p, visible)
 
 
 @contextmanager
@@ -74,7 +73,7 @@ def without_memo():
 
 def typings(prog, cfg):
     try:
-        pt = type_process(prog, cfg.processes, {}, cfg.registry)
+        pt = type_process(prog, cfg.processes, {})
     except CheckError as err:
         pt = err.to_json()
     return measure_of_config(prog, cfg), type_config(prog, cfg), pt
@@ -134,14 +133,15 @@ def test_memo_rechecks_the_futures_a_process_read(cafe):
     assert err.value.code == "UnknownFuture"
 
 
-def test_memo_keys_on_the_own_future_registry_entry(cafe):
-    ff = FulfilledFut("f#1", UnitVal())
-    plain = {"f#1": (UnitT(), ())}
-    cup = {"f#1": (UnitT(), ctx_key({"B": {"CC": 1}}))}
-    assert type_process(cafe, ff, registry=plain).requires == {}
-    assert cafe.typings[ff][0] == plain["f#1"]
-    assert type_process(cafe, ff, registry=cup).requires == {"B": {"CC": 1}}
-    assert cafe.typings[ff][0] == cup["f#1"]
+def test_fulfilments_differing_only_in_fut_get_their_own_typings(cafe):
+    plain = FulfilledFut("f#1", UnitVal(), UNIT_FUT)
+    cup = FulfilledFut("f#1", UnitVal(), fut_type(UnitT(), {"B": {"CC": 1}}))
+    assert type_process(cafe, plain).requires == {}
+    assert type_process(cafe, cup).requires == {"B": {"CC": 1}}
+    # one entry each: typing the second neither reused nor replaced the first
+    assert cafe.typings[plain][0][0] == {}
+    assert cafe.typings[cup][0][0] == {"B": {"CC": 1}}
+    assert type_process(cafe, plain).produced == {"f#1": UNIT_FUT}
 
 
 def test_memo_stores_no_rejection(cafe):

@@ -5,7 +5,10 @@ class-pattern `match`, `type_value`, `type_value_expr`, `fits_expected`,
 usage arithmetic, branch unification and leftover checks), the process
 typing `_type_atomic` and the method-table check `check_method_table`,
 kept verbatim: every context is normalized again where it is used, and
-each call site normalizes its declaration's contexts afresh. The
+each call site normalizes its declaration's contexts afresh. Since the
+future registry left the configuration, `_type_atomic` reads a
+producer's declared future type from the process (`fut`), where it read
+the registry entry. The
 differential tests require the current kernel to give the same typing,
 or an error with the same code, location and detail, on every input they
 try. One rule has changed since: a release on a level lattice must give
@@ -404,25 +407,19 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
         gamma[x] = ty
     return gamma, futs
 
-def _registry_entry(registry, f):
-    if registry is None:
-        return None
-    entry = registry.get(f)
-    if entry is None:
-        return None
-    ty, produces_key = entry
-    return ty, ctx_of(produces_key)
+def _declared(fut: Optional[FutT]):
+    return None if fut is None else (fut.result, ctx_of(fut.produces))
 
 
-def _type_atomic(prog: Program, p: Process, sigma: Sigma,
-                 registry) -> tuple[ActorContext, set[str], int, dict[str, FutT]]:
+def _type_atomic(prog: Program, p: Process,
+                 sigma: Sigma) -> tuple[ActorContext, set[str], int, dict[str, FutT]]:
     m = prog.monoid
     match p:
         case Idle(_):
             return {}, set(), 0, {}
-        case FulfilledFut(f, v):
+        case FulfilledFut(f, v, fut):
             ty, futs = type_value(prog, sigma, v, f"fulfilment of {f}")
-            reg = _registry_entry(registry, f)
+            reg = _declared(fut)
             if reg is not None:
                 want, produces = reg
                 fits_expected(m, ty, want, f"fulfilment of {f}")
@@ -443,12 +440,12 @@ def _type_atomic(prog: Program, p: Process, sigma: Sigma,
                 fits_expected(m, ty, want, f"message {f} argument {x}")
             return (ctx_norm(m, decl.requires), futs, decl.measure + 2,
                     {f: fut_type(decl.result, ctx_norm(m, decl.produces))})
-        case Thread(lam, e, f, a):
+        case Thread(lam, e, f, a, _, fut):
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
             t = type_expr(prog, a, gamma, sigma, e, loc)
             futs = futs_add(env_futs, t.used_futs)
-            reg = _registry_entry(registry, f)
+            reg = _declared(fut)
             if reg is not None:
                 want, declared = reg
                 fits_expected(m, t.ty, want, loc)
