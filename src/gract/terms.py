@@ -451,15 +451,16 @@ def well_formed(config: Configuration) -> list[str]:
     idle: dict[str, int] = {}
     seen_futures: set[str] = set()
     for p in config.processes:
-        for f in futures_produced_one(p):
-            if f in seen_futures:
-                problems.append(f"future {f} produced twice")
-            seen_futures.add(f)
-        match p:
-            case Thread(suspended=False):
-                active[p.actor] = active.get(p.actor, 0) + 1
-            case Idle(actor):
-                idle[actor] = idle.get(actor, 0) + 1
+        k = type(p)
+        if k is Idle:
+            idle[p.actor] = idle.get(p.actor, 0) + 1
+            continue
+        f = p.future
+        if f in seen_futures:
+            problems.append(f"future {f} produced twice")
+        seen_futures.add(f)
+        if k is Thread and not p.suspended:
+            active[p.actor] = active.get(p.actor, 0) + 1
     for actor in active.keys() | idle.keys():
         n_active = active.get(actor, 0)
         n_idle = idle.get(actor, 0)
@@ -514,10 +515,12 @@ class Program:
 
     Two tables live as long as the program and are shared by everything
     that runs, explores or types its configurations: `typings`, the
-    process typing table filled by `typecheck.type_process`, and `steps`,
-    the thread-step table filled by `semantics.step_config`, keyed on
-    active threads: a suspended thread steps once activated, from its
-    active twin's entry."""
+    typing table filled by `typecheck.type_process`, and `steps`, the
+    thread-step table filled by `semantics.step_config`, keyed on active
+    threads: a suspended thread steps once activated, from its active
+    twin's entry. A key of `typings` is either a process, for the typing
+    of one process, or a tuple of processes, for the typing of a whole
+    sequence without ambient futures."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
@@ -528,7 +531,7 @@ class Program:
     start_args: tuple[Value, ...]
 
     def __post_init__(self) -> None:
-        self.typings: dict[Process, tuple] = {}
+        self.typings: dict[Process | tuple[Process, ...], tuple] = {}
         self.steps: dict[tuple, list] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}
         for actor, adecl in self.actors.items():

@@ -489,16 +489,16 @@ def _type_atomic(prog: Program, p: Process,
 def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
     """_type_atomic through the program's typing table, `prog.typings`.
 
-    The table maps each process (a value, so equal processes share an
-    entry; its declared future type is part of that value) to
-    _type_atomic's result and the (future, type) pairs that result read
-    from the visible futures: exactly the futures it consumed. A hit counts
-    only while each of those pairs still holds, so one table serves every
-    configuration the program is ever typed in: every run, SR check,
-    exploration and helpful check. A miss types the process again and
-    replaces its entry. Rejections are never stored, so an error is always
-    raised afresh, at its own location. Callers only read what the table
-    returns."""
+    The table's process entries map each process (a value, so equal
+    processes share an entry; its declared future type is part of that
+    value) to _type_atomic's result and the (future, type) pairs that
+    result read from the visible futures: exactly the futures it consumed.
+    A hit counts only while each of those pairs still holds, so one table
+    serves every configuration the program is ever typed in: every run, SR
+    check, exploration and helpful check. A miss types the process again
+    and replaces its entry. Rejections are never stored, so an error is
+    always raised afresh, at its own location. Callers only read what the
+    table returns."""
     if not isinstance(p, Process):
         return _type_atomic(prog, p, visible)
     table = prog.typings
@@ -514,12 +514,32 @@ def type_process(prog: Program, processes, sigma: Optional[Sigma] = None) -> Pro
     """Type a process or a whole sequence, composing left to right: a
     future may be consumed only after its producer, each exactly once.
 
-    Each process is typed through the program's typing table, so a process
-    the program has typed before, under the same reads, is not typed
-    again. The result is built afresh and is the caller's to change."""
+    With no ambient futures the typing depends on the sequence alone, so
+    the program's typing table keeps it under `tuple(processes)`: a
+    sequence the program has typed before is not composed again, and
+    every subject-reduction check of the program types each distinct
+    configuration once. With ambient futures the sequence is composed
+    afresh. Either way each process is typed through the table's
+    per-process entries, rejections are never stored, and the result is
+    built afresh and is the caller's to change."""
     if isinstance(processes, Process):
-        processes = [processes]
-    sigma = sigma or {}
+        processes = (processes,)
+    if sigma:
+        return _compose(prog, processes, sigma)
+    key = tuple(processes)
+    parts = prog.typings.get(key)
+    if parts is None:
+        # nothing is consumed from an empty ambient, so that part is not kept
+        pt = _compose(prog, key, {})
+        parts = prog.typings[key] = pt.requires, pt.measure, pt.produced, pt.marked
+    requires, measure, produced, marked = parts
+    return ProcTyping({a: dict(env) for a, env in requires.items()}, set(),
+                      measure, dict(produced), set(marked))
+
+
+def _compose(prog: Program, processes, sigma: Sigma) -> ProcTyping:
+    """type_process without the sequence entry: the left-to-right
+    composition through the per-process entries."""
     m = prog.monoid
     requires: ActorContext = {}
     measure = 0
@@ -611,8 +631,12 @@ def type_config(prog: Program, config: Configuration) -> dict:
 
 
 def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
+    """The configuration's measure, None if it does not type. Composed
+    through the per-process entries only: an exploration's states are
+    distinct sequences (26,106 of them on the full k=2 k-cafe), so a
+    sequence entry would cost memory and never be hit."""
     try:
-        return type_process(prog, config.processes, {}).measure
+        return _compose(prog, config.processes, {}).measure
     except CheckError:
         return None
 

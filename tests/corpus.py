@@ -1,10 +1,15 @@
-"""Where the bundled example corpus lives, and programs the tests share.
+"""Where the bundled example corpus lives, and programs and helpers the
+tests share.
 
 Tests resolve fixtures through `EXAMPLES`, which is found from this file,
 so the suite runs from any working directory.
 """
 
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from gract.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -41,3 +46,10 @@ washCup(d: DC^1): CC^1
 init B1: CC^1, B2: CC^1;
 start H!main()
 """
+
+
+def cli_output(argv) -> tuple[int, str]:
+    """`gract`'s exit code and standard output for one command line."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()

@@ -2,16 +2,14 @@
 input, whatever operation asks, and every successor, verdict and output is
 the one stepping afresh gives."""
 
-import io
 import json
 import random
-from contextlib import contextmanager, redirect_stdout
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 from gract import semantics
-from gract.cli import main
 from gract.explorer import check_helpful, check_subject_reduction, explore
 from gract.parser import parse_program
 from gract.semantics import (
@@ -35,9 +33,7 @@ from gract.terms import (
     UnitVal,
 )
 
-from corpus import EXAMPLES, TWO_CAFES
-
-CAFE = EXAMPLES / "cafe.gract"
+from corpus import EXAMPLES, TWO_CAFES, cli_output
 
 
 def _load(name):
@@ -199,34 +195,23 @@ def _runs(prog):
     rng = random.Random(4)
     # `gract sr`'s default step budget, so its seed-4 runs are these traces
     traces = [run(initial_config(prog), prog, random_chooser(rng), 400) for _ in range(100)]
-    laws = [check_subject_reduction(prog, tr) for tr in traces]
-    runs = [{"run": k, "status": tr.status, "steps": law["steps"], "ok": law["ok"],
-             "violations": law["violations"]} for k, (tr, law) in enumerate(zip(traces, laws))]
-    return [_briefs(tr) for tr in traces], laws, runs
+    return traces, [check_subject_reduction(prog, tr) for tr in traces]
 
 
-def _cli(argv) -> tuple[int, str]:
-    with redirect_stdout(io.StringIO()) as out:
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def test_the_table_changes_no_run_law_or_output(tmp_path):
-    cafe = _load("cafe.gract")
-    steps, laws, runs = _runs(cafe)
-    sr_code, sr_out = _cli(["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"])
-    two_cafes = tmp_path / "two-cafes.gract"
-    two_cafes.write_text(TWO_CAFES)
-    commands = [["run", str(CAFE), "--strategy", "helpful", "--json"],
-                ["run", str(CAFE), "--replay", str(EXAMPLES / "cafe-replay.json"), "--json"],
-                ["explore", str(two_cafes), "--states", "200", "--json"]]
-    got_cli = [_cli(argv) for argv in commands]
+def test_the_table_changes_no_run_law_or_output(seed4_runs):
+    r = seed4_runs
+    cafe = r.prog
+    steps = [_briefs(tr) for tr in r.traces]
+    names = ["helpful", "run-replay", "explore"]
+    got_cli = [r.outputs[name] for name in names]
     table = dict(cafe.steps)
     with afresh():
-        want_steps, want_laws, _ = _runs(cafe)
-        want_cli = [_cli(argv) for argv in commands]
+        want_traces, want_laws = _runs(cafe)
+        want_cli = [cli_output(r.commands[name]) for name in names]
     assert cafe.steps == table
-    assert steps == want_steps and laws == want_laws and all(law["ok"] for law in laws)
+    want_steps = [_briefs(tr) for tr in want_traces]
+    assert steps == want_steps and r.laws == want_laws and all(law["ok"] for law in r.laws)
     assert got_cli == want_cli
-    assert sr_code == 0 and json.loads(sr_out)["runs"] == runs
+    sr_code, sr_out = r.outputs["sr"]
+    assert sr_code == 0 and json.loads(sr_out)["runs"] == r.runs
     assert [code for code, _ in got_cli] == [0, 0, 4]

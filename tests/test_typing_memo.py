@@ -2,17 +2,16 @@
 operation asks, and every typing, verdict and error is the one typing
 without the table gives."""
 
-import io
 import json
 import random
-from contextlib import contextmanager, redirect_stdout
+import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 from gract import typecheck
-from gract.cli import main
-from gract.explorer import check_helpful, check_subject_reduction, explore
+from gract.explorer import check_helpful, check_subject_reduction, explore, helpful_chooser
 from gract.parser import parse_program
 from gract.semantics import fifo_chooser, initial_config, random_chooser, run, step_config
 from gract.terms import (
@@ -30,7 +29,7 @@ from gract.terms import (
 )
 from gract.typecheck import CheckError, measure_of_config, type_config, type_process
 
-from corpus import EXAMPLES, TWO_CAFES
+from corpus import EXAMPLES, cli_output
 
 CAFE = EXAMPLES / "cafe.gract"
 UNIT_FUT = fut_type(UnitT(), {})
@@ -62,12 +61,28 @@ def _afresh(prog, p, visible):
     return typecheck._type_atomic(prog, p, visible)
 
 
+_type_process = typecheck.type_process
+
+
+def _sequence_afresh(prog, processes, sigma=None):
+    kept, prog.typings = prog.typings, {}
+    try:
+        return _type_process(prog, processes, sigma)
+    finally:
+        prog.typings = kept
+
+
 @contextmanager
 def without_memo():
-    """Type every process afresh: the program's table is neither read nor
-    written."""
+    """Type every process and every sequence afresh: the program's table
+    is neither read nor written. `type_process` is replaced in every
+    module that imported it, this one included, by a call that types
+    against a throwaway table."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(typecheck, "_type_atomic_memo", _afresh)
+        for module in list(sys.modules.values()):
+            if vars(module).get("type_process") is _type_process:
+                mp.setattr(module, "type_process", _sequence_afresh)
         yield
 
 
@@ -91,32 +106,17 @@ def test_memo_changes_no_typing_of_explored_states(cafe, states):
     assert any(mu is None for mu, _, _ in got) and any(mu is not None for mu, _, _ in got)
 
 
-def _cli(argv) -> tuple[int, str]:
-    with redirect_stdout(io.StringIO()) as out:
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def test_memo_changes_no_subject_reduction_result(cafe, tmp_path):
-    rng = random.Random(4)
-    # `gract sr`'s default step budget, so its seed-4 runs are these traces
-    traces = [run(initial_config(cafe), cafe, random_chooser(rng), 400) for _ in range(100)]
-    got = [check_subject_reduction(cafe, tr) for tr in traces]
-    sr_code, sr_out = _cli(["sr", str(CAFE), "--runs", "100", "--seed", "4", "--json"])
-    two_cafes = tmp_path / "two-cafes.gract"
-    two_cafes.write_text(TWO_CAFES)
-    commands = [["sr", str(CAFE), "--replay", str(EXAMPLES / "corrupted-trace.json"), "--json"],
-                ["run", str(CAFE), "--strategy", "helpful", "--json"],
-                ["explore", str(two_cafes), "--states", "200", "--json"]]
-    got_cli = [_cli(argv) for argv in commands]
+def test_memo_changes_no_subject_reduction_result(seed4_runs):
+    r = seed4_runs
+    names = ["sr-replay", "helpful", "explore"]
+    got_cli = [r.outputs[name] for name in names]
     with without_memo():
-        want = [check_subject_reduction(cafe, tr) for tr in traces]
-        want_cli = [_cli(argv) for argv in commands]
-    assert got == want and all(law["ok"] for law in got)
+        want = [check_subject_reduction(r.prog, tr) for tr in r.traces]
+        want_cli = [cli_output(r.commands[name]) for name in names]
+    assert r.laws == want and all(law["ok"] for law in r.laws)
     assert got_cli == want_cli
-    runs = [{"run": k, "status": tr.status, "steps": law["steps"], "ok": law["ok"],
-             "violations": law["violations"]} for k, (tr, law) in enumerate(zip(traces, got))]
-    assert sr_code == 0 and json.loads(sr_out)["runs"] == runs
+    sr_code, sr_out = r.outputs["sr"]
+    assert sr_code == 0 and json.loads(sr_out)["runs"] == r.runs
     assert [code for code, _ in got_cli] == [5, 0, 4]
 
 
@@ -154,6 +154,24 @@ def test_memo_stores_no_rejection(cafe):
         errors.append(err.value.to_json())
         assert len(cafe.typings) == before and thread not in cafe.typings
     assert errors[0] == errors[1] and errors[0]["code"] == "UnknownFuture"
+
+
+def test_a_rejected_sequence_leaves_no_entry(fresh_cafe):
+    msg = CallMsg("f#1", "B", "takeOrder", (GradedRes("Order", 1),))
+    reader = Thread({}, Await(Lit(FutRef("f#1"))), "f#2", "Cn")
+    # the reader consumes f#1 before the message produces it
+    sequence = (reader, msg)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(CheckError) as err:
+            type_process(fresh_cafe, list(sequence))
+        errors.append(err.value.to_json())
+        assert sequence not in fresh_cafe.typings
+        assert not any(type(key) is tuple for key in fresh_cafe.typings)
+    assert errors[0] == errors[1] and errors[0]["code"] == "FutureConsumedBeforeProduced"
+    # the same processes in producing order type, and only then is there an entry
+    assert type_process(fresh_cafe, [msg, reader]).marked == {"f#1"}
+    assert (msg, reader) in fresh_cafe.typings
 
 
 def test_a_variant_program_types_with_its_own_table(cafe):
@@ -220,13 +238,46 @@ def test_explore_and_helpful_type_each_process_once(fresh_cafe, atomic_calls):
     assert len(atomic_calls) < 400
 
 
-def test_many_subject_reduction_checks_share_the_programs_typings(fresh_cafe, atomic_calls):
+def test_explore_and_helpful_keep_no_sequence_typing(fresh_cafe):
+    """Measures are composed from the process entries alone: an
+    exploration's states are distinct sequences, so a sequence entry per
+    state would cost memory and never be read."""
+    rep = explore(fresh_cafe, unfold=2)
+    assert check_helpful(fresh_cafe, rep.visited)["ok"]
+    helpful = run(initial_config(fresh_cafe), fresh_cafe, helpful_chooser(fresh_cafe), 200)
+    assert helpful.status == "terminated"
+    assert fresh_cafe.typings and not any(type(key) is tuple for key in fresh_cafe.typings)
+
+
+@pytest.fixture
+def composed(monkeypatch):
+    """The sequences composed from their processes' typings."""
+    calls = []
+    real = typecheck._compose
+
+    def counting(prog, processes, sigma):
+        calls.append(tuple(processes))
+        return real(prog, processes, sigma)
+
+    monkeypatch.setattr(typecheck, "_compose", counting)
+    return calls
+
+
+def test_many_subject_reduction_checks_share_the_programs_typings(
+        fresh_cafe, atomic_calls, composed):
     rng = random.Random(4)
-    distinct = set()
-    for _ in range(100):
-        tr = run(initial_config(fresh_cafe), fresh_cafe, random_chooser(rng), 200)
-        assert check_subject_reduction(fresh_cafe, tr)["ok"]
-        for cfg in [tr.initial, *(st.result.config for st in tr.steps)]:
-            distinct.update(cfg.processes)
+    traces = [run(initial_config(fresh_cafe), fresh_cafe, random_chooser(rng), 200)
+              for _ in range(100)]
+    snapshots = [tuple(cfg.processes) for tr in traces
+                 for cfg in [tr.initial, *(st.result.config for st in tr.steps)]]
+    assert (len(snapshots), len(set(snapshots))) == (6906, 360)
+    assert all(check_subject_reduction(fresh_cafe, tr)["ok"] for tr in traces)
     # a typing memo per check types each process about 28 times
+    distinct = {p for processes in snapshots for p in processes}
     assert len(atomic_calls) <= 2 * len(distinct)
+    # two typings per snapshot, but each distinct sequence is composed once
+    assert len(composed) <= len(set(snapshots))
+    atomic_calls.clear()
+    composed.clear()
+    assert all(check_subject_reduction(fresh_cafe, tr)["ok"] for tr in traces)
+    assert composed == [] and atomic_calls == []
