@@ -41,6 +41,7 @@ from .terms import (
     Process,
     Program,
     Thread,
+    ctx_of,
     futures_consumed_one,
     futures_produced_one,
 )
@@ -74,8 +75,8 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     by codes for its fresh names (n for the n-th future, ~n for the n-th
     let-variable, by first occurrence), then the resources, each produced
     future's code with the declared type its producer carries, and the call
-    budget.  Distinct keys may still denote equivalent states; that only
-    costs extra visits, never a wrong merge.
+    budget, whose sorted tuples the configuration holds.  Distinct keys may
+    still denote equivalent states; that costs extra visits, never a wrong merge.
 
     `memo`, owned by the caller, maps each process (a value, so equal
     processes share an entry) to its pieces, so configurations serialize
@@ -96,7 +97,7 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
         for i in range(len(pieces) - 1):
             a, b = pieces[i], pieces[i + 1]
             # swap when b sorts first and the two are disconnected
-            if b[0] < a[0] and not (a[3] & b[4]) and not (b[3] & a[4]):
+            if b[0] < a[0] and a[3].isdisjoint(b[4]) and b[3].isdisjoint(a[4]):
                 pieces[i], pieces[i + 1] = b, a
                 changed = True
 
@@ -116,8 +117,7 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
             body.append(code)
 
     live = sorted((mapping[p.future], p.fut) for p in config.processes if type(p) is not Idle)
-    alpha = tuple((a, tuple(sorted(env.items()))) for a, env in sorted(config.alpha.items()))
-    rest = (alpha, tuple(live), tuple(sorted(config.call_counts.items())))
+    rest = (config.alpha, tuple(live), config.call_counts)
     return tuple(body), memo.setdefault(rest, rest)
 
 
@@ -181,14 +181,14 @@ def bounded_successors(prog: Program, config: Configuration, unfold: int) -> Suc
     for s in raw:
         if s.rule == "call" and isinstance(s.label, CallLbl):
             key = (s.label.actor, s.label.method)
-            if s.config.call_counts.get(key, 0) > unfold:
+            if dict(s.config.call_counts).get(key, 0) > unfold:
                 pruned_calls += 1
                 continue
         ch = _choice_index(config, raw, s)
         if ch is not None:
             r, idx = ch
             branch = (r.left, r.right)[idx]
-            counts = config.call_counts
+            counts = dict(config.call_counts)
             if any(counts.get(k, 0) >= unfold for k in _calls_in(branch)):
                 pruned_choices += 1
                 continue
@@ -258,6 +258,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     stepped, so a stuck state there is not found. A StuckFound report's
     `max_depth` is the stuck state's depth plus one. At most `max_states`
     states are stored, the start state among them, so it must be at least 1.
+    A successor equal to a stored configuration is dropped unkeyed.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, not {max_states}")
@@ -265,6 +266,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     key_memo: dict = {}
     key0 = canonical_key(start, key_memo)
     visited: dict[tuple, Configuration] = {key0: start}
+    stored = {start}
     parents: dict[tuple, Optional[tuple[tuple, dict]]] = {key0: None}
     histogram: dict[str, int] = {}
     pruned_calls = pruned_choices = 0
@@ -306,6 +308,8 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             for s in succ.kept:
                 if bound_hit and len(visited) >= max_states:
                     break  # no successor can be stored any more
+                if s.config in stored:
+                    continue
                 k2 = canonical_key(s.config, key_memo)
                 if k2 in visited:
                     continue
@@ -313,6 +317,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
                     bound_hit = True
                     continue
                 visited[k2] = s.config
+                stored.add(s.config)
                 parents[k2] = (key, _step_brief(s))
                 note_measure(s.config)
                 nxt.append((k2, s.config))
@@ -449,10 +454,12 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
             elif mu1 != mu0 - 1:
                 violations.append({"step": st.index, "code": "MeasureNotDecrementing",
                                    "from": mu0, "to": mu1})
-        want_alpha = _expected_alpha(m, pre.alpha, s)
-        if want_alpha is None or ctx_norm(m, post.alpha) != want_alpha:
-            violations.append({"step": st.index, "code": "GradedStateMismatch",
-                               "label": label_str(s.label)})
+        # only a hold or a release may move the resources
+        if post.alpha is not pre.alpha or isinstance(s.label, (HoldLbl, RlsLbl)):
+            want_alpha = _expected_alpha(m, ctx_of(pre.alpha), s)
+            if want_alpha is None or ctx_norm(m, ctx_of(post.alpha)) != want_alpha:
+                violations.append({"step": st.index, "code": "GradedStateMismatch",
+                                   "label": label_str(s.label)})
         pre, pt = post, pt2
     return {"ok": not violations, "steps": len(trace.steps),
             "violations": violations, "measures": measures}

@@ -69,10 +69,6 @@ class GradeMonoid:
     def is_discardable(self, g: Grade) -> bool:
         return self.leq(self.zero(), g)
 
-    def carrier_sample(self) -> list[Grade]:
-        """Finite slice of the carrier used by law checks and fuzzing."""
-        raise NotImplementedError
-
     def parse(self, text: str) -> Grade:
         raise NotImplementedError
 
@@ -87,9 +83,6 @@ class _NatBase(GradeMonoid):
         if g == INF or h == INF:
             return INF
         return g + h
-
-    def carrier_sample(self) -> list[Grade]:
-        return [*range(9), INF]
 
     def parse(self, text: str) -> Grade:
         if text == "inf":
@@ -174,9 +167,6 @@ class _LinLike(GradeMonoid):
         if total == 1 and used == 1:
             return 0
         return None
-
-    def carrier_sample(self) -> list[Grade]:
-        return [0, 1, INF]
 
     def parse(self, text: str) -> Grade:
         if text == "inf":
@@ -289,9 +279,6 @@ class Level(GradeMonoid):
         lowers = [l for l in self.names if self.leq(l, g) and self.leq(l, h)]
         greatest = [l for l in lowers if all(self.leq(m, l) for m in lowers)]
         return greatest[0] if greatest else self.zero()
-
-    def carrier_sample(self) -> list[Grade]:
-        return list(self.names)
 
     def parse(self, text: str) -> Grade:
         if text in self._below:

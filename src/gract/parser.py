@@ -461,13 +461,3 @@ class Parser:
 def parse_program(text: str) -> Program:
     return Parser(text).program()
 
-
-def parse_expr(text: str, monoid: GradeMonoid, bound: frozenset[str] = frozenset()) -> Expr:
-    """Parse a single expression."""
-    p = Parser(text)
-    p.monoid = monoid
-    e = p.expr(bound)
-    if p.peek().kind != "EOF":
-        raise p.fail(f"trailing input {p.peek().text!r}")
-    return e
-

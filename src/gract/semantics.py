@@ -43,7 +43,6 @@ from .terms import (
     Let,
     Lit,
     LocalEnv,
-    MethodDecl,
     PrimOp,
     Process,
     Program,
@@ -56,9 +55,12 @@ from .terms import (
     Value,
     ValueExpr,
     Var,
+    ctx_key,
+    entry,
     futures_consumed_one,
     futures_produced_one,
     rename_var,
+    with_entry,
 )
 
 
@@ -331,6 +333,13 @@ def awaiting_future(m: GradeMonoid, env: LocalEnv, e: Expr) -> Optional[str]:
     return v.name if isinstance(v, FutRef) else None
 
 
+def awaited(m: GradeMonoid, thread: Thread) -> Optional[str]:
+    """`awaiting_future` of the thread, computed once and kept on it."""
+    if thread._awaits is ...:
+        object.__setattr__(thread, "_awaits", awaiting_future(m, thread.env, thread.expr))
+    return thread._awaits
+
+
 # ---------------------------------------------------------------------------
 # Rearrangement
 
@@ -380,7 +389,7 @@ def is_terminated(config: Configuration) -> bool:
     return all(isinstance(p, (Idle, FulfilledFut)) for p in config.processes)
 
 
-def _offered_future(config: Configuration, m: GradeMonoid,
+def _offered_future(procs: tuple[Process, ...], m: GradeMonoid,
                     thread: Thread, i: int) -> Optional[tuple[str, Value, int, str]]:
     """The fulfilment this thread could consume.
 
@@ -389,13 +398,12 @@ def _offered_future(config: Configuration, m: GradeMonoid,
     thread travels left. Returns (future, value, position, route) where
     route records which side moved, since the two give different layouts.
     """
-    f = awaiting_future(m, thread.env, thread.expr)
+    f = awaited(m, thread)
     if f is None:
         return None
-    for j in range(i):
-        p = config.processes[j]
+    for j, p in enumerate(procs[:i]):
         if isinstance(p, FulfilledFut) and p.future == f:
-            between = config.processes[j + 1: i]
+            between = procs[j + 1: i]
             if all(disconnected(p, q) for q in between):
                 return (f, p.value, j, "ff")
             if all(disconnected(q, thread) for q in between):
@@ -411,13 +419,15 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
     its active twin does.
 
     The program's step table, `prog.steps`, maps the thread (a value, so
-    equal threads share an entry), fresh names, offered future and actor
-    resources to the expression steps with their updated threads, built
-    once for every run and exploration of the program. A successor gets a
-    new dict for the one field its rule changes and shares the others with
-    `config`."""
+    equal threads share an entry), fresh names, offered future and the
+    actor's `alpha` entry to the expression steps with their updated
+    threads, built once for every run and exploration of the program.
+    Each successor is one `config.copy` naming the fields its rule
+    changes; it shares the others with `config`."""
     m = prog.monoid
     a = thread.actor
+    procs = config.processes
+    head, tail = procs[:i], procs[i + 1:]
     out: list[StepResult] = []
 
     # return rule: thread at a top-level return becomes a fulfilled future
@@ -427,82 +437,73 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
         except Stuck:
             v = None
         if v is not None:
-            c = config.copy()
-            c.processes[i: i + 1] = [FulfilledFut(thread.future, v, thread.fut), Idle(a)]
+            c = config.copy(head + (FulfilledFut(thread.future, v, thread.fut), Idle(a)) + tail)
             out.append(StepResult("return", Tau(), c, a, thread.future, i, variant))
         return out
 
-    reachable = _offered_future(config, m, thread, i)
-    alpha_a = config.alpha.get(a, {})
+    reachable = _offered_future(procs, m, thread, i)
+    env_a = entry(config.alpha, a)
     candidate_future = f"f#{config.next_future}"
     candidate_var = f"y#{config.next_var}"
-    key = (thread, candidate_future, candidate_var,
-           reachable and reachable[:2], tuple(alpha_a.items()))
+    key = (thread, candidate_future, candidate_var, reachable and reachable[:2], env_a)
     steps = prog.steps.get(key)
     if steps is None:
         offered = Offered(futures={reachable[0]: reachable[1]} if reachable else {},
-                          alpha=alpha_a)
+                          alpha=dict(env_a))
         res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
                         offered)
         steps = prog.steps[key] = [(label, env2, replace(thread, env=env2, expr=expr2))
                                    for label, env2, expr2 in res.steps]
 
     for label, env2, updated in steps:
-        c = config.copy()
-        c.processes[i] = updated
         match label:
             case Tau():
-                if candidate_var in env2:
-                    c.next_var += 1
+                nv = config.next_var + 1 if candidate_var in env2 else config.next_var
+                c = config.copy(head + (updated,) + tail, next_var=nv)
                 out.append(StepResult("silent", label, c, a, thread.future, i, variant))
-            case HoldLbl(r, g):
-                left = m.minus(alpha_a.get(r, m.zero()), g)
+            case HoldLbl(r, g) | RlsLbl(r, g):
+                rule = "hold" if type(label) is HoldLbl else "rls"
+                have = entry(env_a, r, m.zero())
+                left = m.minus(have, g) if rule == "hold" else m.plus(have, g)
                 if left is None:
                     continue  # offered.alpha made this unreachable; belt and braces
-                c.alpha = {**c.alpha, a: {**alpha_a, r: left}}
-                out.append(StepResult("hold", label, c, a, thread.future, i, variant))
-            case RlsLbl(r, g):
-                c.alpha = {**c.alpha, a: {**alpha_a, r: m.plus(alpha_a.get(r, m.zero()), g)}}
-                out.append(StepResult("rls", label, c, a, thread.future, i, variant))
+                c = config.copy(head + (updated,) + tail,
+                                alpha=with_entry(config.alpha, a, with_entry(env_a, r, left)))
+                out.append(StepResult(rule, label, c, a, thread.future, i, variant))
             case CallLbl(f_new, b, meth, vals):
-                c.next_future += 1
-                c.call_counts = {**c.call_counts, (b, meth): c.call_counts.get((b, meth), 0) + 1}
                 sig = prog.signatures.get((b, meth))
-                c.processes.insert(i, CallMsg(f_new, b, meth, vals, sig and sig.fut))
+                msg = CallMsg(f_new, b, meth, vals, sig and sig.fut)
+                calls = entry(config.call_counts, (b, meth), 0) + 1
+                c = config.copy(head + (msg, updated) + tail, next_future=config.next_future + 1,
+                                call_counts=with_entry(config.call_counts, (b, meth), calls))
                 out.append(StepResult("call", label, c, a, thread.future, i, variant))
             case FutLbl():
                 _, _, j, route = reachable
-                if route == "ff":
-                    del c.processes[j]  # thread shifts to i-1
-                else:
-                    del c.processes[i]
-                    del c.processes[j]
-                    c.processes.insert(j, updated)
+                if route == "ff":  # the fulfilment goes; the thread shifts to i-1
+                    c = config.copy(procs[:j] + procs[j + 1: i] + (updated,) + tail)
+                else:  # the thread takes the fulfilment's place
+                    c = config.copy(procs[:j] + (updated,) + procs[j + 1: i] + tail)
                 out.append(StepResult("get", label, c, a, thread.future, i, variant))
     return out
 
 
-def _free_actor(config: Configuration, prog: Program, a: str,
-                i: int) -> Optional[tuple[Configuration, int, str]]:
+def _free_actor(procs: tuple[Process, ...], m: GradeMonoid, a: str,
+                i: int) -> Optional[tuple[tuple[Process, ...], int, str]]:
     """Make room for a new thread of actor `a` in place of the process at
     i (a message to spawn, or a suspended thread to activate): take a's
     idle marker (variant "act"), or else suspend a's active thread if it
-    awaits (variant "yld"). Returns a copy of the configuration, the
+    awaits (variant "yld"). Returns the processes with room made, the
     position where the caller puts the thread, and the variant; None when
     a is busy."""
     k = t = None
-    for j, p in enumerate(config.processes):
+    for j, p in enumerate(procs):
         if type(p) is Idle and p.actor == a:
-            c = config.copy()
-            del c.processes[j]
-            return c, i - 1 if j < i else i, "act"
+            return procs[:j] + procs[j + 1:], i - 1 if j < i else i, "act"
         if t is None and type(p) is Thread and p.actor == a and not p.suspended:
             k, t = j, p
-    if t is None or awaiting_future(prog.monoid, t.env, t.expr) is None:
+    if t is None or awaited(m, t) is None:
         return None
-    c = config.copy()
-    c.processes[k] = t.twin(suspended=True)
-    return c, i, "yld"
+    return procs[:k] + (t.twin(suspended=True),) + procs[k + 1:], i, "yld"
 
 
 def step_config(config: Configuration, prog: Program) -> list[StepResult]:
@@ -515,28 +516,26 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                 decl = prog.method(a, meth)
                 if decl is None or len(decl.params) != len(vals):
                     continue
-                freed = _free_actor(config, prog, a, i)
+                freed = _free_actor(config.processes, prog.monoid, a, i)
                 if freed is not None:
-                    c, pos, variant = freed
-                    c.processes[pos] = _spawn_thread(decl, p)
+                    procs, pos, variant = freed
+                    env = {x: v for (x, _), v in zip(decl.params, vals)}
+                    spawned = Thread(env, decl.body, f, a, fut=p.fut)
+                    c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
                     # a spawn keeps its message's position; an idle actor is its base case
                     out.append(StepResult("spawn", Tau(), c, a, f, i,
                                           "base" if variant == "act" else variant))
             case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))
             case Thread():
-                freed = _free_actor(config, prog, p.actor, i)
+                freed = _free_actor(config.processes, prog.monoid, p.actor, i)
                 if freed is not None:
-                    base, pos, variant = freed
-                    active = base.processes[pos] = p.twin(suspended=False)
+                    procs, pos, variant = freed
+                    active = p.twin(suspended=False)
+                    base = config.copy(procs[:pos] + (active,) + procs[pos + 1:])
                     out.extend(_thread_steps(base, prog, active, pos, variant))
     out.sort(key=StepResult.sort_key)
     return out
-
-
-def _spawn_thread(decl: MethodDecl, msg: CallMsg) -> Thread:
-    env = {x: v for (x, _), v in zip(decl.params, msg.args)}
-    return Thread(env, decl.body, msg.future, msg.actor, fut=msg.fut)
 
 
 def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
@@ -547,7 +546,7 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
     fulfilled = {p.future for p in config.processes if isinstance(p, FulfilledFut)}
     for p in config.processes:
         if isinstance(p, Thread):
-            offered = Offered(futures={}, alpha=config.alpha.get(p.actor, {}))
+            offered = Offered(futures={}, alpha=dict(entry(config.alpha, p.actor)))
             res = step_expr(m, p.env, p.expr, prog, "f#?", "y#?", offered)
             for fault in res.faults:
                 code = fault.code
@@ -562,13 +561,13 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
                     })
                 else:
                     out.append({"code": code, "actor": p.actor, "detail": detail})
-            awaited = awaiting_future(m, p.env, p.expr)
-            if awaited is not None:
+            f = awaited(m, p)
+            if f is not None:
                 out.append({
                     "code": "AwaitPending",
                     "actor": p.actor,
-                    "future": awaited,
-                    "fulfilled": awaited in fulfilled,
+                    "future": f,
+                    "fulfilled": f in fulfilled,
                 })
         elif isinstance(p, CallMsg):
             decl = prog.method(p.actor, p.method)
@@ -588,11 +587,11 @@ def initial_config(prog: Program) -> Configuration:
     actor, meth = prog.start_actor, prog.start_method
     sig = prog.signatures.get((actor, meth))
     return Configuration(
-        alpha={a: dict(env) for a, env in prog.init_ctx.items()},
-        processes=[CallMsg("f#0", actor, meth, prog.start_args, sig and sig.fut),
-                   *(Idle(a) for a in prog.actors)],
+        alpha=ctx_key(prog.init_ctx),
+        processes=(CallMsg("f#0", actor, meth, prog.start_args, sig and sig.fut),
+                   *(Idle(a) for a in prog.actors)),
         next_future=1,
-        call_counts={(actor, meth): 1},
+        call_counts=(((actor, meth), 1),),
     )
 
 
@@ -608,10 +607,6 @@ class Trace:
     steps: list[TraceStep]
     status: str  # terminated | stuck | bound
     diagnosis: list[dict] = field(default_factory=list)
-
-    @property
-    def final(self) -> Configuration:
-        return self.steps[-1].result.config if self.steps else self.initial
 
 
 Chooser = Callable[[list[StepResult], int], Optional[int]]
@@ -725,14 +720,11 @@ def config_to_json(config: Configuration) -> dict:
                 "produces": {a: {r: format_grade(g) for r, g in env} for a, env in p.fut.produces},
             }
     return {
-        "actors": {
-            a: {r: format_grade(g) for r, g in env.items()}
-            for a, env in config.alpha.items()
-        },
+        "actors": {a: {r: format_grade(g) for r, g in env} for a, env in config.alpha},
         "processes": [process_to_json(p) for p in config.processes],
         "registry": declared,
         "counters": {"future": config.next_future, "var": config.next_var},
-        "callCounts": {f"{a}.{m}": n for (a, m), n in config.call_counts.items()},
+        "callCounts": {f"{a}.{m}": n for (a, m), n in config.call_counts},
     }
 
 

@@ -13,7 +13,7 @@ whose output the parser reads back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .grades import ActorContext, Grade, GradeMonoid, ctx_norm, format_grade
@@ -343,6 +343,7 @@ class Thread(Process):
     is otherwise the thread it was, so suspending or activating one
     changes only the flag."""
 
+    _awaits = ...  # the future its redex awaits, once `semantics.awaited` asked
     env: LocalEnv
     expr: Expr
     future: str
@@ -351,10 +352,11 @@ class Thread(Process):
     fut: Optional[FutT] = None
 
     def twin(self, suspended: bool) -> "Thread":
-        """This thread with the flag set as given. The flag is not hashed,
-        so the twin takes this thread's hash, computed at most once."""
+        """This thread with the flag set as given. The twin takes this
+        thread's hash and awaited future, which leave the flag out."""
         t = Thread(self.env, self.expr, self.future, self.actor, suspended, self.fut)
         object.__setattr__(t, "_hash", hash(self))
+        object.__setattr__(t, "_awaits", self._awaits)
         return t
 
 
@@ -414,30 +416,46 @@ def futures_consumed_one(p: Process) -> set[str]:
 # ---------------------------------------------------------------------------
 # Configurations
 
-@dataclass
-class Configuration:
-    """Global resource state next to the running process sequence.
+class Configuration(NamedTuple):
+    """Global resource state next to the running process sequence, as an
+    immutable, hashable value.
 
-    The extra fields are run plumbing: monotone counters backing fresh
-    names, and per-target call counts that bounded exploration uses as its
-    recursion budget. Each future's declared type is carried by the
-    process that produces it (`fut`), not stored here.
-
-    A configuration is not written once it is built. `copy` gives the copy
-    its own process list and shares everything else with the original: the
-    processes, which are immutable, and `alpha` and `call_counts`, which a
-    step that changes one replaces with a new dict.
+    `alpha` holds each actor's resources in `ctx_key` form; `call_counts`
+    holds the calls per (actor, method), bounded exploration's recursion
+    budget, as pairs sorted by target. Both keep every entry a step wrote,
+    zero grades included. The counters back fresh names. Each future's
+    declared type is carried by the process that produces it (`fut`). A
+    successor is one `copy` naming the fields its step changed; it shares
+    the other fields, and every process it keeps, with its parent.
     """
 
-    alpha: ActorContext
-    processes: list[Process]
+    alpha: tuple[tuple[str, tuple[tuple[str, Grade], ...]], ...]
+    processes: tuple[Process, ...]
     next_future: int = 0
     next_var: int = 0
-    call_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    call_counts: tuple[tuple[tuple[str, str], int], ...] = ()
 
-    def copy(self) -> "Configuration":
-        return Configuration(self.alpha, list(self.processes), self.next_future,
-                             self.next_var, self.call_counts)
+    def copy(self, processes=None, alpha=None, next_future=None, next_var=None,
+             call_counts=None) -> "Configuration":
+        """This configuration with the named fields replaced."""
+        a, p, nf, nv, cc = self
+        return tuple.__new__(Configuration, (
+            a if alpha is None else alpha, p if processes is None else processes,
+            nf if next_future is None else next_future, nv if next_var is None else next_var,
+            cc if call_counts is None else call_counts))
+
+
+def entry(pairs: tuple, key, default=()):
+    """`key`'s value in (key, value) pairs such as `alpha`, or `default`."""
+    for k, v in pairs:
+        if k == key:
+            return v
+    return default
+
+
+def with_entry(pairs: tuple, key, value) -> tuple:
+    """`pairs`, (key, value) pairs sorted by key, with `key` set to `value`."""
+    return tuple(sorted({**dict(pairs), key: value}.items()))
 
 
 def well_formed(config: Configuration) -> list[str]:

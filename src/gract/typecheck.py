@@ -503,7 +503,7 @@ def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
         return _type_atomic(prog, p, visible)
     table = prog.typings
     seen = table.get(p)
-    if seen is not None and all(visible.get(f) == t for f, t in seen[1]):
+    if seen is not None and (not seen[1] or all(visible.get(f) == t for f, t in seen[1])):
         return seen[0]
     result = _type_atomic(prog, p, visible)
     table[p] = result, tuple((f, visible[f]) for f in result[1])
@@ -559,7 +559,7 @@ def _compose(prog: Program, processes, sigma: Sigma) -> ProcTyping:
                 raise CheckError("FutureConsumedBeforeProduced",
                                  f"future {err.detail}", err.loc) from None
             raise
-        for f in sorted(futs):
+        for f in sorted(futs) if futs else ():
             if f in marked:
                 raise CheckError("MarkedReuse", f"future {f} consumed twice")
             if f in produced:
@@ -609,9 +609,10 @@ def type_config(prog: Program, config: Configuration) -> dict:
         try:
             pt = type_process(prog, config.processes, {})
             requires, measure = pt.requires, pt.measure
-            if not ctx_leq(m, requires, config.alpha):
+            alpha = ctx_of(config.alpha)
+            if not ctx_leq(m, requires, alpha):
                 for actor, env in requires.items():
-                    have = config.alpha.get(actor, {})
+                    have = alpha.get(actor, {})
                     for r, g in env.items():
                         if not m.leq(g, have.get(r, m.zero())):
                             errors.append({

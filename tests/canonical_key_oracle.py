@@ -1,7 +1,8 @@
 """Reference canonical state key, serialized from scratch on every call.
 
 This is the explorer's original `canonical_key`, kept verbatim but for the
-live futures, which it now reads from the processes that produce them: it
+live futures, which it now reads from the processes that produce them, and
+the resources and call budget, which it reads as mappings: it
 serializes every process of the configuration with `json.dumps`, tests each
 adjacent pair with `disconnected`, and renames fresh names with one regex
 pass over the joined body.  The explorer's key reuses per-process pieces
@@ -16,7 +17,7 @@ import json
 import re
 
 from gract.semantics import disconnected, process_to_json
-from gract.terms import Configuration, Idle
+from gract.terms import Configuration, Idle, ctx_of
 
 _FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy])#\d+")
 
@@ -58,7 +59,7 @@ def canonical_key(config: Configuration) -> str:
             live[mapping[p.future]] = "-" if p.fut is None else f"{p.fut.result}|{p.fut.produces}"
 
     alpha = json.dumps({a: {r: str(g) for r, g in env.items()}
-                        for a, env in sorted(config.alpha.items())}, sort_keys=True)
-    budget = json.dumps({f"{a}.{m}": n for (a, m), n in sorted(config.call_counts.items())},
+                        for a, env in sorted(ctx_of(config.alpha).items())}, sort_keys=True)
+    budget = json.dumps({f"{a}.{m}": n for (a, m), n in sorted(dict(config.call_counts).items())},
                         sort_keys=True)
     return "|".join([body, alpha, json.dumps(live, sort_keys=True), budget])

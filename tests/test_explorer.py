@@ -1,10 +1,12 @@
 """Explorer tests: canonical states, bounded search, the dynamic laws."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from gract import explorer
 from gract.explorer import (
     bounded_successors,
     canonical_key,
@@ -15,9 +17,23 @@ from gract.explorer import (
 )
 from gract.parser import parse_program
 from gract.semantics import initial_config, run, fifo_chooser, random_chooser, step_config
-from gract.terms import Configuration, FulfilledFut, Idle, UnitVal
+from gract.terms import (
+    Await,
+    CallMsg,
+    FulfilledFut,
+    FutRef,
+    Idle,
+    Lit,
+    Return,
+    Thread,
+    UnitVal,
+    Var,
+    ctx_key,
+    ctx_of,
+)
 
 from corpus import EXAMPLES
+from term_helpers import config_of
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +52,7 @@ def nocup():
 # canonical keys
 
 def _mini(procs, nf=9, nv=9):
-    return Configuration(alpha={"A": {}}, processes=list(procs),
-                         next_future=nf, next_var=nv, call_counts={})
+    return config_of({"A": {}}, procs, next_future=nf, next_var=nv)
 
 
 def test_key_ignores_swappable_order():
@@ -60,6 +75,23 @@ def test_key_separates_different_states():
 
 # ---------------------------------------------------------------------------
 # budget filtering
+
+@pytest.mark.parametrize("unfold, states", [(2, 153), (5, 408)])
+def test_explore_keys_no_copy_of_a_stored_configuration(monkeypatch, cafe, unfold, states):
+    """A successor equal to a stored configuration is dropped before its
+    key is computed: each stored configuration is keyed once."""
+    keyed = []
+
+    def recording(config, *memo):
+        keyed.append(config)
+        return canonical_key(config, *memo)
+
+    monkeypatch.setattr(explorer, "canonical_key", recording)
+    rep = explore(cafe, unfold=unfold)
+    assert rep.states_visited == states
+    stored = set(rep.visited)
+    assert Counter(c for c in keyed if c in stored) == Counter(stored)
+
 
 def test_unbounded_successors_keep_everything(cafe):
     cfg = initial_config(cafe)
@@ -167,6 +199,17 @@ def test_helpful_run_terminates_at_the_measure(cafe):
 # ---------------------------------------------------------------------------
 # subject reduction along runs
 
+def test_key_swaps_only_disconnected_neighbours():
+    """A producer and a consumer of its future keep their order, though the
+    right one serializes first; the swapped order is another state."""
+    ff = FulfilledFut("f#1", UnitVal())
+    reader = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "A")
+    assert canonical_key(_mini([ff, reader])) != canonical_key(_mini([reader, ff]))
+    producer = Thread({}, Return(Lit(UnitVal())), "f#1", "A")
+    msg = CallMsg("f#2", "B", "m", (FutRef("f#1"),))
+    assert canonical_key(_mini([msg, producer])) != canonical_key(_mini([producer, msg]))
+
+
 def test_fifo_run_satisfies_preservation(cafe):
     tr = run(initial_config(cafe), cafe, fifo_chooser, 200)
     sr = check_subject_reduction(cafe, tr)
@@ -184,8 +227,9 @@ def test_random_runs_satisfy_preservation(cafe):
 def test_tampered_trace_is_caught(cafe):
     tr = run(initial_config(cafe), cafe, fifo_chooser, 200)
     victim = tr.steps[5]
-    forged = victim.result.config.copy()
-    forged.alpha = {**forged.alpha, "B": {**forged.alpha.get("B", {}), "CC": 1}}
+    alpha = ctx_of(victim.result.config.alpha)
+    alpha["B"] = {**alpha.get("B", {}), "CC": 1}
+    forged = victim.result.config.copy(alpha=ctx_key(alpha))
     tr.steps[5] = replace(victim, result=replace(victim.result, config=forged))
     sr = check_subject_reduction(cafe, tr)
     assert not sr["ok"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gract.grades import INF, Level, Lin, NatLeq
-from gract.parser import ParseError, parse_expr, parse_program, tokenize
+from gract.parser import ParseError, parse_program, tokenize
 from gract.terms import (
     Await,
     Call,
@@ -24,6 +24,7 @@ from gract.terms import (
 )
 
 from corpus import EXAMPLES
+from term_helpers import parse_expr
 
 CAFE = (EXAMPLES / "cafe.gract").read_text()
 

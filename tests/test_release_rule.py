@@ -13,6 +13,7 @@ from gract.terms import GradedRes, GradedVar, Lit, Release
 from gract.typecheck import check_program
 
 from corpus import EXAMPLES
+from term_helpers import carrier_sample
 
 LAUNDER = """\
   launder(): Unit requires Db: Doc^secret produces Db: Doc^public measure 4 {
@@ -59,7 +60,7 @@ def test_release_above_the_held_level_is_still_too_small():
 
 def test_counting_algebras_release_part_of_a_grade():
     for m in (Lin(), Affine(), NatLeq(), NatExact()):
-        sample = m.carrier_sample()
+        sample = carrier_sample(m)
         assert all(m.releasable(g, h) == m.leq(g, h) for g in sample for h in sample)
     assert Affine().releasable(0, 1) and NatLeq().releasable(2, 5)
     ladder = Level(["public", "internal", "secret"],

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gract.explorer import explore
 from gract.grades import INF, Lin
 from gract.parser import parse_program
 from gract.semantics import (
@@ -14,8 +15,9 @@ from gract.semantics import (
     RlsLbl,
     Stuck,
     Tau,
-    awaiting_future,
     apply_primop,
+    awaited,
+    awaiting_future,
     config_to_json,
     disconnected,
     eval_value_expr,
@@ -34,7 +36,6 @@ from gract.terms import (
     Call,
     CallMsg,
     Choice,
-    Configuration,
     FulfilledFut,
     FutRef,
     GradedRes,
@@ -48,10 +49,12 @@ from gract.terms import (
     Thread,
     UnitVal,
     Var,
+    ctx_of,
     well_formed,
 )
 
-from corpus import EXAMPLES
+from corpus import EXAMPLES, TWO_CAFES
+from term_helpers import config_of, final_config
 
 M = Lin()
 
@@ -234,6 +237,20 @@ def test_awaiting_future_sees_through_lets():
     assert awaiting_future(M, {}, Hold(1, "CC")) is None
 
 
+@pytest.mark.parametrize("name", ["cafe", "cafe-nocup", "clearance", "linear-future",
+                                  "recursive-unsolvable", "two-cafes"])
+def test_the_awaited_cache_agrees_with_awaiting_future(name):
+    """Every thread of the explored states awaits what `awaiting_future`
+    says, whether exploring cached it or `awaited` computes it now."""
+    text = TWO_CAFES if name == "two-cafes" else (EXAMPLES / f"{name}.gract").read_text()
+    prog = parse_program(text)
+    rep = explore(prog, unfold=2, max_states=1000)
+    threads = {id(p): p for cfg in rep.visited for p in cfg.processes if isinstance(p, Thread)}
+    assert any(t._awaits is not ... for t in threads.values())
+    for t in threads.values():
+        assert awaited(prog.monoid, t) == awaiting_future(prog.monoid, t.env, t.expr)
+
+
 # ---------------------------------------------------------------------------
 # rearrangement
 
@@ -251,15 +268,15 @@ def test_swap_blocked_by_dataflow():
 
 def test_idle_actor_activates_a_suspended_thread(cafe):
     s = Thread({}, Return(Lit(UnitVal())), "f#1", "A", suspended=True)
-    [only] = step_config(Configuration(alpha={}, processes=[Idle("A"), s]), cafe)
+    [only] = step_config(config_of({}, [Idle("A"), s]), cafe)
     # activation takes the idle marker to its left, so the thread acts at 0
     assert (only.rule, only.variant, only.pos) == ("return", "act", 0)
-    assert only.config.processes == [FulfilledFut("f#1", UnitVal()), Idle("A")]
+    assert only.config.processes == (FulfilledFut("f#1", UnitVal()), Idle("A"))
 
 
 def test_spawn_reports_its_message_position(cafe):
     msg = CallMsg("f#2", "Cn", "pickup", ())
-    [only] = step_config(Configuration(alpha={}, processes=[Idle("Cn"), Idle("B"), msg]), cafe)
+    [only] = step_config(config_of({}, [Idle("Cn"), Idle("B"), msg]), cafe)
     # the idle marker on the left goes, so the thread lands at 1
     assert (only.rule, only.variant, only.pos) == ("spawn", "base", 2)
     assert only.config.processes[0] == Idle("B")
@@ -270,7 +287,7 @@ def test_spawn_reports_its_message_position(cafe):
 def test_message_to_an_awaiting_actor_yields(cafe):
     msg = CallMsg("f#2", "Cn", "pickup", ())
     waiting = thread_awaiting("f#1", actor="Cn", future="f#0")
-    cfg = Configuration(alpha={}, processes=[msg, waiting])
+    cfg = config_of({}, [msg, waiting])
     [only] = step_config(cfg, cafe)
     assert (only.rule, only.variant, only.pos) == ("spawn", "yld", 0)
     spawned, suspended = only.config.processes
@@ -281,7 +298,7 @@ def test_message_to_an_awaiting_actor_yields(cafe):
 def test_busy_actor_does_not_yield(cafe):
     msg = CallMsg("f#2", "Cn", "pickup", ())
     busy = Thread({}, Hold(1, "Cf"), "f#1", "Cn")
-    succ = step_config(Configuration(alpha={"Cn": {"Cf": 1}}, processes=[msg, busy]), cafe)
+    succ = step_config(config_of({"Cn": {"Cf": 1}}, [msg, busy]), cafe)
     assert [(s.rule, s.variant) for s in succ] == [("hold", "base")]
 
 
@@ -294,8 +311,8 @@ def test_initial_config_shape(cafe):
     assert kinds == ["CallMsg", "Idle", "Idle", "Idle"]
     msg = cfg.processes[0]
     assert (msg.future, msg.actor, msg.method) == ("f#0", "Cs", "main")
-    assert cfg.alpha == {"B": {"CC": 1}}
-    assert cfg.call_counts == {("Cs", "main"): 1}
+    assert cfg.alpha == (("B", (("CC", 1),)),)
+    assert cfg.call_counts == ((("Cs", "main"), 1),)
     assert msg.fut is not None and msg.fut == cafe.signatures["Cs", "main"].fut
     assert not well_formed(cfg)
 
@@ -317,9 +334,9 @@ def test_fifo_run_terminates_and_restores_resources(cafe):
     tr = fifo_trace(cafe)
     assert tr.status == "terminated"
     assert len(tr.steps) == 41
-    assert tr.final.alpha["B"]["CC"] == 1
-    assert tr.final.alpha["Cn"]["Cf"] == 0
-    assert is_terminated(tr.final)
+    assert ctx_of(final_config(tr).alpha)["B"]["CC"] == 1
+    assert ctx_of(final_config(tr).alpha)["Cn"]["Cf"] == 0
+    assert is_terminated(final_config(tr))
     assert tr.diagnosis == []
 
 
@@ -329,8 +346,8 @@ def test_fifo_rule_prefix_matches_first_serving(cafe):
     assert rules == ["spawn", "call", "spawn", "hold", "silent", "silent", "silent",
                      "call", "spawn", "rls", "silent", "return", "silent", "get"]
     # barista's cup is held after the hold and restored by the final release
-    assert tr.steps[3].result.config.alpha["B"]["CC"] == 0
-    assert tr.steps[9].result.config.alpha["Cn"]["Cf"] == 1
+    assert ctx_of(tr.steps[3].result.config.alpha)["B"]["CC"] == 0
+    assert ctx_of(tr.steps[9].result.config.alpha)["Cn"]["Cf"] == 1
 
 
 def test_runs_stay_well_formed_and_futures_read_once(cafe):
@@ -351,7 +368,7 @@ def test_resource_bounds_along_runs(cafe):
     for seed in range(12):
         tr = run(initial_config(cafe), cafe, random_chooser(random.Random(seed)), 300)
         for st in tr.steps:
-            alpha = st.result.config.alpha
+            alpha = ctx_of(st.result.config.alpha)
             assert alpha["B"]["CC"] in (0, 1)
             assert alpha.get("Cn", {}).get("Cf", 0) in (0, 1)
 
@@ -407,10 +424,8 @@ def test_get_falls_back_to_moving_the_thread(cafe):
     # so the consumer travels left instead and lands where the value was
     blocker = CallMsg("f#5", "B", "clean", (FutRef("f#1"),))
     consumer = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "Cs")
-    cfg = Configuration(
-        alpha={}, processes=[FulfilledFut("f#1", UnitVal()), blocker, consumer, Idle("Cs")],
-        next_future=6,
-    )
+    cfg = config_of({}, [FulfilledFut("f#1", UnitVal()), blocker, consumer, Idle("Cs")],
+                    next_future=6)
     # direct swap route is blocked
     assert not disconnected(cfg.processes[0], blocker)
     steps = [s for s in step_config(cfg, cafe) if s.rule == "get"]

@@ -1,6 +1,6 @@
-"""Processes are immutable values that successors share with their parent,
-a step never writes a configuration field it shares, and an exploration
-writes no configuration a step built."""
+"""Processes and configurations are immutable values that successors
+share with their parent: a successor shares every field its step did not
+change, and an exploration writes no configuration a step built."""
 
 import copy
 import dataclasses
@@ -13,6 +13,7 @@ from gract.parser import parse_program
 from gract.semantics import config_to_json, step_config
 from gract.terms import (
     CallMsg,
+    Configuration,
     FulfilledFut,
     FutRef,
     GradedRes,
@@ -78,20 +79,32 @@ def test_successors_share_the_processes_they_do_not_rewrite(cafe, cafe_states):
             assert shared >= len(cfg.processes) - touched, (s.rule, s.variant)
 
 
+def test_a_configuration_cannot_be_written(cafe_states):
+    cfg = cafe_states[-1]
+    for name in Configuration._fields:
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, getattr(cfg, name))
+    with pytest.raises(TypeError):
+        cfg.processes[0] = cfg.processes[0]
+    with pytest.raises(TypeError):
+        cfg.alpha[0] = cfg.alpha[0]
+    assert cfg.copy() == cfg and hash(cfg.copy()) == hash(cfg)
+
+
 def _fields(cfg):
     return cfg.alpha, cfg.call_counts
 
 
 def test_step_config_leaves_the_parent_fields_alone(cafe, cafe_states):
-    """Successors share their parent's dicts, so a step must never write
-    into one: the parent keeps the same objects with the same contents."""
+    """Successors share their parent's fields: the parent keeps the same
+    objects with the same contents."""
     for cfg in cafe_states:
         objects = _fields(cfg)
         inner = dict(cfg.alpha)
         contents = copy.deepcopy(objects)
         step_config(cfg, cafe)
         assert all(x is y for x, y in zip(_fields(cfg), objects, strict=True))
-        assert all(cfg.alpha[a] is env for a, env in inner.items())
+        assert all(dict(cfg.alpha)[a] is env for a, env in inner.items())
         assert _fields(cfg) == contents
 
 
@@ -107,7 +120,7 @@ def test_successors_share_the_fields_their_rule_does_not_change(cafe, cafe_state
                     assert getattr(s.config, name) is getattr(cfg, name), (s.rule, name)
             if "alpha" in changed:
                 # the other actors' resources are shared even then
-                assert all(s.config.alpha[a] is env for a, env in cfg.alpha.items()
+                assert all(dict(s.config.alpha)[a] is env for a, env in cfg.alpha
                            if a != s.actor)
     assert seen >= set(changes) | {"spawn", "silent", "get", "return"}
 

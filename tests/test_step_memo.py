@@ -21,7 +21,6 @@ from gract.semantics import (
     step_config,
 )
 from gract.terms import (
-    Configuration,
     Hold,
     Idle,
     Let,
@@ -34,6 +33,7 @@ from gract.terms import (
 )
 
 from corpus import EXAMPLES, TWO_CAFES, cli_output
+from term_helpers import config_of
 
 
 def _load(name):
@@ -119,8 +119,8 @@ def test_an_activated_thread_steps_from_its_active_twins_entry(step_expr_calls):
     thread = Thread({}, Let("x", Hold(1, "Cf"), Return(Lit(UnitVal()))), "f#1", "Cn")
     suspended = Thread(thread.env, thread.expr, thread.future, thread.actor, suspended=True)
     alpha = {"Cn": {"Cf": 1}}
-    active = step_config(Configuration(alpha, [thread]), cafe)
-    activated = step_config(Configuration(alpha, [suspended, Idle("Cn")]), cafe)
+    active = step_config(config_of(alpha, [thread]), cafe)
+    activated = step_config(config_of(alpha, [suspended, Idle("Cn")]), cafe)
     assert step_expr_calls[0] == 1
     assert [s.variant for s in activated] == ["act"]
     assert ([s.config.processes for s in activated]

@@ -36,7 +36,7 @@ from gract.terms import (
 )
 
 from corpus import EXAMPLES, TWO_CAFES
-from term_helpers import fresh_future, fresh_var, futures_consumed, futures_produced
+from term_helpers import config_of, fresh_future, fresh_var, futures_consumed, futures_produced
 
 u = Lit(UnitVal())
 
@@ -92,30 +92,30 @@ def test_future_sets_flatten_like_the_binary_tree():
 
 
 def test_well_formed_one_active_or_idle():
-    two_active = Configuration(
-        alpha={},
-        processes=[
+    two_active = config_of(
+        {},
+        [
             Thread({}, Return(u), "f", "a"),
             Thread({}, Return(u), "g", "a"),
         ],
     )
     assert any("a" in p for p in well_formed(two_active))
 
-    ok = Configuration(
-        alpha={},
-        processes=[Idle("a"), Thread({}, Return(u), "f", "a", suspended=True)],
+    ok = config_of(
+        {},
+        [Idle("a"), Thread({}, Return(u), "f", "a", suspended=True)],
     )
     assert well_formed(ok) == []
 
-    dup = Configuration(
-        alpha={},
-        processes=[FulfilledFut("f", UnitVal()), FulfilledFut("f", UnitVal()), Idle("a")],
+    dup = config_of(
+        {},
+        [FulfilledFut("f", UnitVal()), FulfilledFut("f", UnitVal()), Idle("a")],
     )
     assert any("f" in p for p in well_formed(dup))
 
-    both = Configuration(
-        alpha={},
-        processes=[Idle("a"), Thread({}, Return(u), "f", "a")],
+    both = config_of(
+        {},
+        [Idle("a"), Thread({}, Return(u), "f", "a")],
     )
     assert well_formed(both) != []
 
@@ -179,13 +179,14 @@ def test_rename_matches_the_pattern_matching_original():
 
 
 def test_fresh_names_are_monotone():
-    c = Configuration(alpha={}, processes=[])
-    assert fresh_future(c) == "f#0"
-    assert fresh_future(c) == "f#1"
-    assert fresh_var(c) == "y#0"
-    d = c.copy()
-    assert fresh_future(d) == "f#2"
-    assert c.next_future == 2  # the copy does not feed back
+    c = Configuration((), ())
+    f0, c = fresh_future(c)
+    f1, c = fresh_future(c)
+    y0, c = fresh_var(c)
+    assert (f0, f1, y0) == ("f#0", "f#1", "y#0")
+    f2, d = fresh_future(c)
+    assert (f2, d.next_future) == ("f#2", 3)
+    assert c.next_future == 2  # the successor does not feed back
 
 
 def test_printing_forms():

@@ -98,7 +98,7 @@ def test_memo_changes_no_typing_of_explored_states(cafe, states):
     configs = [c for cfg in states
                for c in [cfg, *(s.config for s in step_config(cfg, cafe))]]
     # reversed, most configurations consume futures before producing them
-    configs += [replace(c, processes=c.processes[::-1]) for c in configs]
+    configs += [c.copy(c.processes[::-1]) for c in configs]
     got = [typings(cafe, c) for c in configs]
     with without_memo():
         want = [typings(cafe, c) for c in configs]
