@@ -237,18 +237,17 @@ def cmd_run(args) -> int:
                    "status": tr.status, "stepCount": len(tr.steps),
                    "initialMeasure": mu(tr.initial)}
         if not args.quiet:
-            payload["steps"] = [step_to_json(st, mu(st.result.config))
-                                for st in tr.steps]
+            payload["steps"] = [step_to_json(k, s, mu(s.config))
+                                for k, s in enumerate(tr.steps)]
         if tr.status == "stuck":
             payload["diagnosis"] = tr.diagnosis
         _emit_json(payload)
         return EXIT_STUCK if tr.status == "stuck" else EXIT_OK
     pr = Printer(sys.stdout, args.quiet)
-    for st in tr.steps:
-        s = st.result
+    for k, s in enumerate(tr.steps):
         m = mu(s.config)
         tail = "" if m is None else f"  measure {m}"
-        pr.detail(f"{st.index:4d}  {pr.paint(s.rule, 'cyan'):<6}  "
+        pr.detail(f"{k:4d}  {pr.paint(s.rule, 'cyan'):<6}  "
                   f"{label_str(s.label)} @{s.actor} ({s.variant}){tail}")
     word = {"terminated": "green", "stuck": "red", "bound": "yellow"}[tr.status]
     pr.line(f"{pr.paint(tr.status, word)} after {len(tr.steps)} steps")
@@ -302,10 +301,10 @@ def _sr_replay(args, prog: Program) -> int:
         return _replay_failed(args, "sr", exc)
     law = check_subject_reduction(prog, tr)
     violations = list(law["violations"])
-    for st, entry in zip(tr.steps, entries):
+    for k, (s, entry) in enumerate(zip(tr.steps, entries)):
         recorded = entry.get("config")
-        if recorded is not None and recorded != config_to_json(st.result.config):
-            violations.append({"step": st.index, "code": "RecordedConfigMismatch"})
+        if recorded is not None and recorded != config_to_json(s.config):
+            violations.append({"step": k, "code": "RecordedConfigMismatch"})
     ok = not violations
     if args.json:
         _emit_json({"schema": "gract/1", "command": "sr", "program": args.program,

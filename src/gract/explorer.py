@@ -421,19 +421,17 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
     pre = trace.initial
     pt = snap(pre, -1)
     unmarked0 = None if pt is None else set(pt.produced) - pt.marked
-    for st in trace.steps:
-        s = st.result
+    for k, s in enumerate(trace.steps):
         post = s.config
-        pt2 = snap(post, st.index)
+        pt2 = snap(post, k)
         if pt is not None and pt2 is not None:
             if pt.consumed or pt2.consumed:
-                violations.append({"step": st.index, "code": "OpenConfiguration"})
+                violations.append({"step": k, "code": "OpenConfiguration"})
             unmarked = set(pt2.produced) - pt2.marked
             if unmarked0 is not None and unmarked != unmarked0:
-                violations.append({"step": st.index, "code": "UnreadSetChanged",
+                violations.append({"step": k, "code": "UnreadSetChanged",
                                    "was": sorted(unmarked0), "now": sorted(unmarked)})
-            # the call label carries the fresh future, the get label the
-            # consumed one; the step's own future field is the acting thread
+            # the call label carries the fresh future, the get label the consumed one
             want = set(pt.marked)
             match s.rule, s.label:
                 case "call", CallLbl(fresh, _, _, _):
@@ -443,22 +441,22 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
                 case _:
                     pass
             if pt2.marked != want:
-                violations.append({"step": st.index, "code": "MarkLawBroken",
+                violations.append({"step": k, "code": "MarkLawBroken",
                                    "expected": sorted(want), "got": sorted(pt2.marked)})
         mu0, mu1 = measures[-2], measures[-1]
         if mu0 is not None and mu1 is not None:
             if _is_choice_step(pre, s):
                 if mu1 < mu0 - 1:
-                    violations.append({"step": st.index, "code": "MeasureDroppedTooFar",
+                    violations.append({"step": k, "code": "MeasureDroppedTooFar",
                                        "from": mu0, "to": mu1})
             elif mu1 != mu0 - 1:
-                violations.append({"step": st.index, "code": "MeasureNotDecrementing",
+                violations.append({"step": k, "code": "MeasureNotDecrementing",
                                    "from": mu0, "to": mu1})
         # only a hold or a release may move the resources
         if post.alpha is not pre.alpha or isinstance(s.label, (HoldLbl, RlsLbl)):
             want_alpha = _expected_alpha(m, ctx_of(pre.alpha), s)
             if want_alpha is None or ctx_norm(m, ctx_of(post.alpha)) != want_alpha:
-                violations.append({"step": st.index, "code": "GradedStateMismatch",
+                violations.append({"step": k, "code": "GradedStateMismatch",
                                    "label": label_str(s.label)})
         pre, pt = post, pt2
     return {"ok": not violations, "steps": len(trace.steps),

@@ -210,108 +210,57 @@ def apply_primop(prog: Program, op: str, args: tuple[Value, ...]) -> Value:
 # ---------------------------------------------------------------------------
 # Expression steps
 
-@dataclass
-class Offered:
-    """Input payloads the configuration makes available to one thread."""
-
-    futures: dict[str, Value] = field(default_factory=dict)
-    alpha: Optional[ResourceEnv] = None  # None: holds offered unconditionally
-
-
-@dataclass
-class ExprSteps:
-    steps: list[tuple[Label, LocalEnv, Expr]]
-    faults: list[Stuck]
+def step_expr(m: GradeMonoid, env: LocalEnv, e: Expr, prog: Program, fresh_future: str,
+              fresh_var: str, offered: Optional[tuple[str, Value]],
+              alpha: ResourceEnv) -> list[tuple[Label, LocalEnv, Expr]]:
+    """The labelled steps of (env, e), or the `Stuck` its one redex raises;
+    only a choice there has two steps. A return, or an await whose future
+    is not `offered`'s (future, value), has none. A hold needs its grade
+    in `alpha`, the actor's resources."""
+    return _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, alpha)
 
 
-def step_expr(m: GradeMonoid, env: LocalEnv, e: Expr, prog: Program,
-              fresh_future: str, fresh_var: str, offered: Offered) -> ExprSteps:
-    """All labelled steps of (env, e); at most one redex, so the only
-    source of multiple steps is a choice at the redex."""
-    out = ExprSteps([], [])
-    _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, out)
-    return out
-
-
-def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, out) -> None:
+def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, alpha):
     match e:
         case Return(_):
-            return  # consumed by the configuration-level return rule
+            return []  # consumed by the configuration-level return rule
         case Let(x, bound, body):
             if isinstance(bound, Return):
-                try:
-                    env2, v = eval_value_expr(m, env, bound.value)
-                except Stuck as s:
-                    out.faults.append(s)
-                    return
+                env2, v = eval_value_expr(m, env, bound.value)
                 env2 = dict(env2)
                 env2[fresh_var] = v
-                out.steps.append((Tau(), env2, rename_var(body, x, fresh_var)))
-                return
-            inner = ExprSteps([], [])
-            _step_expr(m, env, bound, prog, fresh_future, fresh_var, offered, inner)
-            out.faults += inner.faults
-            for label, env2, bound2 in inner.steps:
-                out.steps.append((label, env2, Let(x, bound2, body)))
-            return
+                return [(Tau(), env2, rename_var(body, x, fresh_var))]
+            return [(label, env2, Let(x, bound2, body)) for label, env2, bound2
+                    in _step_expr(m, env, bound, prog, fresh_future, fresh_var, offered, alpha)]
         case Call(actor, method, args):
-            try:
-                env2, vals = eval_value_list(m, env, args)
-            except Stuck as s:
-                out.faults.append(s)
-                return
+            env2, vals = eval_value_list(m, env, args)
             label = CallLbl(fresh_future, actor, method, vals)
-            out.steps.append((label, env2, Return(Lit(FutRef(fresh_future)))))
-            return
+            return [(label, env2, Return(Lit(FutRef(fresh_future))))]
         case Await(target):
-            try:
-                env2, v = eval_value_expr(m, env, target)
-            except Stuck as s:
-                out.faults.append(s)
-                return
+            env2, v = eval_value_expr(m, env, target)
             if not isinstance(v, FutRef):
-                out.faults.append(Stuck("AwaitOnNonFuture", str(v)))
-                return
-            if v.name in offered.futures:
-                value = offered.futures[v.name]
-                out.steps.append((FutLbl(v.name, value), env2, Return(Lit(value))))
-            return
+                raise Stuck("AwaitOnNonFuture", str(v))
+            if offered is None or offered[0] != v.name:
+                return []
+            return [(FutLbl(v.name, offered[1]), env2, Return(Lit(offered[1])))]
         case Hold(g, r):
-            if offered.alpha is not None and m.minus(offered.alpha.get(r, m.zero()), g) is None:
-                out.faults.append(Stuck("HoldBlocked", f"{r}^{format_grade(g)}"))
-                return
-            out.steps.append((HoldLbl(r, g), env, Return(Lit(GradedRes(r, g)))))
-            return
+            if m.minus(alpha.get(r, m.zero()), g) is None:
+                raise Stuck("HoldBlocked", f"{r}^{format_grade(g)}")
+            return [(HoldLbl(r, g), env, Return(Lit(GradedRes(r, g))))]
         case Release(g, target):
-            try:
-                env2, v = eval_value_expr(m, env, target)
-            except Stuck as s:
-                out.faults.append(s)
-                return
+            env2, v = eval_value_expr(m, env, target)
             if not isinstance(v, GradedRes):
-                out.faults.append(Stuck("ReleaseOnNonResource", str(v)))
-                return
+                raise Stuck("ReleaseOnNonResource", str(v))
             if not m.releasable(g, v.grade):
-                out.faults.append(
-                    Stuck("ReleaseExceedsGrade" if not m.leq(g, v.grade) else "UnreleasableGrade",
-                          f"release {format_grade(g)} of {v.res}^{format_grade(v.grade)}")
-                )
-                return
-            out.steps.append((RlsLbl(v.res, g), env2, Return(Lit(UnitVal()))))
-            return
+                raise Stuck("ReleaseExceedsGrade" if not m.leq(g, v.grade) else "UnreleasableGrade",
+                            f"release {format_grade(g)} of {v.res}^{format_grade(v.grade)}")
+            return [(RlsLbl(v.res, g), env2, Return(Lit(UnitVal())))]
         case PrimOp(op, args):
-            try:
-                env2, vals = eval_value_list(m, env, args)
-                result = apply_primop(prog, op, vals)
-            except Stuck as s:
-                out.faults.append(s)
-                return
-            out.steps.append((Tau(), env2, Return(Lit(result))))
-            return
+            env2, vals = eval_value_list(m, env, args)
+            result = apply_primop(prog, op, vals)
+            return [(Tau(), env2, Return(Lit(result)))]
         case Choice(left, right):
-            out.steps.append((Tau(), env, left))
-            out.steps.append((Tau(), env, right))
-            return
+            return [(Tau(), env, left), (Tau(), env, right)]
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -356,12 +305,13 @@ def disconnected(p: Process, q: Process) -> bool:
 # Configuration steps
 
 RULE_ORDER = {"spawn": 0, "silent": 1, "hold": 2, "rls": 3, "call": 4, "get": 5, "return": 6}
+VARIANT_ORDER = {"base": 0, "act": 1, "yld": 2}
 
 
 @dataclass
 class StepResult:
-    """One successor: the rule taken, its label, the new configuration, and
-    the acting actor and future.
+    """One successor: the rule taken, its label, the new configuration, the
+    acting actor, and where and how it acted.
 
     `pos` depends on the rule. A step of an active thread (variant `base`)
     reports the thread's index in the parent. A spawn reports its message's
@@ -376,12 +326,13 @@ class StepResult:
     label: Label
     config: Configuration
     actor: Optional[str]
-    future: Optional[str]
     pos: int
     variant: str = "base"  # base | act | yld (scheduling move folded in)
 
+    # the label breaks ties: suspended threads of two actors can both be
+    # activated by `act` onto one `pos`, each taking a `get`
     def sort_key(self):
-        return (self.pos, RULE_ORDER[self.rule], {"base": 0, "act": 1, "yld": 2}[self.variant],
+        return (self.pos, RULE_ORDER[self.rule], VARIANT_ORDER[self.variant],
                 label_str(self.label))
 
 
@@ -421,7 +372,8 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
     The program's step table, `prog.steps`, maps the thread (a value, so
     equal threads share an entry), fresh names, offered future and the
     actor's `alpha` entry to the expression steps with their updated
-    threads, built once for every run and exploration of the program.
+    threads, built once for every run and exploration of the program. A
+    redex that faults gets an empty entry; `stuck_diagnosis` reports why.
     Each successor is one `config.copy` naming the fields its rule
     changes; it shares the others with `config`."""
     m = prog.monoid
@@ -438,52 +390,53 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
             v = None
         if v is not None:
             c = config.copy(head + (FulfilledFut(thread.future, v, thread.fut), Idle(a)) + tail)
-            out.append(StepResult("return", Tau(), c, a, thread.future, i, variant))
+            out.append(StepResult("return", Tau(), c, a, i, variant))
         return out
 
     reachable = _offered_future(procs, m, thread, i)
+    offered = reachable and reachable[:2]
     env_a = entry(config.alpha, a)
     candidate_future = f"f#{config.next_future}"
     candidate_var = f"y#{config.next_var}"
-    key = (thread, candidate_future, candidate_var, reachable and reachable[:2], env_a)
+    key = (thread, candidate_future, candidate_var, offered, env_a)
     steps = prog.steps.get(key)
     if steps is None:
-        offered = Offered(futures={reachable[0]: reachable[1]} if reachable else {},
-                          alpha=dict(env_a))
-        res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
-                        offered)
+        try:
+            res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
+                            offered, dict(env_a))
+        except Stuck:
+            res = []
         steps = prog.steps[key] = [(label, env2, replace(thread, env=env2, expr=expr2))
-                                   for label, env2, expr2 in res.steps]
+                                   for label, env2, expr2 in res]
 
     for label, env2, updated in steps:
         match label:
             case Tau():
                 nv = config.next_var + 1 if candidate_var in env2 else config.next_var
                 c = config.copy(head + (updated,) + tail, next_var=nv)
-                out.append(StepResult("silent", label, c, a, thread.future, i, variant))
+                out.append(StepResult("silent", label, c, a, i, variant))
             case HoldLbl(r, g) | RlsLbl(r, g):
                 rule = "hold" if type(label) is HoldLbl else "rls"
                 have = entry(env_a, r, m.zero())
+                # defined: step_expr only lets a hold step when env_a, in the key, covers it
                 left = m.minus(have, g) if rule == "hold" else m.plus(have, g)
-                if left is None:
-                    continue  # offered.alpha made this unreachable; belt and braces
                 c = config.copy(head + (updated,) + tail,
                                 alpha=with_entry(config.alpha, a, with_entry(env_a, r, left)))
-                out.append(StepResult(rule, label, c, a, thread.future, i, variant))
+                out.append(StepResult(rule, label, c, a, i, variant))
             case CallLbl(f_new, b, meth, vals):
                 sig = prog.signatures.get((b, meth))
                 msg = CallMsg(f_new, b, meth, vals, sig and sig.fut)
                 calls = entry(config.call_counts, (b, meth), 0) + 1
                 c = config.copy(head + (msg, updated) + tail, next_future=config.next_future + 1,
                                 call_counts=with_entry(config.call_counts, (b, meth), calls))
-                out.append(StepResult("call", label, c, a, thread.future, i, variant))
+                out.append(StepResult("call", label, c, a, i, variant))
             case FutLbl():
                 _, _, j, route = reachable
                 if route == "ff":  # the fulfilment goes; the thread shifts to i-1
                     c = config.copy(procs[:j] + procs[j + 1: i] + (updated,) + tail)
                 else:  # the thread takes the fulfilment's place
                     c = config.copy(procs[:j] + (updated,) + procs[j + 1: i] + tail)
-                out.append(StepResult("get", label, c, a, thread.future, i, variant))
+                out.append(StepResult("get", label, c, a, i, variant))
     return out
 
 
@@ -523,7 +476,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     spawned = Thread(env, decl.body, f, a, fut=p.fut)
                     c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
                     # a spawn keeps its message's position; an idle actor is its base case
-                    out.append(StepResult("spawn", Tau(), c, a, f, i,
+                    out.append(StepResult("spawn", Tau(), c, a, i,
                                           "base" if variant == "act" else variant))
             case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))
@@ -546,12 +499,11 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
     fulfilled = {p.future for p in config.processes if isinstance(p, FulfilledFut)}
     for p in config.processes:
         if isinstance(p, Thread):
-            offered = Offered(futures={}, alpha=dict(entry(config.alpha, p.actor)))
-            res = step_expr(m, p.env, p.expr, prog, "f#?", "y#?", offered)
-            for fault in res.faults:
-                code = fault.code
-                detail = fault.detail
-                if code == "HoldBlocked":
+            try:
+                step_expr(m, p.env, p.expr, prog, "f#?", "y#?", None,
+                          dict(entry(config.alpha, p.actor)))
+            except Stuck as fault:
+                if fault.code == "HoldBlocked":
                     r = redex(p.expr)
                     out.append({
                         "code": "StuckAtHold",
@@ -560,7 +512,7 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
                         "grade": format_grade(r.grade),
                     })
                 else:
-                    out.append({"code": code, "actor": p.actor, "detail": detail})
+                    out.append({"code": fault.code, "actor": p.actor, "detail": fault.detail})
             f = awaited(m, p)
             if f is not None:
                 out.append({
@@ -596,15 +548,12 @@ def initial_config(prog: Program) -> Configuration:
 
 
 @dataclass
-class TraceStep:
-    index: int
-    result: StepResult
-
-
-@dataclass
 class Trace:
+    """A run: its start, the steps it took (step k reaches `steps[k].config`),
+    and how it ended, with a diagnosis when stuck."""
+
     initial: Configuration
-    steps: list[TraceStep]
+    steps: list[StepResult]
     status: str  # terminated | stuck | bound
     diagnosis: list[dict] = field(default_factory=list)
 
@@ -616,7 +565,7 @@ def run(config: Configuration, prog: Program, chooser: Chooser, max_steps: int) 
     """Follow the chooser for at most max_steps steps. The state reached
     is inspected even when the budget is spent, so a run that ends exactly
     on the budget still reports how it ended."""
-    steps: list[TraceStep] = []
+    steps: list[StepResult] = []
     current = config
     for k in count():
         succ = step_config(current, prog)
@@ -628,7 +577,7 @@ def run(config: Configuration, prog: Program, chooser: Chooser, max_steps: int) 
         if idx is None:
             return Trace(config, steps, "bound")
         chosen = succ[idx]
-        steps.append(TraceStep(k, chosen))
+        steps.append(chosen)
         current = chosen.config
 
 
@@ -728,15 +677,15 @@ def config_to_json(config: Configuration) -> dict:
     }
 
 
-def step_to_json(step: TraceStep, measure: Optional[int] = None) -> dict:
+def step_to_json(index: int, step: StepResult, measure: Optional[int] = None) -> dict:
     out = {
         "schema": "gract/1",
-        "step": step.index,
-        "rule": step.result.rule,
-        "label": label_str(step.result.label),
-        "actor": step.result.actor,
-        "variant": step.result.variant,
-        "config": config_to_json(step.result.config),
+        "step": index,
+        "rule": step.rule,
+        "label": label_str(step.label),
+        "actor": step.actor,
+        "variant": step.variant,
+        "config": config_to_json(step.config),
     }
     if measure is not None:
         out["measure"] = measure

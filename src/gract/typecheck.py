@@ -145,8 +145,7 @@ def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -
 # ---------------------------------------------------------------------------
 # Values and value expressions
 
-def type_value(prog: Program, sigma: Sigma, v: Value,
-               loc: str = "") -> tuple[Type, set[str]]:
+def type_value(sigma: Sigma, v: Value, loc: str = "") -> tuple[Type, set[str]]:
     """Runtime values: closed, so usage is only of futures."""
     k = type(v)
     if k is GradedRes:
@@ -187,7 +186,7 @@ def type_value_expr(prog: Program, gamma: Gamma, sigma: Sigma,
             raise CheckError("UngradedResourceUse", f"{x}: {t}", loc)
         return t, {x: t}, set()
     if k is Lit:
-        ty, futs = type_value(prog, sigma, ve.value, loc)
+        ty, futs = type_value(sigma, ve.value, loc)
         return ty, {}, futs
     raise CheckError("TypeMismatch", f"not a value expression: {ve!r}", loc)
 
@@ -260,7 +259,7 @@ def _shift_candidates(m: GradeMonoid, pairs) -> list:
     return cands
 
 
-def _unify_branches(prog: Program, a: str, left: Expr, right: Expr,
+def _unify_branches(prog: Program, left: Expr, right: Expr,
                     tl: ExprTyping, tr: ExprTyping, loc: str) -> ExprTyping:
     m = prog.monoid
     if tl.ty != tr.ty:
@@ -376,7 +375,7 @@ def _infer(prog: Program, a: str, gamma: Gamma, sigma: Sigma,
     if k is Choice:
         tl = _infer(prog, a, gamma, sigma, e.left, f"{loc} left branch")
         tr = _infer(prog, a, gamma, sigma, e.right, f"{loc} right branch")
-        return _unify_branches(prog, a, e.left, e.right, tl, tr, loc)
+        return _unify_branches(prog, e.left, e.right, tl, tr, loc)
     raise CheckError("TypeMismatch", f"not an expression: {e!r}", loc)
 
 
@@ -427,7 +426,7 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
     gamma: Gamma = {}
     futs: set[str] = set()
     for x, v in lam.items():
-        ty, uf = type_value(prog, sigma, v, f"{loc} {x}")
+        ty, uf = type_value(sigma, v, f"{loc} {x}")
         futs = futs_add(futs, uf)
         gamma[x] = ty
     return gamma, futs
@@ -450,7 +449,7 @@ def _type_atomic(prog: Program, p: Process,
         case Idle(_):
             return {}, set(), 0, {}
         case FulfilledFut(f, v, fut):
-            ty, futs = type_value(prog, sigma, v, f"fulfilment of {f}")
+            ty, futs = type_value(sigma, v, f"fulfilment of {f}")
             if fut is not None:
                 fits_expected(m, ty, fut.result, f"fulfilment of {f}")
                 return ctx_of(fut.produces), futs, 0, {f: fut}
@@ -466,7 +465,7 @@ def _type_atomic(prog: Program, p: Process,
                                  f"message {f}")
             futs: set[str] = set()
             for v, (x, want) in zip(vals, decl.params):
-                ty, uf = type_value(prog, sigma, v, f"message {f} argument {x}")
+                ty, uf = type_value(sigma, v, f"message {f} argument {x}")
                 futs = futs_add(futs, uf)
                 fits_expected(m, ty, want, f"message {f} argument {x}")
             return sig.requires, futs, decl.measure + 2, {f: sig.fut}

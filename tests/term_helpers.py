@@ -42,7 +42,7 @@ def config_of(alpha: dict, processes, next_future: int = 0, next_var: int = 0,
 
 def final_config(trace: Trace) -> Configuration:
     """The configuration the trace ends in."""
-    return trace.steps[-1].result.config if trace.steps else trace.initial
+    return trace.steps[-1].config if trace.steps else trace.initial
 
 
 def fresh_future(config: Configuration) -> tuple[str, Configuration]:

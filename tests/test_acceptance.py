@@ -187,9 +187,9 @@ def test_3_scripted_replay_matches_worked_reduction():
     prog = _cafe()
     doc = json.loads((EXAMPLES / "cafe-replay.json").read_text())
     trace = run(initial_config(prog), prog, script_chooser(doc["steps"]), 50)
-    rules = [s.result.rule for s in trace.steps]
-    after_hold = ctx_of(trace.steps[3].result.config.alpha)
-    after_release = ctx_of(trace.steps[9].result.config.alpha)
+    rules = [s.rule for s in trace.steps]
+    after_hold = ctx_of(trace.steps[3].config.alpha)
+    after_release = ctx_of(trace.steps[9].config.alpha)
     checks = {
         "script drives exactly 14 steps": len(trace.steps) == 14,
         "rule names match the worked reduction": rules == EXPECTED_PREFIX,

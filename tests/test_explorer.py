@@ -102,8 +102,8 @@ def test_unbounded_successors_keep_everything(cafe):
 
 def test_call_past_budget_is_pruned(cafe):
     tr = run(initial_config(cafe), cafe, fifo_chooser, 200)
-    pre = tr.steps[0].result.config
-    assert tr.steps[1].result.rule == "call"
+    pre = tr.steps[0].config
+    assert tr.steps[1].rule == "call"
     s = bounded_successors(cafe, pre, 0)
     assert s.pruned_calls >= 1
     assert all(k.rule != "call" for k in s.kept)
@@ -227,10 +227,10 @@ def test_random_runs_satisfy_preservation(cafe):
 def test_tampered_trace_is_caught(cafe):
     tr = run(initial_config(cafe), cafe, fifo_chooser, 200)
     victim = tr.steps[5]
-    alpha = ctx_of(victim.result.config.alpha)
+    alpha = ctx_of(victim.config.alpha)
     alpha["B"] = {**alpha.get("B", {}), "CC": 1}
-    forged = victim.result.config.copy(alpha=ctx_key(alpha))
-    tr.steps[5] = replace(victim, result=replace(victim.result, config=forged))
+    forged = victim.config.copy(alpha=ctx_key(alpha))
+    tr.steps[5] = replace(victim, config=forged)
     sr = check_subject_reduction(cafe, tr)
     assert not sr["ok"]
     assert any(v["code"] == "GradedStateMismatch" for v in sr["violations"])

@@ -11,7 +11,6 @@ from gract.semantics import (
     CallLbl,
     FutLbl,
     HoldLbl,
-    Offered,
     RlsLbl,
     Stuck,
     Tau,
@@ -30,6 +29,7 @@ from gract.semantics import (
     script_chooser,
     step_config,
     step_expr,
+    stuck_diagnosis,
 )
 from gract.terms import (
     Await,
@@ -44,6 +44,7 @@ from gract.terms import (
     Idle,
     Let,
     Lit,
+    PrimOp,
     Release,
     Return,
     Thread,
@@ -121,14 +122,10 @@ def test_unbound_var():
 # ---------------------------------------------------------------------------
 # expression steps
 
-def free_offer():
-    return Offered(futures={}, alpha=None)
-
-
 def test_release_step(cafe):
     env = {"x": GradedRes("Cf", 1)}
-    out = step_expr(M, env, Release(1, GradedVar("x", 1)), cafe, "f#9", "y#9", free_offer())
-    [(label, env2, e2)] = out.steps
+    [(label, env2, e2)] = step_expr(M, env, Release(1, GradedVar("x", 1)), cafe, "f#9", "y#9",
+                                    None, {})
     assert label == RlsLbl("Cf", 1)
     assert env2["x"] == GradedRes("Cf", 0)
     assert e2 == Return(Lit(UnitVal()))
@@ -137,37 +134,33 @@ def test_release_step(cafe):
 def test_release_without_grade_is_stuck(cafe):
     # holder has grade 0, releasing 1 cannot consume the variable
     env = {"x": GradedRes("Cf", 0)}
-    out = step_expr(M, env, Release(1, GradedVar("x", 1)), cafe, "f#9", "y#9", free_offer())
-    assert out.steps == []
-    assert [f.code for f in out.faults] == ["InsufficientGrade"]
+    with pytest.raises(Stuck) as e:
+        step_expr(M, env, Release(1, GradedVar("x", 1)), cafe, "f#9", "y#9", None, {})
+    assert e.value.code == "InsufficientGrade"
 
 
 def test_release_exceeding_value_grade_is_stuck(cafe):
-    out = step_expr(M, {}, Release(1, Lit(GradedRes("Cf", 0))), cafe, "f#9", "y#9", free_offer())
-    assert out.steps == []
-    assert [f.code for f in out.faults] == ["ReleaseExceedsGrade"]
+    with pytest.raises(Stuck) as e:
+        step_expr(M, {}, Release(1, Lit(GradedRes("Cf", 0))), cafe, "f#9", "y#9", None, {})
+    assert e.value.code == "ReleaseExceedsGrade"
 
 
 def test_hold_step_offers_resource(cafe):
-    out = step_expr(M, {}, Hold(1, "CC"), cafe, "f#9", "y#9",
-                    Offered(futures={}, alpha={"CC": 1}))
-    [(label, _, e2)] = out.steps
+    [(label, _, e2)] = step_expr(M, {}, Hold(1, "CC"), cafe, "f#9", "y#9", None, {"CC": 1})
     assert label == HoldLbl("CC", 1)
     assert e2 == Return(Lit(GradedRes("CC", 1)))
 
 
 def test_hold_blocked_without_resource(cafe):
-    out = step_expr(M, {}, Hold(1, "CC"), cafe, "f#9", "y#9",
-                    Offered(futures={}, alpha={"CC": 0}))
-    assert out.steps == []
-    assert [f.code for f in out.faults] == ["HoldBlocked"]
+    with pytest.raises(Stuck) as e:
+        step_expr(M, {}, Hold(1, "CC"), cafe, "f#9", "y#9", None, {"CC": 0})
+    assert e.value.code == "HoldBlocked"
 
 
 def test_call_step_evaluates_args_and_continues_with_future(cafe):
     env = {"o": GradedRes("Order", 1)}
-    out = step_expr(M, env, Call("B", "takeOrder", (GradedVar("o", 1),)),
-                    cafe, "f#5", "y#0", free_offer())
-    [(label, env2, e2)] = out.steps
+    [(label, env2, e2)] = step_expr(M, env, Call("B", "takeOrder", (GradedVar("o", 1),)),
+                                    cafe, "f#5", "y#0", None, {})
     assert label == CallLbl("f#5", "B", "takeOrder", (GradedRes("Order", 1),))
     assert env2["o"] == GradedRes("Order", 0)
     assert e2 == Return(Lit(FutRef("f#5")))
@@ -175,9 +168,8 @@ def test_call_step_evaluates_args_and_continues_with_future(cafe):
 
 def test_await_takes_offered_value(cafe):
     env = {"y": FutRef("f#2")}
-    out = step_expr(M, env, Await(Var("y")), cafe, "f#9", "y#9",
-                    Offered(futures={"f#2": UnitVal()}, alpha=None))
-    [(label, env2, e2)] = out.steps
+    [(label, env2, e2)] = step_expr(M, env, Await(Var("y")), cafe, "f#9", "y#9",
+                                    ("f#2", UnitVal()), {})
     assert label == FutLbl("f#2", UnitVal())
     assert e2 == Return(Lit(UnitVal()))
     assert "y" not in env2
@@ -185,22 +177,20 @@ def test_await_takes_offered_value(cafe):
 
 def test_await_without_offer_waits(cafe):
     env = {"y": FutRef("f#2")}
-    out = step_expr(M, env, Await(Var("y")), cafe, "f#9", "y#9", free_offer())
-    assert out.steps == [] and out.faults == []
+    assert step_expr(M, env, Await(Var("y")), cafe, "f#9", "y#9", None, {}) == []
     assert awaiting_future(M, env, Await(Var("y"))) == "f#2"
 
 
 def test_choice_offers_both_branches(cafe):
     left = Return(Lit(UnitVal()))
     right = Hold(1, "CC")
-    out = step_expr(M, {}, Choice(left, right), cafe, "f#9", "y#9", free_offer())
-    assert [(lbl, e) for lbl, _, e in out.steps] == [(Tau(), left), (Tau(), right)]
+    out = step_expr(M, {}, Choice(left, right), cafe, "f#9", "y#9", None, {})
+    assert [(lbl, e) for lbl, _, e in out] == [(Tau(), left), (Tau(), right)]
 
 
 def test_let_binds_fresh_name(cafe):
     e = Let("x", Return(Lit(UnitVal())), Await(Var("x")))
-    out = step_expr(M, {}, e, cafe, "f#9", "y#3", free_offer())
-    [(label, env2, e2)] = out.steps
+    [(label, env2, e2)] = step_expr(M, {}, e, cafe, "f#9", "y#3", None, {})
     assert label == Tau()
     assert env2 == {"y#3": UnitVal()}
     assert e2 == Await(Var("y#3"))
@@ -208,8 +198,7 @@ def test_let_binds_fresh_name(cafe):
 
 def test_step_under_let(cafe):
     e = Let("c", Release(1, Lit(GradedRes("Cf", 1))), Return(Var("c")))
-    out = step_expr(M, {}, e, cafe, "f#9", "y#9", free_offer())
-    [(label, _, e2)] = out.steps
+    [(label, _, e2)] = step_expr(M, {}, e, cafe, "f#9", "y#9", None, {})
     assert label == RlsLbl("Cf", 1)
     assert e2 == Let("c", Return(Lit(UnitVal())), Return(Var("c")))
 
@@ -342,12 +331,12 @@ def test_fifo_run_terminates_and_restores_resources(cafe):
 
 def test_fifo_rule_prefix_matches_first_serving(cafe):
     tr = fifo_trace(cafe)
-    rules = [st.result.rule for st in tr.steps[:14]]
+    rules = [s.rule for s in tr.steps[:14]]
     assert rules == ["spawn", "call", "spawn", "hold", "silent", "silent", "silent",
                      "call", "spawn", "rls", "silent", "return", "silent", "get"]
     # barista's cup is held after the hold and restored by the final release
-    assert ctx_of(tr.steps[3].result.config.alpha)["B"]["CC"] == 0
-    assert ctx_of(tr.steps[9].result.config.alpha)["Cn"]["Cf"] == 1
+    assert ctx_of(tr.steps[3].config.alpha)["B"]["CC"] == 0
+    assert ctx_of(tr.steps[9].config.alpha)["Cn"]["Cf"] == 1
 
 
 def test_runs_stay_well_formed_and_futures_read_once(cafe):
@@ -355,10 +344,10 @@ def test_runs_stay_well_formed_and_futures_read_once(cafe):
         tr = run(initial_config(cafe), cafe, random_chooser(random.Random(seed)), 300)
         assert tr.status == "terminated"
         reads = {}
-        for st in tr.steps:
-            assert well_formed(st.result.config) == []
-            if st.result.rule == "get":
-                f = st.result.label.future
+        for s in tr.steps:
+            assert well_formed(s.config) == []
+            if s.rule == "get":
+                f = s.label.future
                 reads[f] = reads.get(f, 0) + 1
         assert all(n == 1 for n in reads.values())
 
@@ -367,8 +356,8 @@ def test_resource_bounds_along_runs(cafe):
     # one cup, one coffee: the graded state never exceeds either
     for seed in range(12):
         tr = run(initial_config(cafe), cafe, random_chooser(random.Random(seed)), 300)
-        for st in tr.steps:
-            alpha = ctx_of(st.result.config.alpha)
+        for s in tr.steps:
+            alpha = ctx_of(s.config.alpha)
             assert alpha["B"]["CC"] in (0, 1)
             assert alpha.get("Cn", {}).get("Cf", 0) in (0, 1)
 
@@ -383,9 +372,9 @@ def test_recursive_branch_spawns_against_busy_actor(cafe):
         return 0
 
     tr = run(initial_config(cafe), cafe, chooser, 60)
-    variants = {st.result.variant for st in tr.steps}
+    variants = {s.variant for s in tr.steps}
     assert "yld" in variants or "act" in variants
-    assert any(st.result.rule == "spawn" and st.result.variant == "yld" for st in tr.steps)
+    assert any(s.rule == "spawn" and s.variant == "yld" for s in tr.steps)
 
 
 def test_scripted_replay_is_exact(cafe):
@@ -397,7 +386,7 @@ def test_scripted_replay_is_exact(cafe):
     ]
     tr = run(initial_config(cafe), cafe, script_chooser(script), 10)
     assert tr.status == "bound"
-    assert [label_str(st.result.label) for st in tr.steps][3] == "CC^1?"
+    assert [label_str(s.label) for s in tr.steps][3] == "CC^1?"
 
 
 def test_script_mismatch_raises(cafe):
@@ -417,6 +406,35 @@ def test_stuck_without_cup(capsys):
     hold = next(d for d in tr.diagnosis if d["code"] == "StuckAtHold")
     assert (hold["actor"], hold["res"], hold["grade"]) == ("B", "CC", "1")
     assert any(d["code"] == "AwaitPending" and not d["fulfilled"] for d in tr.diagnosis)
+
+
+REDEX_FAULTS = [
+    ("cafe", Release(1, Lit(GradedRes("Cf", 0))),
+     {"code": "ReleaseExceedsGrade", "detail": "release 1 of Cf^0"}),
+    ("cafe", Release(1, Lit(UnitVal())),
+     {"code": "ReleaseOnNonResource", "detail": "unit"}),
+    ("cafe", Await(Lit(UnitVal())), {"code": "AwaitOnNonFuture", "detail": "unit"}),
+    ("cafe", Call("B", "takeOrder", (Var("z"),)), {"code": "UnboundVariable", "detail": "z"}),
+    ("cafe", Let("x", Return(Var("y")), Return(Var("x"))),
+     {"code": "UnboundVariable", "detail": "y"}),
+    ("cafe", PrimOp("nosuch", ()), {"code": "UnknownOperation", "detail": "nosuch"}),
+    ("cafe", PrimOp("drink", (Lit(GradedRes("DC", 1)),)),
+     {"code": "BadPrimOpArgs", "detail": "drink got DC^1 for Cf^1"}),
+    ("clearance", Release("public", Lit(GradedRes("Doc", "secret"))),
+     {"code": "UnreleasableGrade", "detail": "release public of Doc^secret"}),
+    ("cafe", Hold(1, "CC"), {"code": "StuckAtHold", "res": "CC", "grade": "1"}),
+]
+
+
+@pytest.mark.parametrize("name, expr, want", REDEX_FAULTS,
+                         ids=[w["code"] + str(i) for i, (_, _, w) in enumerate(REDEX_FAULTS)])
+def test_stuck_diagnosis_reports_each_redex_fault(name, expr, want):
+    """A lone thread whose redex faults is diagnosed with exactly that
+    fault; a blocked hold reads as `StuckAtHold`."""
+    prog = parse_program((EXAMPLES / f"{name}.gract").read_text())
+    cfg = config_of({"A": {"CC": 0}}, [Thread({}, expr, "f#0", "A")])
+    assert step_config(cfg, prog) == []
+    assert stuck_diagnosis(cfg, prog) == [{"actor": "A", **want}]
 
 
 def test_get_falls_back_to_moving_the_thread(cafe):
@@ -456,7 +474,7 @@ def test_same_seed_same_trace(cafe):
     runs = []
     for _ in range(2):
         tr = run(initial_config(cafe), cafe, random_chooser(random.Random(99)), 300)
-        runs.append([(st.result.rule, label_str(st.result.label)) for st in tr.steps])
+        runs.append([(s.rule, label_str(s.label)) for s in tr.steps])
     assert runs[0] == runs[1]
 
 

@@ -97,8 +97,8 @@ def test_a_second_run_steps_nothing(step_expr_calls):
     step_expr_calls[0] = 0
     again = run(initial_config(cafe), cafe, fifo_chooser, 200)
     assert step_expr_calls[0] == 0
-    assert ([config_to_json(st.result.config) for st in again.steps]
-            == [config_to_json(st.result.config) for st in first.steps])
+    assert ([config_to_json(s.config) for s in again.steps]
+            == [config_to_json(s.config) for s in first.steps])
 
 
 @pytest.mark.parametrize("case", range(2), ids=["cafe", "two-cafes"])
@@ -152,8 +152,7 @@ def test_a_variant_program_steps_with_its_own_table(step_expr_calls):
 # differential tests: the table against stepping afresh
 
 def _briefs(trace):
-    return [(st.result.rule, st.result.label, config_to_json(st.result.config))
-            for st in trace.steps]
+    return [(s.rule, s.label, config_to_json(s.config)) for s in trace.steps]
 
 
 @pytest.mark.parametrize("case", range(2))

@@ -454,8 +454,8 @@ def test_every_step_stays_typable_with_descending_measure(cafe):
     mu = measure_of_config(cafe, tr.initial)
     assert mu == 41
     seen = [mu]
-    for st in tr.steps:
-        report = type_config(cafe, st.result.config)
-        assert report["ok"], (st.index, report["errors"])
+    for k, s in enumerate(tr.steps):
+        report = type_config(cafe, s.config)
+        assert report["ok"], (k, report["errors"])
         seen.append(report["measure"])
     assert seen == list(range(41, -1, -1))

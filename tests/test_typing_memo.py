@@ -269,7 +269,7 @@ def test_many_subject_reduction_checks_share_the_programs_typings(
     traces = [run(initial_config(fresh_cafe), fresh_cafe, random_chooser(rng), 200)
               for _ in range(100)]
     snapshots = [tuple(cfg.processes) for tr in traces
-                 for cfg in [tr.initial, *(st.result.config for st in tr.steps)]]
+                 for cfg in [tr.initial, *(s.config for s in tr.steps)]]
     assert (len(snapshots), len(set(snapshots))) == (6906, 360)
     assert all(check_subject_reduction(fresh_cafe, tr)["ok"] for tr in traces)
     # a typing memo per check types each process about 28 times
