@@ -254,10 +254,11 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     be pruned or a bound was hit, the best remaining claims are a witness of
     termination or plain bound exhaustion.
 
-    The start state has depth 0. A level at `max_depth` is stored but never
-    stepped, so a stuck state there is not found. A StuckFound report's
-    `max_depth` is the stuck state's depth plus one. At most `max_states`
-    states are stored, the start state among them, so it must be at least 1.
+    The start state has depth 0. A level at `max_depth` is stepped like any
+    other, so a stuck or terminated state there is judged, but none of its
+    successors is stored. A StuckFound report's `max_depth` is the stuck
+    state's depth plus one. At most `max_states` states are stored, the
+    start state among them, so it must be at least 1.
     A successor equal to a stored configuration is dropped unkeyed.
     """
     if max_states < 1:
@@ -285,9 +286,7 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     level: list[tuple[tuple, Configuration]] = [(key0, start)]
 
     while level:
-        if depth >= max_depth:
-            bound_hit = True
-            break
+        at_cap = depth >= max_depth
         nxt: list[tuple[tuple, Configuration]] = []
         for key, cfg in level:
             succ = bounded_successors(prog, cfg, unfold)
@@ -306,14 +305,15 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
             if succ.pruned_calls:
                 hard_truncated = True
             for s in succ.kept:
-                if bound_hit and len(visited) >= max_states:
+                full = at_cap or len(visited) >= max_states
+                if bound_hit and full:
                     break  # no successor can be stored any more
                 if s.config in stored:
                     continue
                 k2 = canonical_key(s.config, key_memo)
                 if k2 in visited:
                     continue
-                if len(visited) >= max_states:
+                if full:
                     bound_hit = True
                     continue
                 visited[k2] = s.config
@@ -416,7 +416,7 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
             measures.append(None)
             return None
         measures.append(report["measure"])
-        return type_process(prog, cfg.processes, {})
+        return type_process(prog, cfg.processes)
 
     pre = trace.initial
     pt = snap(pre, -1)
@@ -425,8 +425,6 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
         post = s.config
         pt2 = snap(post, k)
         if pt is not None and pt2 is not None:
-            if pt.consumed or pt2.consumed:
-                violations.append({"step": k, "code": "OpenConfiguration"})
             unmarked = set(pt2.produced) - pt2.marked
             if unmarked0 is not None and unmarked != unmarked0:
                 violations.append({"step": k, "code": "UnreadSetChanged",

@@ -87,7 +87,7 @@ class _NatBase(GradeMonoid):
     def parse(self, text: str) -> Grade:
         if text == "inf":
             return INF
-        if text.isdigit():
+        if text.isdecimal():  # the digits int() accepts; '²' is a digit but not decimal
             return int(text)
         raise GradeParseError(f"not a {self.name} grade: {text!r}")
 

@@ -15,7 +15,9 @@ resolves no actor, method or resource names.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .grades import (
     BUILTIN_MONOIDS,
@@ -61,7 +63,19 @@ KEYWORDS = {
     "fut", "Unit", "inf",
 }
 
-_PUNCT1 = "{}(),:;=!?^"
+# One alternative per token kind, tried in order. In a str pattern `\w` is
+# exactly `str.isalnum()` or '_', and `\d` exactly `str.isdecimal()`, the
+# digits `int()` accepts. An identifier starts with a letter or '_': the
+# IDENT alternative also matches a non-decimal numeral such as '²' first,
+# and `tokenize` rejects that as a stray character.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*)"
+    r"|(?P<IDENT>[^\W\d]\w*)"
+    r"|(?P<NAT>\d+)"
+    r"|(?P<PUNCT>\(\+\)|⊕|<=|[{}(),:;=!?^])"
+    r"|(?P<stray>.)",
+    re.DOTALL,
+)
 
 
 class ParseError(Exception):
@@ -84,56 +98,27 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split `text` into tokens ending in EOF. Lines and columns count
+    from 1; a column counts characters, a tab as one."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = m.start() + tok.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("(+)", i):
-            toks.append(Token("PUNCT", "(+)", line, col))
-            i, col = i + 3, col + 3
-            continue
-        if c == "⊕":  # circled plus, same token as (+)
-            toks.append(Token("PUNCT", "(+)", line, col))
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("<=", i):
-            toks.append(Token("PUNCT", "<=", line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in _PUNCT1:
-            toks.append(Token("PUNCT", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        raise ParseError(f"stray character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "stray" or kind == "IDENT" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ParseError(f"stray character {tok[0]!r}", line, col)
+        # the circled plus is the same token as (+)
+        toks.append(Token(kind, "(+)" if tok == "⊕" else tok, line, col))
+    toks.append(Token("EOF", "", line, len(text) - line_start + 1))
     return toks
+
+
+T = TypeVar("T")
 
 
 class Parser:
@@ -176,6 +161,14 @@ class Parser:
     def at_ident(self, ahead: int = 0) -> bool:
         t = self.peek(ahead)
         return t.kind == "IDENT" and t.text not in KEYWORDS
+
+    def commas(self, item: Callable[[], T]) -> list[T]:
+        """One item or more, separated by commas."""
+        out = [item()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(item())
+        return out
 
     # -- grades and types ----------------------------------------------------
 
@@ -300,12 +293,7 @@ class Parser:
 
     def vexpr_list(self, bound: frozenset[str]) -> tuple[ValueExpr, ...]:
         self.expect("(")
-        args: list[ValueExpr] = []
-        if self.peek().text != ")":
-            args.append(self.vexpr(bound))
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.vexpr(bound))
+        args = self.commas(lambda: self.vexpr(bound)) if self.peek().text != ")" else []
         self.expect(")")
         return tuple(args)
 
@@ -337,22 +325,11 @@ class Parser:
         if t.text == "levels":
             self.next()
             self.expect("{")
-            names = [self.ident("level name")]
-            while self.peek().text == "," :
-                self.next()
-                names.append(self.ident("level name"))
+            names = self.commas(lambda: self.ident("level name"))
             order: list[tuple[str, str]] = []
             if self.peek().text == ";":
                 self.next()
-                while True:
-                    lo = self.ident("level name")
-                    self.expect("<=")
-                    hi = self.ident("level name")
-                    order.append((lo, hi))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
+                order = self.commas(self.level_order)
             close = self.peek()
             self.expect("}")
             try:
@@ -364,18 +341,19 @@ class Parser:
             tuple(BUILTIN_MONOIDS) + ("levels",),
         )
 
+    def level_order(self) -> tuple[str, str]:
+        lo = self.ident("level name")
+        self.expect("<=")
+        return lo, self.ident("level name")
+
+    def param(self) -> tuple[str, Type]:
+        x = self.ident("parameter name")
+        self.expect(":")
+        return x, self.type_()
+
     def params(self) -> list[tuple[str, Type]]:
         self.expect("(")
-        out: list[tuple[str, Type]] = []
-        if self.peek().text != ")":
-            while True:
-                x = self.ident("parameter name")
-                self.expect(":")
-                out.append((x, self.type_()))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+        out = self.commas(self.param) if self.peek().text != ")" else []
         self.expect(")")
         if len({x for x, _ in out}) != len(out):
             raise self.fail("duplicate parameter name")
@@ -402,13 +380,9 @@ class Parser:
 
     def value_args(self) -> tuple[Value, ...]:
         args = self.vexpr_list(frozenset())
-        out: list[Value] = []
-        for a in args:
-            if isinstance(a, Lit):
-                out.append(a.value)
-            else:
-                raise self.fail("start arguments must be literal values")
-        return tuple(out)
+        if not all(isinstance(a, Lit) for a in args):
+            raise self.fail("start arguments must be literal values")
+        return tuple(a.value for a in args)
 
     def program(self) -> Program:
         self.monoid = self.grade_decl()

@@ -538,7 +538,7 @@ class Program:
     threads: a suspended thread steps once activated, from its active
     twin's entry. A key of `typings` is either a process, for the typing
     of one process, or a tuple of processes, for the typing of a whole
-    sequence without ambient futures."""
+    sequence."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]

@@ -435,7 +435,6 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
 @dataclass
 class ProcTyping:
     requires: ActorContext
-    consumed: set[str]
     measure: int
     produced: dict[str, FutT]
     marked: set[str] = field(default_factory=set)
@@ -509,50 +508,44 @@ def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
     return result
 
 
-def type_process(prog: Program, processes, sigma: Optional[Sigma] = None) -> ProcTyping:
+def type_process(prog: Program, processes) -> ProcTyping:
     """Type a process or a whole sequence, composing left to right: a
     future may be consumed only after its producer, each exactly once.
 
-    With no ambient futures the typing depends on the sequence alone, so
-    the program's typing table keeps it under `tuple(processes)`: a
-    sequence the program has typed before is not composed again, and
-    every subject-reduction check of the program types each distinct
-    configuration once. With ambient futures the sequence is composed
-    afresh. Either way each process is typed through the table's
-    per-process entries, rejections are never stored, and the result is
-    built afresh and is the caller's to change."""
+    The typing depends on the sequence alone, so the program's typing
+    table keeps it under `tuple(processes)`: a sequence the program has
+    typed before is not composed again, and every subject-reduction check
+    of the program types each distinct configuration once. Each process
+    is typed through the table's per-process entries, rejections are
+    never stored, and the result is built afresh and is the caller's to
+    change."""
     if isinstance(processes, Process):
         processes = (processes,)
-    if sigma:
-        return _compose(prog, processes, sigma)
     key = tuple(processes)
     parts = prog.typings.get(key)
     if parts is None:
-        # nothing is consumed from an empty ambient, so that part is not kept
-        pt = _compose(prog, key, {})
+        pt = _compose(prog, key)
         parts = prog.typings[key] = pt.requires, pt.measure, pt.produced, pt.marked
     requires, measure, produced, marked = parts
-    return ProcTyping({a: dict(env) for a, env in requires.items()}, set(),
+    return ProcTyping({a: dict(env) for a, env in requires.items()},
                       measure, dict(produced), set(marked))
 
 
-def _compose(prog: Program, processes, sigma: Sigma) -> ProcTyping:
+def _compose(prog: Program, processes) -> ProcTyping:
     """type_process without the sequence entry: the left-to-right
     composition through the per-process entries."""
     m = prog.monoid
     requires: ActorContext = {}
     measure = 0
+    # the futures produced so far are the ones visible to the next process;
+    # marked futures stay resolvable so reuse is reported as reuse, not as
+    # an unknown name
     produced: dict[str, FutT] = {}
     marked: set[str] = set()
-    consumed_ambient: set[str] = set()
     will_produce = {p.future for p in processes if not isinstance(p, Idle)}
-    # marked futures stay resolvable so reuse is reported as reuse, not as
-    # an unknown name; a future is produced once and is never also ambient,
-    # so what is visible only grows
-    visible = dict(sigma)
     for p in processes:
         try:
-            req, futs, n, prod = _type_atomic_memo(prog, p, visible)
+            req, futs, n, prod = _type_atomic_memo(prog, p, produced)
         except CheckError as err:
             if err.code == "UnknownFuture" and err.detail in will_produce:
                 raise CheckError("FutureConsumedBeforeProduced",
@@ -561,19 +554,13 @@ def _compose(prog: Program, processes, sigma: Sigma) -> ProcTyping:
         for f in sorted(futs) if futs else ():
             if f in marked:
                 raise CheckError("MarkedReuse", f"future {f} consumed twice")
-            if f in produced:
-                marked.add(f)
-            elif f in sigma:
-                if f in consumed_ambient:
-                    raise CheckError("MarkedReuse", f"future {f} consumed twice")
-                consumed_ambient.add(f)
-            else:
+            if f not in produced:
                 raise CheckError("FutureConsumedBeforeProduced", f"future {f}")
+            marked.add(f)
         for f, t in prod.items():
-            if f in produced or f in sigma:
+            if f in produced:
                 raise CheckError("DoubleProduce", f"future {f}")
             produced[f] = t
-        visible.update(prod)
         # summed in place, normalized once below: no algebra sums non-zero
         # grades to zero, so this is the ctx_plus fold, key order included;
         # req may be the table's, so it is only read
@@ -585,7 +572,7 @@ def _compose(prog: Program, processes, sigma: Sigma) -> ProcTyping:
             for r, g in env.items():
                 have[r] = m.plus(have[r], g) if r in have else g
         measure += n
-    return ProcTyping(ctx_norm(m, requires), consumed_ambient, measure, produced, marked)
+    return ProcTyping(ctx_norm(m, requires), measure, produced, marked)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +593,7 @@ def type_config(prog: Program, config: Configuration) -> dict:
     measure = 0
     if not errors:
         try:
-            pt = type_process(prog, config.processes, {})
+            pt = type_process(prog, config.processes)
             requires, measure = pt.requires, pt.measure
             alpha = ctx_of(config.alpha)
             if not ctx_leq(m, requires, alpha):
@@ -636,7 +623,7 @@ def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
     distinct sequences (26,106 of them on the full k=2 k-cafe), so a
     sequence entry would cost memory and never be hit."""
     try:
-        return _compose(prog, config.processes, {}).measure
+        return _compose(prog, config.processes).measure
     except CheckError:
         return None
 

@@ -160,6 +160,26 @@ def test_depth_budget_reports_bound(cafe):
     assert rep.verdict == "BoundExhausted"
 
 
+def test_depth_cap_judges_the_level_it_stores():
+    """A level at the depth cap is stepped, but none of its successors is
+    stored: cafe-nocup's stuck state sits at depth 4."""
+    nocup = parse_program((EXAMPLES / "cafe-nocup.gract").read_text())
+    rep = explore(nocup, unfold=2, max_depth=4)
+    assert (rep.verdict, rep.states_visited, rep.max_depth, rep.bound_hit) == (
+        "StuckFound", 6, 5, False)
+    assert len(rep.witness_trace) == 4
+    assert rep.to_json() == explore(nocup, unfold=2, max_depth=5).to_json()
+
+
+def test_depth_cap_counts_a_terminated_state_at_the_cap(cafe):
+    rep = explore(cafe, unfold=2, max_depth=86)
+    assert (rep.verdict, rep.states_visited, rep.max_depth, rep.bound_hit) == (
+        "FairTerminating", 153, 86, False)
+    capped = explore(cafe, unfold=2, max_depth=85)
+    assert (capped.verdict, capped.max_depth, capped.bound_hit) == (
+        "WeaklyTerminatingWitness", 85, True)
+
+
 def test_clearance_escalation_is_found_stuck():
     with open(EXAMPLES / "clearance.gract") as fh:
         src = fh.read()

@@ -1,0 +1,208 @@
+"""Malformed input ends in a diagnosis, never in a traceback.
+
+The tokenizer's classes agree with Python's own character predicates on
+every code point, and `gract check` answers every token-level mutant of
+the corpus with exit code 0, 1 or 2.
+"""
+
+import random
+import sys
+import unicodedata
+
+import pytest
+
+from gract.cli import main
+from gract.grades import GradeParseError, NatExact, NatLeq
+from gract.parser import ParseError, tokenize
+
+from corpus import EXAMPLES
+
+SKIP = " \t\r\n"
+PUNCT = "{}(),:;=!?^⊕"
+
+
+def _kind(c: str):
+    if c in SKIP:
+        return "skip"
+    if c.isalpha() or c == "_":
+        return "IDENT"
+    if c.isdecimal():
+        return "NAT"
+    if c in PUNCT:
+        return "PUNCT"
+    return None
+
+
+def _alone(c: str):
+    """The tokens of `c` alone as (kind, text) pairs, None for a stray."""
+    kind = _kind(c)
+    if kind is None:
+        return None
+    return [] if kind == "skip" else [(kind, "(+)" if c == "⊕" else c)]
+
+
+def _then(first, c: str):
+    rest = _alone(c)
+    return None if rest is None else [first, *rest]
+
+
+def predicted(c: str) -> dict:
+    """For each of c, "a"+c, c+"a" and "1"+c: its (kind, text) tokens as
+    str.isalpha, isalnum and isdecimal predict them, or None where the
+    tokenizer must report a stray character."""
+    kind = _kind(c)
+    if kind == "IDENT":
+        before_a = [("IDENT", c + "a")]
+    elif kind is None:
+        before_a = None
+    else:
+        before_a = [*_alone(c), ("IDENT", "a")]
+    return {
+        c: _alone(c),
+        "a" + c: [("IDENT", "a" + c)] if c.isalnum() or c == "_" else _then(("IDENT", "a"), c),
+        c + "a": before_a,
+        "1" + c: [("NAT", "1" + c)] if c.isdecimal() else _then(("NAT", "1"), c),
+    }
+
+
+def _pairs(text: str):
+    return [(t.kind, t.text) for t in tokenize(text)[:-1]]
+
+
+def _assert_stray(text: str, c: str):
+    with pytest.raises(ParseError) as err:
+        tokenize(text)
+    assert err.value.message == f"stray character {c!r}"
+    assert (err.value.line, err.value.col) == (1, text.index(c) + 1)
+
+
+def test_tokens_follow_the_character_predicates_on_every_code_point():
+    """Every text predicted to tokenize is checked, in batches joined by
+    spaces. Each stray is checked alone, since a tokenizer stops at its
+    first one. Every assigned code point is checked, and every 61st of the
+    unassigned, private-use and surrogate ones: no predicate holds for
+    any of these, so each is a stray four times over, and a stray costs a
+    few microseconds."""
+    batch, want = [], []
+    strays = []
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        if unicodedata.category(c) in ("Cn", "Co", "Cs"):
+            assert not c.isalnum()
+            if cp % 61:
+                continue
+        for text, tokens in predicted(c).items():
+            if tokens is None:
+                strays.append((text, c))
+            else:
+                batch.append(text)
+                want.extend(tokens)
+    assert _pairs(" ".join(batch)) == want
+    wrong = []
+    for text, c in strays:
+        try:
+            tokenize(text)
+        except ParseError as err:
+            if err.message == f"stray character {c!r}" and err.col == text.index(c) + 1:
+                continue
+        wrong.append(text)
+    assert not wrong
+
+
+def test_non_decimal_digits_are_stray_characters():
+    _assert_stray("1²", "²")
+    _assert_stray("x ¹²", "¹")
+    assert _pairs("a² ٣") == [("IDENT", "a²"), ("NAT", "٣")]
+
+
+@pytest.mark.parametrize("monoid", [NatLeq(), NatExact()])
+def test_nat_grades_are_decimal(monoid):
+    assert monoid.parse("12") == 12
+    for text in ("²", "1²", "¹²"):
+        with pytest.raises(GradeParseError):
+            monoid.parse(text)
+
+
+NATLEQ = """\
+grade natLeq
+A {
+  m(): Unit requires A: R^3 produces measure 1 { hold 2 R; return unit }
+}
+init A: R^3;
+start A!m()
+"""
+
+
+def _check(path) -> int:
+    try:
+        return main(["check", "--json", str(path)])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("hold 2 R", "hold ³ R", "3:55: stray character '³'"),
+    ("measure 1 ", "measure ¹² ", "3:46: stray character '¹'"),
+])
+def test_check_reports_a_non_decimal_digit_as_a_parse_error(tmp_path, capsys, old, new, where):
+    path = tmp_path / "digit.gract"
+    path.write_text(NATLEQ.replace(old, new))
+    assert _check(path) == 2
+    assert capsys.readouterr().err == f"{path}:{where}\n"
+
+
+# Inserted tokens: the corpus's own, and texts the tokenizer must handle
+# with care: a non-decimal digit, the circled plus, a comment, a stray.
+EXTRA = ["²", "¹²", "⊕", "//", "#", "(+)", "<=", "0", "inf", "9"]
+
+
+def _token_lines(text: str) -> list[list[str]]:
+    lines: list[list[str]] = [[] for _ in text.splitlines()]
+    for t in tokenize(text)[:-1]:
+        lines[t.line - 1].append("(+)" if t.text == "⊕" else t.text)
+    return lines
+
+
+def _draw(rng: random.Random, pool: list[str]) -> str:
+    return rng.choice(EXTRA if rng.random() < 0.5 else pool)
+
+
+def _mutate(rng: random.Random, lines: list[list[str]], pool: list[str]) -> str:
+    """One to three edits: insert a pool token, delete a token, swap two
+    tokens, or replace one by a pool token. Half the pool tokens drawn are
+    from EXTRA."""
+    lines = [list(line) for line in lines]
+    spots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("insert", "delete", "swap", "replace"))
+        i, j = rng.choice(spots)
+        if op == "insert":
+            lines[i].insert(rng.randint(0, len(lines[i])), _draw(rng, pool))
+        elif j < len(lines[i]):
+            if op == "delete":
+                del lines[i][j]
+            elif op == "replace":
+                lines[i][j] = _draw(rng, pool)
+            else:
+                k, m = rng.choice(spots)
+                if m < len(lines[k]):
+                    lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def test_check_never_raises_on_corpus_mutants(tmp_path, capsys):
+    rng = random.Random(18)
+    corpus = {p.name: _token_lines(p.read_text()) for p in sorted(EXAMPLES.glob("*.gract"))}
+    pool = sorted({t for lines in corpus.values() for line in lines for t in line})
+    path = tmp_path / "mutant.gract"
+    codes = set()
+    for name, lines in corpus.items():
+        for _ in range(100):
+            text = _mutate(rng, lines, pool)
+            path.write_text(text)
+            code = _check(path)
+            assert code in (0, 1, 2), (name, text)
+            codes.add(code)
+        capsys.readouterr()
+    # the mutants reach the parser's errors and the checker's verdicts
+    assert {1, 2} <= codes

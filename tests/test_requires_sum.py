@@ -43,7 +43,7 @@ def test_requires_equal_the_ctx_plus_fold(monkeypatch):
             mp.setattr(typecheck, "_type_atomic_memo", recording)
             for processes in sequences:
                 seen.clear()
-                got = type_process(prog, processes, {}).requires
+                got = type_process(prog, processes).requires
                 want: dict = {}
                 for req in seen:
                     want = ctx_plus(m, want, req)

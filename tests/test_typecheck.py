@@ -281,7 +281,7 @@ def test_type_local_env(cafe):
 
 def test_idle_types_empty(cafe):
     pt = type_process(cafe, Idle("B"))
-    assert (pt.requires, pt.consumed, pt.measure, pt.produced) == ({}, set(), 0, {})
+    assert (pt.requires, pt.measure, pt.produced, pt.marked) == ({}, 0, {}, set())
 
 
 def test_fulfilled_future_claims_its_promise(cafe):

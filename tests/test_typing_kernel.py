@@ -130,7 +130,7 @@ def test_method_table_reports_alike(name):
 
 def _process_typing(prog, processes):
     try:
-        return typecheck.type_process(prog, processes, {})
+        return typecheck.type_process(prog, processes)
     except CheckError as err:
         return err.code, err.loc, err.detail
 

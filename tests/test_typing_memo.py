@@ -64,10 +64,10 @@ def _afresh(prog, p, visible):
 _type_process = typecheck.type_process
 
 
-def _sequence_afresh(prog, processes, sigma=None):
+def _sequence_afresh(prog, processes):
     kept, prog.typings = prog.typings, {}
     try:
-        return _type_process(prog, processes, sigma)
+        return _type_process(prog, processes)
     finally:
         prog.typings = kept
 
@@ -88,7 +88,7 @@ def without_memo():
 
 def typings(prog, cfg):
     try:
-        pt = type_process(prog, cfg.processes, {})
+        pt = type_process(prog, cfg.processes)
     except CheckError as err:
         pt = err.to_json()
     return measure_of_config(prog, cfg), type_config(prog, cfg), pt
@@ -121,15 +121,19 @@ def test_memo_changes_no_subject_reduction_result(seed4_runs):
 
 
 def test_memo_rechecks_the_futures_a_process_read(cafe):
-    thread = Thread({}, Await(Lit(FutRef("f#1"))), "f#2", "Cn")
-    cup = fut_type(ResT("Cf", 1), {})
-    first = type_process(cafe, thread, {"f#1": UNIT_FUT})
-    second = type_process(cafe, thread, {"f#1": cup})
+    reader = Thread({}, Await(Lit(FutRef("f#1"))), "f#2", "Cn")
+    plain = FulfilledFut("f#1", UnitVal(), UNIT_FUT)
+    cup = FulfilledFut("f#1", GradedRes("Cf", 1), fut_type(ResT("Cf", 1), {}))
+    first = type_process(cafe, [plain, reader])
+    # the reader's entry records the unit type it read; behind a producer
+    # of another declared type it must be typed again
+    second = type_process(cafe, [cup, reader])
     with without_memo():
-        assert second == type_process(cafe, thread, {"f#1": cup})
-    assert second.produced != first.produced
+        assert second == type_process(cafe, [cup, reader])
+    assert first.produced["f#2"] == UNIT_FUT
+    assert second.produced["f#2"] == fut_type(ResT("Cf", 1), {})
     with pytest.raises(CheckError) as err:
-        type_process(cafe, thread, {})
+        type_process(cafe, reader)
     assert err.value.code == "UnknownFuture"
 
 
@@ -150,7 +154,7 @@ def test_memo_stores_no_rejection(cafe):
     for _ in range(2):
         before = len(cafe.typings)
         with pytest.raises(CheckError) as err:
-            type_process(cafe, thread, {})
+            type_process(cafe, thread)
         errors.append(err.value.to_json())
         assert len(cafe.typings) == before and thread not in cafe.typings
     assert errors[0] == errors[1] and errors[0]["code"] == "UnknownFuture"
@@ -201,7 +205,6 @@ def test_a_returned_typing_is_the_callers_to_change(fresh_cafe):
             env["CC"] = 7
         pt.requires["X"] = {"CC": 1}
         pt.produced.clear()
-        pt.consumed.add("f#9")
         pt.marked.add("f#9")
         assert type_process(fresh_cafe, ps) == want
 
@@ -255,9 +258,9 @@ def composed(monkeypatch):
     calls = []
     real = typecheck._compose
 
-    def counting(prog, processes, sigma):
+    def counting(prog, processes):
         calls.append(tuple(processes))
-        return real(prog, processes, sigma)
+        return real(prog, processes)
 
     monkeypatch.setattr(typecheck, "_compose", counting)
     return calls
