@@ -451,7 +451,7 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
                 violations.append({"step": k, "code": "MeasureNotDecrementing",
                                    "from": mu0, "to": mu1})
         # only a hold or a release may move the resources
-        if post.alpha is not pre.alpha or isinstance(s.label, (HoldLbl, RlsLbl)):
+        if post.alpha != pre.alpha or isinstance(s.label, (HoldLbl, RlsLbl)):
             want_alpha = _expected_alpha(m, ctx_of(pre.alpha), s)
             if want_alpha is None or ctx_norm(m, ctx_of(post.alpha)) != want_alpha:
                 violations.append({"step": k, "code": "GradedStateMismatch",

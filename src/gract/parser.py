@@ -337,7 +337,7 @@ class Parser:
             except LatticeError as err:
                 raise ParseError(str(err), close.line, close.col) from None
         raise self.fail(
-            f"unknown grade instance {t.text!r}",
+            f"unknown grade instance {t.text or 'end of input'!r}",
             tuple(BUILTIN_MONOIDS) + ("levels",),
         )
 

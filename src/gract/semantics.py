@@ -308,7 +308,7 @@ RULE_ORDER = {"spawn": 0, "silent": 1, "hold": 2, "rls": 3, "call": 4, "get": 5,
 VARIANT_ORDER = {"base": 0, "act": 1, "yld": 2}
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     """One successor: the rule taken, its label, the new configuration, the
     acting actor, and where and how it acted.
@@ -564,11 +564,15 @@ Chooser = Callable[[list[StepResult], int], Optional[int]]
 def run(config: Configuration, prog: Program, chooser: Chooser, max_steps: int) -> Trace:
     """Follow the chooser for at most max_steps steps. The state reached
     is inspected even when the budget is spent, so a run that ends exactly
-    on the budget still reports how it ended."""
+    on the budget still reports how it ended. Successor lists come from
+    the program's `successors` table, so runs of one program step each
+    distinct configuration once."""
     steps: list[StepResult] = []
     current = config
     for k in count():
-        succ = step_config(current, prog)
+        succ = prog.successors.get(current)
+        if succ is None:
+            succ = prog.successors[current] = step_config(current, prog)
         if not succ:
             status = "terminated" if is_terminated(current) else "stuck"
             return Trace(config, steps, status,

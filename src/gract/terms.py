@@ -529,16 +529,18 @@ class MethodSig(NamedTuple):
 class Program:
     """A checked program's declarations are not changed after it is built;
     a variant is a new Program (`dataclasses.replace`), which builds its
-    own `signatures`, `typings` and `steps`.
+    own `signatures`, `typings`, `steps` and `successors`.
 
-    Two tables live as long as the program and are shared by everything
+    Three tables live as long as the program and are shared by everything
     that runs, explores or types its configurations: `typings`, the
-    typing table filled by `typecheck.type_process`, and `steps`, the
+    typing table filled by `typecheck.type_process`; `steps`, the
     thread-step table filled by `semantics.step_config`, keyed on active
     threads: a suspended thread steps once activated, from its active
-    twin's entry. A key of `typings` is either a process, for the typing
-    of one process, or a tuple of processes, for the typing of a whole
-    sequence."""
+    twin's entry; and `successors`, which only `semantics.run` reads and
+    fills, mapping a configuration to the list `step_config` returns for
+    it. A key of `typings` is either a process, for the typing of one
+    process, or a tuple of processes, for the typing of a whole sequence.
+    Every entry is read-only."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
@@ -551,6 +553,7 @@ class Program:
     def __post_init__(self) -> None:
         self.typings: dict[Process | tuple[Process, ...], tuple] = {}
         self.steps: dict[tuple, list] = {}
+        self.successors: dict[Configuration, list] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}
         for actor, adecl in self.actors.items():
             for name, d in adecl.methods.items():

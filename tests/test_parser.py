@@ -111,6 +111,10 @@ def test_parse_errors_carry_location():
         parse_program("grade wat\ninit ;\nstart A!m()")
     assert "wat" in err.value.message
     assert "lin" in err.value.expected
+    with pytest.raises(ParseError) as err:
+        parse_program("grade")
+    assert ((err.value.line, err.value.col, err.value.message)
+            == (1, 6, "unknown grade instance 'end of input'"))
     # machine-generated names such as y#3 are not source syntax
     with pytest.raises(ParseError) as err:
         parse_expr("y#3?", Lin())

@@ -1,6 +1,7 @@
-"""The program's step table: a program steps each thread once per distinct
-input, whatever operation asks, and every successor, verdict and output is
-the one stepping afresh gives."""
+"""The program's step and successor tables: a program steps each thread
+once per distinct input, whatever operation asks, its runs step each
+configuration once, and every successor, verdict and output is the one
+stepping afresh gives."""
 
 import json
 import random
@@ -26,6 +27,7 @@ from gract.terms import (
     Let,
     Lit,
     OpSig,
+    Program,
     ResT,
     Return,
     Thread,
@@ -47,8 +49,11 @@ def _explorations():
 
 @contextmanager
 def afresh():
-    """Step every thread afresh: each `_thread_steps` call gets a throwaway
-    table, so the program's table is neither read nor written."""
+    """Step everything afresh: each `_thread_steps` call gets a throwaway
+    thread-step table and each read of a program's `successors` a
+    throwaway successor table, so neither of the program's tables is read
+    or written. Yields a one-element list that counts the calls `run`
+    makes to `step_config` inside the block."""
     real = semantics._thread_steps
 
     def throwaway(config, prog, *args):
@@ -58,22 +63,32 @@ def afresh():
         finally:
             prog.steps = kept
 
+    # a data descriptor wins over the instance's own table; a program built
+    # inside the block still gets one, for use after it
+    fresh_table = property(lambda prog: {},
+                           lambda prog, table: vars(prog).__setitem__("successors", table))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semantics, "_thread_steps", throwaway)
-        yield
+        mp.setattr(Program, "successors", fresh_table, raising=False)
+        yield _count_calls(mp, "step_config")
 
 
-@pytest.fixture
-def step_expr_calls(monkeypatch):
-    real = semantics.step_expr
+def _count_calls(mp, name):
+    """Count the calls to `semantics.<name>` in a one-element list."""
+    real = getattr(semantics, name)
     calls = [0]
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(semantics, "step_expr", counting)
+    mp.setattr(semantics, name, counting)
     return calls
+
+
+@pytest.fixture
+def step_expr_calls(monkeypatch):
+    return _count_calls(monkeypatch, "step_expr")
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +112,22 @@ def test_a_second_run_steps_nothing(step_expr_calls):
     step_expr_calls[0] = 0
     again = run(initial_config(cafe), cafe, fifo_chooser, 200)
     assert step_expr_calls[0] == 0
-    assert ([config_to_json(s.config) for s in again.steps]
-            == [config_to_json(s.config) for s in first.steps])
+    # the same step objects, read from the program's successor table
+    assert len(again.steps) == 41 and all(s is t for s, t in zip(again.steps, first.steps))
+
+
+def test_runs_step_each_distinct_configuration_once(monkeypatch):
+    """Gate 4's step budget over 100 runs scheduled by one Random(4), as
+    `gract sr --seed 4` schedules them: 6,806 steps, but 369 distinct
+    configurations, so 369 `step_config` calls where stepping at every
+    visit made 6,906."""
+    cafe = _load("cafe.gract")
+    calls = _count_calls(monkeypatch, "step_config")
+    rng = random.Random(4)
+    traces = [run(initial_config(cafe), cafe, random_chooser(rng), 200) for _ in range(100)]
+    seen = {tr.initial for tr in traces} | {s.config for tr in traces for s in tr.steps}
+    assert sum(len(tr.steps) for tr in traces) == 6806
+    assert calls[0] == len(seen) == len(cafe.successors) == 369
 
 
 @pytest.mark.parametrize("case", range(2), ids=["cafe", "two-cafes"])
@@ -109,6 +138,8 @@ def test_check_helpful_after_explore_steps_nothing(step_expr_calls, case):
     step_expr_calls[0] = 0
     assert check_helpful(prog, rep.visited)["ok"]
     assert step_expr_calls[0] == 0
+    # each state is stepped once by each of them, so neither keeps its list
+    assert prog.successors == {}
 
 
 def test_an_activated_thread_steps_from_its_active_twins_entry(step_expr_calls):
@@ -132,20 +163,23 @@ def test_a_variant_program_steps_with_its_own_table(step_expr_calls):
     to different results, so reading the original's entries would show."""
     cafe = _load("cafe.gract")
     fifo = run(initial_config(cafe), cafe, fifo_chooser, 200)
-    table = dict(cafe.steps)
+    table, successors = dict(cafe.steps), dict(cafe.successors)
     sig = cafe.op_sigs["makeCoffee"]
     variant = replace(cafe, op_sigs={**cafe.op_sigs,
                                      "makeCoffee": OpSig(sig.params, ResT("Cf", 2))})
     assert variant.steps == {} and variant.steps is not cafe.steps
+    assert variant.successors == {} and cafe.successors
     step_expr_calls[0] = 0
     got = run(initial_config(variant), variant, fifo_chooser, 200)
     assert step_expr_calls[0] > 0
-    with afresh():
+    with afresh() as step_config_calls:
         want = run(initial_config(variant), variant, fifo_chooser, 200)
+    assert step_config_calls[0] == len(want.steps) + 1
     assert _briefs(got) == _briefs(want) != _briefs(fifo)
     # the original's entries are neither read nor overwritten by the variant
     assert cafe.steps.keys() == table.keys()
     assert all(cafe.steps[k] is v for k, v in table.items())
+    assert cafe.successors.keys() == successors.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +237,12 @@ def test_the_table_changes_no_run_law_or_output(seed4_runs):
     steps = [_briefs(tr) for tr in r.traces]
     names = ["helpful", "run-replay", "explore"]
     got_cli = [r.outputs[name] for name in names]
-    table = dict(cafe.steps)
-    with afresh():
+    table, successors = dict(cafe.steps), dict(cafe.successors)
+    with afresh() as step_config_calls:
         want_traces, want_laws = _runs(cafe)
+        assert step_config_calls[0] == sum(len(tr.steps) + 1 for tr in want_traces)
         want_cli = [cli_output(r.commands[name]) for name in names]
-    assert cafe.steps == table
+    assert cafe.steps == table and cafe.successors == successors
     want_steps = [_briefs(tr) for tr in want_traces]
     assert steps == want_steps and r.laws == want_laws and all(law["ok"] for law in r.laws)
     assert got_cli == want_cli
