@@ -72,15 +72,20 @@ class Printer:
 
 def _load(path: str) -> Program:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc.strerror}", EXIT_IO))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _cannot_read(path, exc)
     try:
         return parse_program(text)
     except ParseError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+
+
+def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> SystemExit:
+    why = f"not UTF-8 at byte {exc.start}" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+    return SystemExit(_fail(f"cannot read {path}: {why}", EXIT_IO))
 
 
 def _fail(message: str, code: int) -> int:
@@ -153,10 +158,10 @@ def _load_replay(path: str) -> list[dict]:
     """The step entries of a replay file: a list of objects, bare or under
     "steps". A file of any other shape exits with EXIT_IO."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc.strerror}", EXIT_IO))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _cannot_read(path, exc)
     except json.JSONDecodeError as exc:
         raise SystemExit(_fail(f"{path}: {exc}", EXIT_IO))
     if isinstance(doc, dict):

@@ -363,6 +363,10 @@ def _offered_future(procs: tuple[Process, ...], m: GradeMonoid,
     return None
 
 
+# the rule a thread step takes, by the type of its label
+_RULE = {Tau: "silent", HoldLbl: "hold", RlsLbl: "rls", CallLbl: "call", FutLbl: "get"}
+
+
 def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
                   variant: str) -> list[StepResult]:
     """Steps of the active `thread` at position i of `config`, which
@@ -370,73 +374,90 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
     its active twin does.
 
     The program's step table, `prog.steps`, maps the thread (a value, so
-    equal threads share an entry), fresh names, offered future and the
-    actor's `alpha` entry to the expression steps with their updated
-    threads, built once for every run and exploration of the program. A
-    redex that faults gets an empty entry; `stuck_diagnosis` reports why.
-    Each successor is one `config.copy` naming the fields its rule
-    changes; it shares the others with `config`."""
-    m = prog.monoid
-    a = thread.actor
+    equal threads share an entry) and the one input its redex reads to
+    the thread's steps, built once for every run and exploration of the
+    program. A call reads the fresh future, a let binding a returned value
+    the fresh variable, an await the fulfilment it is offered and a hold
+    the actor's `alpha` entry; any other redex reads nothing, so its entry
+    serves every configuration. An entry holds each step's rule, label and
+    the processes that take the thread's place: the updated thread, after
+    a call's message, or a return's fulfilled future and idle marker. So
+    equal steps share every process they build. A redex that faults gets
+    an empty entry; `stuck_diagnosis` reports why. Each successor is one
+    `config.copy` naming the fields its rule changes; it shares the others
+    with `config`."""
     procs = config.processes
-    head, tail = procs[:i], procs[i + 1:]
-    out: list[StepResult] = []
-
-    # return rule: thread at a top-level return becomes a fulfilled future
-    if isinstance(thread.expr, Return):
-        try:
-            _, v = eval_value_expr(m, thread.env, thread.expr.value)
-        except Stuck:
-            v = None
-        if v is not None:
-            c = config.copy(head + (FulfilledFut(thread.future, v, thread.fut), Idle(a)) + tail)
-            out.append(StepResult("return", Tau(), c, a, i, variant))
-        return out
-
-    reachable = _offered_future(procs, m, thread, i)
-    offered = reachable and reachable[:2]
-    env_a = entry(config.alpha, a)
-    candidate_future = f"f#{config.next_future}"
-    candidate_var = f"y#{config.next_var}"
-    key = (thread, candidate_future, candidate_var, offered, env_a)
+    rx = redex(thread.expr)
+    reachable = offered = None
+    match rx:
+        case Call():
+            key = (thread, config.next_future)
+        case Let():
+            key = (thread, config.next_var)
+        case Await():
+            reachable = _offered_future(procs, prog.monoid, thread, i)
+            offered = reachable and reachable[:2]
+            key = (thread, offered)
+        case Hold():
+            key = (thread, entry(config.alpha, thread.actor))
+        case _:
+            key = (thread, None)
     steps = prog.steps.get(key)
     if steps is None:
-        try:
-            res = step_expr(m, thread.env, thread.expr, prog, candidate_future, candidate_var,
-                            offered, dict(env_a))
-        except Stuck:
-            res = []
-        steps = prog.steps[key] = [(label, env2, replace(thread, env=env2, expr=expr2))
-                                   for label, env2, expr2 in res]
+        steps = prog.steps[key] = _new_steps(config, prog, thread, offered)
 
-    for label, env2, updated in steps:
+    m = prog.monoid
+    a = thread.actor
+    head, tail = procs[:i], procs[i + 1:]
+    out: list[StepResult] = []
+    for rule, label, built in steps:
         match label:
-            case Tau():
-                nv = config.next_var + 1 if candidate_var in env2 else config.next_var
-                c = config.copy(head + (updated,) + tail, next_var=nv)
-                out.append(StepResult("silent", label, c, a, i, variant))
             case HoldLbl(r, g) | RlsLbl(r, g):
-                rule = "hold" if type(label) is HoldLbl else "rls"
+                env_a = entry(config.alpha, a)
                 have = entry(env_a, r, m.zero())
                 # defined: step_expr only lets a hold step when env_a, in the key, covers it
                 left = m.minus(have, g) if rule == "hold" else m.plus(have, g)
-                c = config.copy(head + (updated,) + tail,
+                c = config.copy(head + built + tail,
                                 alpha=with_entry(config.alpha, a, with_entry(env_a, r, left)))
-                out.append(StepResult(rule, label, c, a, i, variant))
-            case CallLbl(f_new, b, meth, vals):
-                sig = prog.signatures.get((b, meth))
-                msg = CallMsg(f_new, b, meth, vals, sig and sig.fut)
+            case CallLbl(_, b, meth):
                 calls = entry(config.call_counts, (b, meth), 0) + 1
-                c = config.copy(head + (msg, updated) + tail, next_future=config.next_future + 1,
+                c = config.copy(head + built + tail, next_future=config.next_future + 1,
                                 call_counts=with_entry(config.call_counts, (b, meth), calls))
-                out.append(StepResult("call", label, c, a, i, variant))
             case FutLbl():
                 _, _, j, route = reachable
                 if route == "ff":  # the fulfilment goes; the thread shifts to i-1
-                    c = config.copy(procs[:j] + procs[j + 1: i] + (updated,) + tail)
+                    c = config.copy(procs[:j] + procs[j + 1: i] + built + tail)
                 else:  # the thread takes the fulfilment's place
-                    c = config.copy(procs[:j] + (updated,) + procs[j + 1: i] + tail)
-                out.append(StepResult("get", label, c, a, i, variant))
+                    c = config.copy(procs[:j] + built + procs[j + 1: i] + tail)
+            case _:  # silent or return; a let redex bound the fresh variable
+                c = config.copy(head + built + tail,
+                                next_var=config.next_var + 1 if type(rx) is Let else None)
+        out.append(StepResult(rule, label, c, a, i, variant))
+    return out
+
+
+def _new_steps(config: Configuration, prog: Program, thread: Thread,
+               offered: Optional[tuple[str, Value]]) -> list[tuple[str, Label, tuple]]:
+    """A step-table entry of `_thread_steps`: the thread's steps in
+    `config`, offered the given fulfilment."""
+    m = prog.monoid
+    try:
+        if isinstance(thread.expr, Return):  # return rule: the thread becomes a fulfilled future
+            _, v = eval_value_expr(m, thread.env, thread.expr.value)
+            built = (FulfilledFut(thread.future, v, thread.fut), Idle(thread.actor))
+            return [("return", Tau(), built)]
+        res = step_expr(m, thread.env, thread.expr, prog, f"f#{config.next_future}",
+                        f"y#{config.next_var}", offered, dict(entry(config.alpha, thread.actor)))
+    except Stuck:
+        return []
+    out = []
+    for label, env2, expr2 in res:
+        built = (replace(thread, env=env2, expr=expr2),)
+        if type(label) is CallLbl:
+            sig = prog.signatures.get((label.actor, label.method))
+            built = (CallMsg(label.future, label.actor, label.method, label.args,
+                             sig and sig.fut),) + built
+        out.append((_RULE[type(label)], label, built))
     return out
 
 
@@ -459,24 +480,35 @@ def _free_actor(procs: tuple[Process, ...], m: GradeMonoid, a: str,
     return procs[:k] + (t.twin(suspended=True),) + procs[k + 1:], i, "yld"
 
 
+def _spawned(prog: Program, msg: CallMsg) -> Optional[Thread]:
+    """The thread `msg` spawns, or None when its method is unknown or
+    given the wrong number of arguments. It is made once per program and
+    kept in the program's step table under the message."""
+    table = prog.steps
+    if msg not in table:
+        decl = prog.method(msg.actor, msg.method)
+        table[msg] = None if decl is None or len(decl.params) != len(msg.args) else Thread(
+            {x: v for (x, _), v in zip(decl.params, msg.args)}, decl.body, msg.future, msg.actor,
+            fut=msg.fut)
+    return table[msg]
+
+
 def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     """Every successor reachable by one rule after folded rearrangement;
     threads step through the program's step table (see `_thread_steps`)."""
     out: list[StepResult] = []
     for i, p in enumerate(config.processes):
         match p:
-            case CallMsg(f, a, meth, vals):
-                decl = prog.method(a, meth)
-                if decl is None or len(decl.params) != len(vals):
+            case CallMsg():
+                spawned = _spawned(prog, p)
+                if spawned is None:
                     continue
-                freed = _free_actor(config.processes, prog.monoid, a, i)
+                freed = _free_actor(config.processes, prog.monoid, p.actor, i)
                 if freed is not None:
                     procs, pos, variant = freed
-                    env = {x: v for (x, _), v in zip(decl.params, vals)}
-                    spawned = Thread(env, decl.body, f, a, fut=p.fut)
                     c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
                     # a spawn keeps its message's position; an idle actor is its base case
-                    out.append(StepResult("spawn", Tau(), c, a, i,
+                    out.append(StepResult("spawn", Tau(), c, p.actor, i,
                                           "base" if variant == "act" else variant))
             case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))

@@ -344,6 +344,7 @@ class Thread(Process):
     changes only the flag."""
 
     _awaits = ...  # the future its redex awaits, once `semantics.awaited` asked
+    _twin = None  # the thread with the other flag, once `twin` built it
     env: LocalEnv
     expr: Expr
     future: str
@@ -352,11 +353,18 @@ class Thread(Process):
     fut: Optional[FutT] = None
 
     def twin(self, suspended: bool) -> "Thread":
-        """This thread with the flag set as given. The twin takes this
-        thread's hash and awaited future, which leave the flag out."""
-        t = Thread(self.env, self.expr, self.future, self.actor, suspended, self.fut)
-        object.__setattr__(t, "_hash", hash(self))
-        object.__setattr__(t, "_awaits", self._awaits)
+        """This thread with the flag set as given. The other twin is built
+        once, and the two keep each other. It takes this thread's hash and
+        awaited future, which leave the flag out."""
+        if suspended == self.suspended:
+            return self
+        t = self._twin
+        if t is None:
+            t = Thread(self.env, self.expr, self.future, self.actor, suspended, self.fut)
+            object.__setattr__(t, "_hash", hash(self))
+            object.__setattr__(t, "_awaits", self._awaits)
+            object.__setattr__(t, "_twin", self)
+            object.__setattr__(self, "_twin", t)
         return t
 
 
@@ -533,14 +541,16 @@ class Program:
 
     Three tables live as long as the program and are shared by everything
     that runs, explores or types its configurations: `typings`, the
-    typing table filled by `typecheck.type_process`; `steps`, the
-    thread-step table filled by `semantics.step_config`, keyed on active
-    threads: a suspended thread steps once activated, from its active
-    twin's entry; and `successors`, which only `semantics.run` reads and
-    fills, mapping a configuration to the list `step_config` returns for
-    it. A key of `typings` is either a process, for the typing of one
-    process, or a tuple of processes, for the typing of a whole sequence.
-    Every entry is read-only."""
+    typing table filled by `typecheck.type_process`; `steps`, the step
+    table filled by `semantics.step_config`; and `successors`, which only
+    `semantics.run` reads and fills, mapping a configuration to the list
+    `step_config` returns for it. A key of `typings` is either a process,
+    for the typing of one process, or a tuple of processes, for the typing
+    of a whole sequence. A key of `steps` is either an active thread with
+    the one input its redex reads, for that thread's steps (a suspended
+    thread steps once activated, from its active twin's entry), or a
+    message, for the thread it spawns. Every entry is read-only, and every
+    process in one is built once and shared by each step that reads it."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
@@ -552,7 +562,7 @@ class Program:
 
     def __post_init__(self) -> None:
         self.typings: dict[Process | tuple[Process, ...], tuple] = {}
-        self.steps: dict[tuple, list] = {}
+        self.steps: dict[tuple | CallMsg, list | Optional[Thread]] = {}
         self.successors: dict[Configuration, list] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}
         for actor, adecl in self.actors.items():

@@ -62,6 +62,18 @@ def test_missing_file_exits_3(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["check", "{bad}"], ["run", CAFE, "--replay", "{bad}"],
+                                  ["sr", CAFE, "--replay", "{bad}"]], ids=["check", "run", "sr"])
+def test_a_file_that_is_not_utf8_exits_3(tmp_path, capsys, argv):
+    """An undecodable program or replay file is an I/O error reported on
+    one line, not a traceback with the type-error code."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"steps": []}\xff')
+    assert run_cli([arg.format(bad=bad) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err == f"cannot read {bad}: not UTF-8 at byte 13\n"
+
+
 # ---------------------------------------------------------------------------
 # run
 

@@ -22,6 +22,13 @@ from gract.semantics import (
     step_config,
 )
 from gract.terms import (
+    Await,
+    Call,
+    CallMsg,
+    Choice,
+    FulfilledFut,
+    FutRef,
+    GradedRes,
     Hold,
     Idle,
     Let,
@@ -32,6 +39,7 @@ from gract.terms import (
     Return,
     Thread,
     UnitVal,
+    Var,
 )
 
 from corpus import EXAMPLES, TWO_CAFES, cli_output
@@ -49,27 +57,22 @@ def _explorations():
 
 @contextmanager
 def afresh():
-    """Step everything afresh: each `_thread_steps` call gets a throwaway
-    thread-step table and each read of a program's `successors` a
-    throwaway successor table, so neither of the program's tables is read
-    or written. Yields a one-element list that counts the calls `run`
-    makes to `step_config` inside the block."""
-    real = semantics._thread_steps
+    """Step everything afresh: each read of a program's `steps` or
+    `successors` gets a throwaway table and each `Thread.twin` builds its
+    twin anew, so neither of the program's tables is read or written and
+    no thread keeps a twin. Yields a one-element list that counts the
+    calls `run` makes to `step_config` inside the block."""
 
-    def throwaway(config, prog, *args):
-        kept, prog.steps = prog.steps, {}
-        try:
-            return real(config, prog, *args)
-        finally:
-            prog.steps = kept
+    def fresh_table(name):
+        # a data descriptor wins over the instance's own table; a program
+        # built inside the block still gets one, for use after it
+        return property(lambda prog: {}, lambda prog, table: vars(prog).__setitem__(name, table))
 
-    # a data descriptor wins over the instance's own table; a program built
-    # inside the block still gets one, for use after it
-    fresh_table = property(lambda prog: {},
-                           lambda prog, table: vars(prog).__setitem__("successors", table))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semantics, "_thread_steps", throwaway)
-        mp.setattr(Program, "successors", fresh_table, raising=False)
+        for name in ("steps", "successors"):
+            mp.setattr(Program, name, fresh_table(name), raising=False)
+        # likewise over a thread's kept twin, and keeping one is dropped
+        mp.setattr(Thread, "_twin", property(lambda t: None, lambda t, twin: None))
         yield _count_calls(mp, "step_config")
 
 
@@ -95,11 +98,21 @@ def step_expr_calls(monkeypatch):
 # timing-free guards: how often a thread is stepped afresh
 
 def test_explore_steps_each_thread_once(step_expr_calls):
-    """A timing-free guard: 282 expression steps at unfold 2 without the
-    table, 167 of them with distinct inputs."""
+    """A timing-free guard. Without the table, the cafe at unfold 2 takes
+    282 expression steps. Keyed on every input a step could read, the
+    table stepped 167 of them afresh; keyed on the one input each redex
+    reads, 129."""
     rep = explore(_load("cafe.gract"), unfold=2)
     assert rep.states_visited == 153
-    assert 0 < step_expr_calls[0] < 200
+    assert step_expr_calls[0] == 129
+
+
+def test_two_cafes_step_each_thread_once(step_expr_calls):
+    """The same guard on wide states: the two cafes' first 200 states
+    took 169 expression steps with the wider key, and take 89."""
+    prog, bounds, states = _explorations()[1]
+    assert explore(prog, **bounds).states_visited == states
+    assert step_expr_calls[0] == 89
 
 
 def test_a_second_run_steps_nothing(step_expr_calls):
@@ -116,11 +129,12 @@ def test_a_second_run_steps_nothing(step_expr_calls):
     assert len(again.steps) == 41 and all(s is t for s, t in zip(again.steps, first.steps))
 
 
-def test_runs_step_each_distinct_configuration_once(monkeypatch):
+def test_runs_step_each_distinct_configuration_once(monkeypatch, step_expr_calls):
     """Gate 4's step budget over 100 runs scheduled by one Random(4), as
     `gract sr --seed 4` schedules them: 6,806 steps, but 369 distinct
     configurations, so 369 `step_config` calls where stepping at every
-    visit made 6,906."""
+    visit made 6,906. Their threads are stepped afresh 291 times (516
+    when the step table keyed a thread on every input)."""
     cafe = _load("cafe.gract")
     calls = _count_calls(monkeypatch, "step_config")
     rng = random.Random(4)
@@ -128,6 +142,7 @@ def test_runs_step_each_distinct_configuration_once(monkeypatch):
     seen = {tr.initial for tr in traces} | {s.config for tr in traces for s in tr.steps}
     assert sum(len(tr.steps) for tr in traces) == 6806
     assert calls[0] == len(seen) == len(cafe.successors) == 369
+    assert step_expr_calls[0] == 291
 
 
 @pytest.mark.parametrize("case", range(2), ids=["cafe", "two-cafes"])
@@ -156,6 +171,100 @@ def test_an_activated_thread_steps_from_its_active_twins_entry(step_expr_calls):
     assert [s.variant for s in activated] == ["act"]
     assert ([s.config.processes for s in activated]
             == [s.config.processes for s in active] != [])
+
+
+def test_a_step_builds_each_process_once(monkeypatch):
+    """A call's message, a return's fulfilment, a spawned thread and an
+    activated twin are built once from what their step reads, so every
+    configuration that reaches them shares one object."""
+    cafe = _load("cafe.gract")
+    activated = {}  # active twin -> {configuration it steps in: the twin's id}
+    real = semantics._thread_steps
+
+    def spy(config, prog, thread, i, variant):
+        if variant != "base":
+            activated.setdefault(thread, {})[config] = id(thread)
+        return real(config, prog, thread, i, variant)
+
+    monkeypatch.setattr(semantics, "_thread_steps", spy)
+    made = {}  # (rule, what the step read) -> {parent configuration: process built}
+    for cfg in explore(cafe, unfold=2).visited:
+        for s in step_config(cfg, cafe):
+            if s.variant != "base" or s.rule not in ("call", "return", "spawn"):
+                continue
+            acting = cfg.processes[s.pos]
+            if s.rule == "call":
+                read, kind, future = (acting, cfg.next_future), CallMsg, s.label.future
+            else:
+                kind = FulfilledFut if s.rule == "return" else Thread
+                read, future = acting, acting.future
+            built = next(p for p in s.config.processes
+                         if type(p) is kind and p.future == future)
+            made.setdefault((s.rule, read), {})[cfg] = built
+    shared = [key[0] for key, by_config in made.items() if len(by_config) > 1]
+    assert set(shared) == {"call", "return", "spawn"}
+    assert all(len({id(p) for p in by_config.values()}) == 1 for by_config in made.values())
+    assert any(len(by_config) > 1 for by_config in activated.values())
+    assert all(len(set(by_config.values())) == 1 for by_config in activated.values())
+
+
+def _counted_steps(cafe, configs, step_expr_calls):
+    """Step each configuration with the cafe's one table; returns the
+    successor lists and how many expression steps were taken afresh."""
+    step_expr_calls[0] = 0
+    return [step_config(c, cafe) for c in configs], step_expr_calls[0]
+
+
+def test_a_hold_steps_only_under_enough_resources(step_expr_calls):
+    """The table keeps the actor's resources a hold reads: the same hold
+    thread, in either order, steps with a Cf and has no successor without."""
+    cafe = _load("cafe.gract")
+    hold = Thread({}, Let("x", Hold(1, "Cf"), Return(Var("x"))), "f#1", "Cn")
+    have, lack = config_of({"Cn": {"Cf": 1}}, [hold]), config_of({"Cn": {"CC": 1}}, [hold])
+    (none, held, none_again), calls = _counted_steps(cafe, [lack, have, lack], step_expr_calls)
+    assert none == none_again == [] and calls == 2
+    assert [s.rule for s in held] == ["hold"] and held[0].config.alpha == (("Cn", (("Cf", 0),)),)
+
+
+def test_an_await_steps_only_when_its_fulfilment_is_offered(step_expr_calls):
+    """The table keeps the fulfilment an await reads: the same awaiting
+    thread gets nothing from another future's fulfilment and takes the
+    value each offer carries."""
+    cafe = _load("cafe.gract")
+    waiting = Thread({"g": FutRef("f#2")}, Let("c", Await(Var("g")), Return(Var("c"))),
+                     "f#1", "Cs")
+    offers = [FulfilledFut("f#3", UnitVal()), FulfilledFut("f#2", UnitVal()),
+              FulfilledFut("f#2", GradedRes("Cf", 1))]
+    (other, unit, cf), calls = _counted_steps(
+        cafe, [config_of({}, [f, waiting]) for f in offers], step_expr_calls)
+    assert other == [] and calls == 3
+    got = [s.config.processes for s in unit + cf]
+    assert [s.rule for s in unit + cf] == ["get", "get"]
+    assert [p[0].expr for p in got] == [Let("c", Return(Lit(v)), Return(Var("c")))
+                                        for v in (UnitVal(), GradedRes("Cf", 1))]
+
+
+@pytest.mark.parametrize("redex, reads", [
+    (Choice(Return(Lit(UnitVal())), Return(Lit(UnitVal()))), None),
+    (Call("Cn", "pickup", ()), "future"),
+    (Return(Lit(UnitVal())), "var"),
+], ids=["choice", "call", "let"])
+def test_only_a_redex_that_reads_a_counter_is_stepped_per_counter(step_expr_calls, redex, reads):
+    """Two configurations that differ only in their fresh-name counters:
+    a choice reads neither and is stepped once for both; a call reads the
+    fresh future and a let of a returned value the fresh variable, so each
+    is stepped once per configuration and takes that configuration's name."""
+    cafe = _load("cafe.gract")
+    thread = Thread({}, Let("x", redex, Return(Var("x"))), "f#1", "Cs")
+    configs = [config_of({}, [thread], next_future=3, next_var=4),
+               config_of({}, [thread], next_future=5, next_var=7)]
+    succs, stepped = _counted_steps(cafe, configs, step_expr_calls)
+    assert stepped == (1 if reads is None else 2)
+    for c, succ in zip(configs, succs):
+        fresh = {"future": f"f#{c.next_future}", "var": f"y#{c.next_var}", None: ""}[reads]
+        assert succ and all(s.config.next_future == c.next_future + (reads == "future")
+                            and s.config.next_var == c.next_var + (reads == "var")
+                            and fresh in str(s.config.processes) for s in succ)
 
 
 def test_a_variant_program_steps_with_its_own_table(step_expr_calls):
