@@ -362,7 +362,9 @@ def helpful_chooser(prog: Program) -> Callable[[list[StepResult], int], int]:
 
 def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
     """Every typable state that can still move must have a successor with a
-    strictly smaller measure. Pruning never hides successors here."""
+    strictly smaller measure, and a typable state (resources included)
+    with no successor must have terminated. Pruning never hides successors
+    here."""
     violations = []
     checked = 0
     for cfg in configs:
@@ -371,6 +373,10 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
             continue
         succ = step_config(cfg, prog)
         if not succ:
+            if not is_terminated(cfg) and type_config(prog, cfg)["ok"]:
+                checked += 1
+                violations.append({"code": "StuckState", "measure": mu,
+                                   "config": config_to_json(cfg)})
             continue
         checked += 1
         mus = (measure_of_config(prog, s.config) for s in succ)
@@ -402,7 +408,8 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
     a call and lose exactly the future consumed by a get; the measure drops
     by exactly one except when resolving a choice, which may pick a dearer
     branch; and the graded state moves by exactly what the step's label
-    says.
+    says. A run that ends stuck in a typable state breaks progress: a
+    typable state that has not terminated can always step.
     """
     m = prog.monoid
     violations: list[dict] = []
@@ -457,5 +464,8 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
                 violations.append({"step": k, "code": "GradedStateMismatch",
                                    "label": label_str(s.label)})
         pre, pt = post, pt2
+    if trace.status == "stuck" and measures[-1] is not None:
+        violations.append({"step": len(trace.steps) - 1, "code": "StuckState",
+                           "measure": measures[-1]})
     return {"ok": not violations, "steps": len(trace.steps),
             "violations": violations, "measures": measures}

@@ -537,20 +537,22 @@ class MethodSig(NamedTuple):
 class Program:
     """A checked program's declarations are not changed after it is built;
     a variant is a new Program (`dataclasses.replace`), which builds its
-    own `signatures`, `typings`, `steps` and `successors`.
+    own `signatures`, `typings`, `premises`, `steps` and `successors`.
 
-    Three tables live as long as the program and are shared by everything
-    that runs, explores or types its configurations: `typings`, the
-    typing table filled by `typecheck.type_process`; `steps`, the step
-    table filled by `semantics.step_config`; and `successors`, which only
-    `semantics.run` reads and fills, mapping a configuration to the list
-    `step_config` returns for it. A key of `typings` is either a process,
-    for the typing of one process, or a tuple of processes, for the typing
-    of a whole sequence. A key of `steps` is either an active thread with
-    the one input its redex reads, for that thread's steps (a suspended
-    thread steps once activated, from its active twin's entry), or a
-    message, for the thread it spawns. Every entry is read-only, and every
-    process in one is built once and shared by each step that reads it."""
+    Four tables live as long as the program and are shared by everything
+    that checks, runs, explores or types it: `typings`, the typing table
+    filled by `typecheck.type_process`; `premises`, the typings and
+    rejections of compound premises, filled by `typecheck._premise`;
+    `steps`, the step table filled by `semantics.step_config`; and
+    `successors`, which only `semantics.run` reads and fills, mapping a
+    configuration to the list `step_config` returns for it. A key of
+    `typings` is either a process, for the typing of one process, or a
+    tuple of processes, for the typing of a whole sequence. A key of
+    `steps` is either an active thread with the one input its redex reads,
+    for that thread's steps (a suspended thread steps once activated, from
+    its active twin's entry), or a message, for the thread it spawns.
+    Every entry is read-only, and every process in one is built once and
+    shared by each step that reads it."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]
@@ -562,6 +564,7 @@ class Program:
 
     def __post_init__(self) -> None:
         self.typings: dict[Process | tuple[Process, ...], tuple] = {}
+        self.premises: dict[tuple, object] = {}
         self.steps: dict[tuple | CallMsg, list | Optional[Thread]] = {}
         self.successors: dict[Configuration, list] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}

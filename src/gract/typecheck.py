@@ -96,9 +96,10 @@ Sigma = dict[str, FutT]
 UNIT = UnitT()
 
 
-def usage_add(m: GradeMonoid, a: Gamma, b: Gamma) -> Gamma:
+def usage_add(m: GradeMonoid, a: Gamma, b: Gamma, loc: str) -> Gamma:
     """Combine the consumption of two sub-derivations. Resource grades
-    add; a future variable may be consumed on one side only."""
+    add; a future variable may be consumed on one side only. A collision
+    is reported at `loc`, the node whose premises collide."""
     out = dict(a)
     for x, t in b.items():
         prev = out.get(x)
@@ -107,16 +108,16 @@ def usage_add(m: GradeMonoid, a: Gamma, b: Gamma) -> Gamma:
         elif type(prev) is ResT and type(t) is ResT and prev.res == t.res:
             out[x] = ResT(prev.res, m.plus(prev.grade, t.grade))
         elif type(prev) is FutT and type(t) is FutT:
-            raise CheckError("NonLinearFuture", f"variable {x} consumed twice")
+            raise CheckError("NonLinearFuture", f"variable {x} consumed twice", loc)
         elif not (type(prev) is UnitT and type(t) is UnitT):
-            raise CheckError("TypeMismatch", f"variable {x} used at {prev} and {t}")
+            raise CheckError("TypeMismatch", f"variable {x} used at {prev} and {t}", loc)
     return out
 
 
-def futs_add(a: set[str], b: set[str]) -> set[str]:
+def futs_add(a: set[str], b: set[str], loc: str) -> set[str]:
     dup = a & b
     if dup:
-        raise CheckError("NonLinearFuture", f"future {sorted(dup)[0]} consumed twice")
+        raise CheckError("NonLinearFuture", f"future {sorted(dup)[0]} consumed twice", loc)
     return a | b
 
 
@@ -199,8 +200,8 @@ def type_value_list(prog: Program, gamma: Gamma, sigma: Sigma,
     for ve in ves:
         ty, uv, uf = type_value_expr(prog, gamma, sigma, ve, loc)
         types.append(ty)
-        used = usage_add(prog.monoid, used, uv)
-        futs = futs_add(futs, uf)
+        used = usage_add(prog.monoid, used, uv, loc)
+        futs = futs_add(futs, uf, loc)
     return types, used, futs
 
 
@@ -316,12 +317,12 @@ def _infer(prog: Program, a: str, gamma: Gamma, sigma: Sigma,
         x, body = e.var, e.body
         if x in gamma:
             raise CheckError("ShadowedBinder", x, loc)
-        t1 = _infer(prog, a, gamma, sigma, e.bound, f"{loc} binding of {x}")
+        t1 = _premise(prog, a, gamma, sigma, e.bound, f"{loc} binding of {x}")
         t2 = _infer(prog, a, {**gamma, x: t1.ty}, sigma, body, loc)
         _check_binder_leftover(m, x, t1.ty, t2.used_vars.get(x), body, loc)
         uv2 = {y: t for y, t in t2.used_vars.items() if y != x}
-        used = usage_add(m, t1.used_vars, uv2)
-        futs = futs_add(t1.used_futs, t2.used_futs)
+        used = usage_add(m, t1.used_vars, uv2, loc)
+        futs = futs_add(t1.used_futs, t2.used_futs, loc)
         cancel = _cancel(m, t1.produces, t2.requires)
         phi_rest = ctx_minus(m, t2.requires, cancel)
         psi_kept = ctx_minus(m, t1.produces, cancel)
@@ -373,10 +374,37 @@ def _infer(prog: Program, a: str, gamma: Gamma, sigma: Sigma,
             fits_expected(m, ty, want, f"{loc} {op} argument {i}")
         return ExprTyping(sig.result, {}, {}, 1, used, futs)
     if k is Choice:
-        tl = _infer(prog, a, gamma, sigma, e.left, f"{loc} left branch")
-        tr = _infer(prog, a, gamma, sigma, e.right, f"{loc} right branch")
+        tl = _premise(prog, a, gamma, sigma, e.left, f"{loc} left branch")
+        tr = _premise(prog, a, gamma, sigma, e.right, f"{loc} right branch")
         return _unify_branches(prog, e.left, e.right, tl, tr, loc)
     raise CheckError("TypeMismatch", f"not an expression: {e!r}", loc)
+
+
+def _premise(prog: Program, a: str, gamma: Gamma, sigma: Sigma,
+             e: Expr, loc: str) -> ExprTyping:
+    """A `Let`'s bound or a `Choice`'s branch, typed in its conclusion's
+    context. A compound premise (a `Let` or `Choice`) goes through
+    `prog.premises`, keyed on the actor, the expression and the context.
+    An entry is the typing, only read, or the rejection's code, detail and
+    location below the premise's, so a hit raises the same error afresh
+    at this position. A leaf is cheaper to type than to key."""
+    k = type(e)
+    if k is not Let and k is not Choice:
+        return _infer(prog, a, gamma, sigma, e, loc)
+    table = prog.premises
+    key = a, e, tuple(gamma.items()), tuple(sigma.items())
+    seen = table.get(key)
+    if seen is None:
+        try:
+            seen = table[key] = _infer(prog, a, gamma, sigma, e, loc)
+        except CheckError as err:
+            # every rejection inside a premise is located below it
+            assert err.loc.startswith(loc)
+            table[key] = err.code, err.detail, err.loc[len(loc):]
+            raise
+    elif type(seen) is tuple:
+        raise CheckError(seen[0], seen[1], loc + seen[2])
+    return seen
 
 
 def _check_binder_leftover(m: GradeMonoid, x: str, ty: Type, used: Optional[Type],
@@ -426,8 +454,9 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
     gamma: Gamma = {}
     futs: set[str] = set()
     for x, v in lam.items():
-        ty, uf = type_value(sigma, v, f"{loc} {x}")
-        futs = futs_add(futs, uf)
+        where = f"{loc} {x}"
+        ty, uf = type_value(sigma, v, where)
+        futs = futs_add(futs, uf, where)
         gamma[x] = ty
     return gamma, futs
 
@@ -464,15 +493,16 @@ def _type_atomic(prog: Program, p: Process,
                                  f"message {f}")
             futs: set[str] = set()
             for v, (x, want) in zip(vals, decl.params):
-                ty, uf = type_value(sigma, v, f"message {f} argument {x}")
-                futs = futs_add(futs, uf)
-                fits_expected(m, ty, want, f"message {f} argument {x}")
+                where = f"message {f} argument {x}"
+                ty, uf = type_value(sigma, v, where)
+                futs = futs_add(futs, uf, where)
+                fits_expected(m, ty, want, where)
             return sig.requires, futs, decl.measure + 2, {f: sig.fut}
         case Thread(lam, e, f, a, _, fut):
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
             t = type_expr(prog, a, gamma, sigma, e, loc)
-            futs = futs_add(env_futs, t.used_futs)
+            futs = futs_add(env_futs, t.used_futs, loc)
             if fut is not None:
                 fits_expected(m, t.ty, fut.result, loc)
                 shift = ctx_minus(m, ctx_of(fut.produces), t.produces)

@@ -47,6 +47,44 @@ init B1: CC^1, B2: CC^1;
 start H!main()
 """
 
+# Two customers share one barista and one counter under exact naturals.
+# `check` accepts it: it splits the host's `B: CC^2` into two concurrent
+# `B: CC^1`. The machine's `hold 1 CC` needs `NatExact.minus(2, 1)`, which
+# is undefined, so every run gets stuck with B holding `CC^2`.
+NATEQ_BARISTA = """\
+grade natEq
+makeCoffee(o: Order^1, c: CC^1): Cf^1
+drink(c: Cf^1): DC^1
+washCup(d: DC^1): CC^1
+B {
+  takeOrder(o: Order^1): Unit requires B: CC^1 produces Cn: Cf^1 measure 12 {
+    let c = hold 1 CC in let cf = makeCoffee(o^1, c^1) in
+    let f = Cn!place(cf^1) in f?; return unit }
+  clean(d: DC^1): Unit requires produces B: CC^1 measure 4 {
+    let c = washCup(d^1) in release 1 c^1; return unit }
+}
+Cn {
+  place(c: Cf^1): Unit requires produces Cn: Cf^1 measure 2 { release 1 c^1; return unit }
+  pickup(): Cf^1 requires Cn: Cf^1 produces measure 2 { let c = hold 1 Cf in return c^1 }
+}
+Cs1 {
+  main(): Unit requires B: CC^1 produces B: CC^1 measure 37 {
+    let f = B!takeOrder(Order^1) in f?; let g = Cn!pickup() in let c = g? in
+    let d = drink(c^1) in let h = B!clean(d^1) in h? }
+}
+Cs2 {
+  main(): Unit requires B: CC^1 produces B: CC^1 measure 37 {
+    let f = B!takeOrder(Order^1) in f?; let g = Cn!pickup() in let c = g? in
+    let d = drink(c^1) in let h = B!clean(d^1) in h? }
+}
+H {
+  main(): Unit requires B: CC^2 produces B: CC^2 measure 86 {
+    let f1 = Cs1!main() in let f2 = Cs2!main() in f1?; f2?; return unit }
+}
+init B: CC^2;
+start H!main()
+"""
+
 
 def cli_output(argv) -> tuple[int, str]:
     """`gract`'s exit code and standard output for one command line."""

@@ -61,21 +61,36 @@ def _judge(kernel, prog, e, gamma, sigma):
             tuple(t.used_vars.items()), t.used_futs)
 
 
-def _mismatches(prog, exprs, contexts):
+def _mismatches(prog, exprs, contexts, fresh=False):
+    """Judgments where the kernel and the oracle differ. With `fresh`, the
+    kernel types each judgment in a new copy of `prog`, whose premise
+    table starts empty; otherwise one table serves every judgment."""
     out = []
     for e in exprs:
         for gamma, sigma in contexts:
-            got = _judge(typecheck, prog, e, gamma, sigma)
+            got = _judge(typecheck, replace(prog) if fresh else prog, e, gamma, sigma)
             want = _judge(oracle, prog, e, gamma, sigma)
             if got != want:
                 out.append((str(e), gamma, sigma, got, want))
     return out
 
 
-def test_gate8_universe_slice_types_alike():
+def _gate8_slice():
     universe = gate8._universe()
-    exprs = universe[:DEPTH_2] + universe[DEPTH_2::STRIDE]
-    assert _mismatches(gate8._oracle_program(), exprs, gate8._contexts()) == []
+    return universe[:DEPTH_2] + universe[DEPTH_2::STRIDE]
+
+
+def test_gate8_universe_slice_types_alike():
+    prog = gate8._oracle_program()
+    assert _mismatches(prog, _gate8_slice(), gate8._contexts()) == []
+    # one warm table: each depth-2 premise once in each of the six contexts
+    assert len(prog.premises) == 663 * 6
+
+
+def test_gate8_universe_slice_types_alike_with_fresh_tables():
+    prog = gate8._oracle_program()
+    assert _mismatches(prog, _gate8_slice(), gate8._contexts(), fresh=True) == []
+    assert prog.premises == {}
 
 
 def _zero_program():

@@ -13,7 +13,10 @@ differential tests require the current kernel to give the same typing,
 or an error with the same code, location and detail, on every input they
 try. One rule has changed since: a release on a level lattice must give
 back the level it holds (`GradeMonoid.releasable`); this kernel still
-tests `leq`, so the tests feed it no such release.
+tests `leq`, so the tests feed it no such release. A usage collision
+(`usage_add`, `futs_add`) is reported at the location of the node whose
+premises collide, as the checker reports it, where both once left the
+location empty.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ Gamma = dict[str, Type]
 Sigma = dict[str, FutT]
 
 
-def usage_add(m: GradeMonoid, a: Gamma, b: Gamma) -> Gamma:
+def usage_add(m: GradeMonoid, a: Gamma, b: Gamma, loc: str) -> Gamma:
     """Combine the consumption of two sub-derivations. Resource grades
     add; a future variable may be consumed on one side only."""
     out = dict(a)
@@ -82,16 +85,16 @@ def usage_add(m: GradeMonoid, a: Gamma, b: Gamma) -> Gamma:
             case (ResT(r1, g1), ResT(r2, g2)) if r1 == r2:
                 out[x] = ResT(r1, m.plus(g1, g2))
             case (FutT(), FutT()):
-                raise CheckError("NonLinearFuture", f"variable {x} consumed twice")
+                raise CheckError("NonLinearFuture", f"variable {x} consumed twice", loc)
             case _:
-                raise CheckError("TypeMismatch", f"variable {x} used at {prev} and {t}")
+                raise CheckError("TypeMismatch", f"variable {x} used at {prev} and {t}", loc)
     return out
 
 
-def futs_add(a: set[str], b: set[str]) -> set[str]:
+def futs_add(a: set[str], b: set[str], loc: str) -> set[str]:
     dup = a & b
     if dup:
-        raise CheckError("NonLinearFuture", f"future {sorted(dup)[0]} consumed twice")
+        raise CheckError("NonLinearFuture", f"future {sorted(dup)[0]} consumed twice", loc)
     return a | b
 
 
@@ -169,8 +172,8 @@ def type_value_list(prog: Program, gamma: Gamma, sigma: Sigma,
     for ve in ves:
         ty, uv, uf = type_value_expr(prog, gamma, sigma, ve, loc)
         types.append(ty)
-        used = usage_add(prog.monoid, used, uv)
-        futs = futs_add(futs, uf)
+        used = usage_add(prog.monoid, used, uv, loc)
+        futs = futs_add(futs, uf, loc)
     return types, used, futs
 
 def can_absorb(e: Expr) -> bool:
@@ -341,8 +344,8 @@ def _infer(prog: Program, a: str, gamma: Gamma, sigma: Sigma,
             t2 = _infer(prog, a, gamma2, sigma, body, loc)
             _check_binder_leftover(m, x, t1.ty, t2.used_vars.get(x), body, loc)
             uv2 = {y: t for y, t in t2.used_vars.items() if y != x}
-            used = usage_add(m, t1.used_vars, uv2)
-            futs = futs_add(t1.used_futs, t2.used_futs)
+            used = usage_add(m, t1.used_vars, uv2, loc)
+            futs = futs_add(t1.used_futs, t2.used_futs, loc)
             cancel = _cancel(m, t1.produces, t2.requires)
             phi_rest = ctx_minus(m, t2.requires, cancel)
             psi_kept = ctx_minus(m, t1.produces, cancel)
@@ -403,7 +406,7 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
     futs: set[str] = set()
     for x, v in lam.items():
         ty, uf = type_value(prog, sigma, v, f"{loc} {x}")
-        futs = futs_add(futs, uf)
+        futs = futs_add(futs, uf, f"{loc} {x}")
         gamma[x] = ty
     return gamma, futs
 
@@ -436,7 +439,7 @@ def _type_atomic(prog: Program, p: Process,
             futs: set[str] = set()
             for v, (x, want) in zip(vals, decl.params):
                 ty, uf = type_value(prog, sigma, v, f"message {f} argument {x}")
-                futs = futs_add(futs, uf)
+                futs = futs_add(futs, uf, f"message {f} argument {x}")
                 fits_expected(m, ty, want, f"message {f} argument {x}")
             return (ctx_norm(m, decl.requires), futs, decl.measure + 2,
                     {f: fut_type(decl.result, ctx_norm(m, decl.produces))})
@@ -444,7 +447,7 @@ def _type_atomic(prog: Program, p: Process,
             loc = f"thread {f} of {a}"
             gamma, env_futs = type_local_env(prog, lam, sigma, loc)
             t = type_expr(prog, a, gamma, sigma, e, loc)
-            futs = futs_add(env_futs, t.used_futs)
+            futs = futs_add(env_futs, t.used_futs, loc)
             reg = _declared(fut)
             if reg is not None:
                 want, declared = reg
