@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .grades import ctx_minus, ctx_norm, ctx_plus
 from .semantics import (
     CallLbl,
     HoldLbl,
@@ -41,7 +40,7 @@ from .terms import (
     Process,
     Program,
     Thread,
-    ctx_of,
+    entry,
     futures_consumed_one,
     futures_produced_one,
 )
@@ -181,15 +180,14 @@ def bounded_successors(prog: Program, config: Configuration, unfold: int) -> Suc
     for s in raw:
         if s.rule == "call" and isinstance(s.label, CallLbl):
             key = (s.label.actor, s.label.method)
-            if dict(s.config.call_counts).get(key, 0) > unfold:
+            if entry(s.config.call_counts, key, 0) > unfold:
                 pruned_calls += 1
                 continue
         ch = _choice_index(config, raw, s)
         if ch is not None:
             r, idx = ch
             branch = (r.left, r.right)[idx]
-            counts = dict(config.call_counts)
-            if any(counts.get(k, 0) >= unfold for k in _calls_in(branch)):
+            if any(entry(config.call_counts, k, 0) >= unfold for k in _calls_in(branch)):
                 pruned_choices += 1
                 continue
         kept.append(s)
@@ -389,14 +387,23 @@ def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
 # ---------------------------------------------------------------------------
 # Dynamic subject reduction along a trace
 
-def _expected_alpha(m, alpha, s: StepResult):
-    match s.label:
-        case HoldLbl(r, g):
-            return ctx_minus(m, alpha, {s.actor: {r: g}})
-        case RlsLbl(r, g):
-            return ctx_norm(m, ctx_plus(m, alpha, {s.actor: {r: g}}))
-        case _:
-            return ctx_norm(m, alpha)
+def _graded(m, alpha) -> dict:
+    """The stored resource entries by (actor, resource), zero grades left out."""
+    return {(a, r): g for a, env in alpha for r, g in env if g != m.zero()}
+
+
+def _expected_alpha(m, alpha, s: StepResult) -> Optional[dict]:
+    """`_graded` of `alpha` after step `s`, None if a hold takes more than is held."""
+    want = _graded(m, alpha)
+    if isinstance(s.label, (HoldLbl, RlsLbl)):
+        key, g = (s.actor, s.label.res), s.label.grade
+        have = want.pop(key, m.zero())
+        left = m.minus(have, g) if type(s.label) is HoldLbl else m.plus(have, g)
+        if left is None:
+            return None
+        if left != m.zero():
+            want[key] = left
+    return want
 
 
 def check_subject_reduction(prog: Program, trace: Trace) -> dict:
@@ -459,8 +466,7 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
                                    "from": mu0, "to": mu1})
         # only a hold or a release may move the resources
         if post.alpha != pre.alpha or isinstance(s.label, (HoldLbl, RlsLbl)):
-            want_alpha = _expected_alpha(m, ctx_of(pre.alpha), s)
-            if want_alpha is None or ctx_norm(m, ctx_of(post.alpha)) != want_alpha:
+            if _expected_alpha(m, pre.alpha, s) != _graded(m, post.alpha):
                 violations.append({"step": k, "code": "GradedStateMismatch",
                                    "label": label_str(s.label)})
         pre, pt = post, pt2

@@ -469,8 +469,9 @@ def with_entry(pairs: tuple, key, value) -> tuple:
 def well_formed(config: Configuration) -> list[str]:
     """Diagnostics, empty when the configuration is well formed.
 
-    Each actor that appears at all has exactly one active thread or is
-    idle (never both, never more), and no future is produced twice.
+    Each actor that appears at all, as an idle marker or through a thread
+    (suspended ones included), has exactly one active thread or is idle
+    (never both, never more), and no future is produced twice.
     """
     problems = []
     active: dict[str, int] = {}
@@ -485,8 +486,8 @@ def well_formed(config: Configuration) -> list[str]:
         if f in seen_futures:
             problems.append(f"future {f} produced twice")
         seen_futures.add(f)
-        if k is Thread and not p.suspended:
-            active[p.actor] = active.get(p.actor, 0) + 1
+        if k is Thread:
+            active[p.actor] = active.get(p.actor, 0) + (not p.suspended)
     for actor in active.keys() | idle.keys():
         n_active = active.get(actor, 0)
         n_idle = idle.get(actor, 0)

@@ -23,7 +23,6 @@ from typing import Optional
 from .grades import (
     ActorContext,
     GradeMonoid,
-    ctx_leq,
     ctx_minus,
     ctx_norm,
     ctx_plus,
@@ -61,6 +60,7 @@ from .terms import (
     ValueExpr,
     Var,
     ctx_of,
+    entry,
     fut_type,
     well_formed,
 )
@@ -554,18 +554,31 @@ def type_process(prog: Program, processes) -> ProcTyping:
     key = tuple(processes)
     parts = prog.typings.get(key)
     if parts is None:
-        pt = _compose(prog, key)
-        parts = prog.typings[key] = pt.requires, pt.measure, pt.produced, pt.marked
+        reqs, measure, produced, marked = _compose(prog, key)
+        m = prog.monoid
+        requires: ActorContext = {}
+        # summed in place, normalized once below: no algebra sums non-zero
+        # grades to zero, so this is the ctx_plus fold, key order included;
+        # each req may be the table's, so it is only read
+        for req in reqs:
+            for actor, env in req.items():
+                have = requires.get(actor)
+                if have is None:
+                    requires[actor] = dict(env)
+                    continue
+                for r, g in env.items():
+                    have[r] = m.plus(have[r], g) if r in have else g
+        parts = prog.typings[key] = ctx_norm(m, requires), measure, produced, marked
     requires, measure, produced, marked = parts
     return ProcTyping({a: dict(env) for a, env in requires.items()},
                       measure, dict(produced), set(marked))
 
 
-def _compose(prog: Program, processes) -> ProcTyping:
-    """type_process without the sequence entry: the left-to-right
-    composition through the per-process entries."""
-    m = prog.monoid
-    requires: ActorContext = {}
+def _compose(prog: Program, processes) -> tuple:
+    """The left-to-right composition through the per-process entries: each
+    process's `requires` in order, which only `type_process` sums, the
+    measure, and the produced and marked futures."""
+    reqs: list[ActorContext] = []
     measure = 0
     # the futures produced so far are the ones visible to the next process;
     # marked futures stay resolvable so reuse is reported as reuse, not as
@@ -591,18 +604,9 @@ def _compose(prog: Program, processes) -> ProcTyping:
             if f in produced:
                 raise CheckError("DoubleProduce", f"future {f}")
             produced[f] = t
-        # summed in place, normalized once below: no algebra sums non-zero
-        # grades to zero, so this is the ctx_plus fold, key order included;
-        # req may be the table's, so it is only read
-        for actor, env in req.items():
-            have = requires.get(actor)
-            if have is None:
-                requires[actor] = dict(env)
-                continue
-            for r, g in env.items():
-                have[r] = m.plus(have[r], g) if r in have else g
+        reqs.append(req)
         measure += n
-    return ProcTyping(ctx_norm(m, requires), measure, produced, marked)
+    return reqs, measure, produced, marked
 
 
 # ---------------------------------------------------------------------------
@@ -614,46 +618,37 @@ def _grades_json(ctx: ActorContext) -> dict:
 
 def type_config(prog: Program, config: Configuration) -> dict:
     """Type the whole configuration and check its claims fit the graded
-    state. The report is JSON-ready; ok is False on any error."""
+    state. The report is JSON-ready; ok is False on any error. Each
+    required `(actor, resource)` is checked against its entry in
+    `config.alpha` as stored, in `requires` order; a resource held but
+    not required is never reported, whatever its grade."""
+    errors = [{"code": "IllFormed", "loc": "", "detail": problem}
+              for problem in well_formed(config)]
+    if errors:
+        return {"ok": False, "requires": {}, "measure": 0, "errors": errors}
+    try:
+        pt = type_process(prog, config.processes)
+    except CheckError as e:
+        return {"ok": False, "requires": {}, "measure": 0, "errors": [e.to_json()]}
     m = prog.monoid
-    errors: list[dict] = []
-    for problem in well_formed(config):
-        errors.append({"code": "IllFormed", "loc": "", "detail": problem})
-    requires: ActorContext = {}
-    measure = 0
-    if not errors:
-        try:
-            pt = type_process(prog, config.processes)
-            requires, measure = pt.requires, pt.measure
-            alpha = ctx_of(config.alpha)
-            if not ctx_leq(m, requires, alpha):
-                for actor, env in requires.items():
-                    have = alpha.get(actor, {})
-                    for r, g in env.items():
-                        if not m.leq(g, have.get(r, m.zero())):
-                            errors.append({
-                                "code": "InsufficientInitialResources",
-                                "loc": f"init {actor}.{r}",
-                                "detail": f"requires {format_grade(g)}, "
-                                          f"holds {format_grade(have.get(r, m.zero()))}",
-                            })
-        except CheckError as e:
-            errors.append(e.to_json())
-    return {
-        "ok": not errors,
-        "requires": _grades_json(requires),
-        "measure": measure,
-        "errors": errors,
-    }
+    for actor, env in pt.requires.items():
+        for r, g in env.items():
+            have = entry(entry(config.alpha, actor), r, m.zero())
+            if not m.leq(g, have):
+                errors.append({"code": "InsufficientInitialResources", "loc": f"init {actor}.{r}",
+                               "detail": f"requires {format_grade(g)}, holds {format_grade(have)}"})
+    return {"ok": not errors, "requires": _grades_json(pt.requires), "measure": pt.measure,
+            "errors": errors}
 
 
 def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
     """The configuration's measure, None if it does not type. Composed
-    through the per-process entries only: an exploration's states are
+    through the per-process entries only, and nothing is summed: the
+    measure does not read `requires`. An exploration's states are
     distinct sequences (26,106 of them on the full k=2 k-cafe), so a
     sequence entry would cost memory and never be hit."""
     try:
-        return _compose(prog, config.processes).measure
+        return _compose(prog, config.processes)[1]
     except CheckError:
         return None
 

@@ -47,6 +47,20 @@ init B1: CC^1, B2: CC^1;
 start H!main()
 """
 
+# One triple under a host: the text of perfbench's `kcafe(1)`, up to layout.
+KCAFE1 = f"""\
+grade lin
+makeCoffee(o: Order^1, c: CC^1): Cf^1
+drink(c: Cf^1): DC^1
+washCup(d: DC^1): CC^1
+{_TRIPLE.replace("@", "1")}H {{
+  main(): Unit requires B1: CC^1 produces B1: CC^1 measure 43 {{
+    let f1 = Cs1!main() in f1?; return unit }}
+}}
+init B1: CC^1;
+start H!main()
+"""
+
 # Two customers share one barista and one counter under exact naturals.
 # `check` accepts it: it splits the host's `B: CC^2` into two concurrent
 # `B: CC^1`. The machine's `hold 1 CC` needs `NatExact.minus(2, 1)`, which

@@ -120,6 +120,15 @@ def test_well_formed_one_active_or_idle():
     assert well_formed(both) != []
 
 
+def test_well_formed_counts_an_actor_seen_only_through_suspended_threads():
+    waiting = config_of(
+        {},
+        [Thread({}, Return(u), "f", "a", suspended=True),
+         Thread({}, Return(u), "g", "a", suspended=True), Idle("b")],
+    )
+    assert well_formed(waiting) == ["actor a has 0 active threads and 0 idle markers"]
+
+
 def test_rename_respects_shadowing():
     e = Let("x", Return(Var("x")), Return(GradedVar("x", 1)))
     r = rename_var(e, "x", "z")
