@@ -23,11 +23,11 @@ from .semantics import (
     StepResult,
     Trace,
     config_to_json,
+    disconnected,
     initial_config,
     is_terminated,
     label_str,
     process_to_json,
-    redex,
     step_config,
     stuck_diagnosis,
 )
@@ -39,10 +39,7 @@ from .terms import (
     Let,
     Process,
     Program,
-    Thread,
     entry,
-    futures_consumed_one,
-    futures_produced_one,
 )
 from .typecheck import measure_of_config, type_config, type_process
 
@@ -58,24 +55,24 @@ def _key_pieces(p: Process) -> tuple:
     """What canonical_key reads of one process, computed once per distinct
     process: its serialization, that serialization's literal template (the
     text between fresh names, joined by NUL, which JSON never writes raw),
-    the fresh names in order, and its produced and consumed futures."""
+    the fresh names in order, and the process itself, for the swap test."""
     ser = json.dumps(process_to_json(p), sort_keys=True)
     parts = _FRESH.split(ser)
-    return (ser, "\0".join(parts[0::2]), parts[1::2],
-            futures_produced_one(p), futures_consumed_one(p))
+    return ser, "\0".join(parts[0::2]), parts[1::2], p
 
 
 def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     """A name for the state that ignores process order (where swapping is
     legal), fresh-name spelling, and the freshness counters.
 
-    Adjacent processes are bubble-sorted by their serialization whenever the
-    swap preserves behaviour.  The key is each process's template followed
-    by codes for its fresh names (n for the n-th future, ~n for the n-th
-    let-variable, by first occurrence), then the resources, each produced
-    future's code with the declared type its producer carries, and the call
-    budget, whose sorted tuples the configuration holds.  Distinct keys may
-    still denote equivalent states; that costs extra visits, never a wrong merge.
+    Adjacent processes are bubble-sorted by their serialization whenever
+    `semantics.disconnected` lets them swap.  The key is each process's
+    template followed by codes for its fresh names (n for the n-th future,
+    ~n for the n-th let-variable, by first occurrence), then the resources,
+    each produced future's code with the declared type its producer
+    carries, and the call budget, whose sorted tuples the configuration
+    holds.  Distinct keys may still denote equivalent states; that costs
+    extra visits, never a wrong merge.
 
     `memo`, owned by the caller, maps each process (a value, so equal
     processes share an entry) to its pieces, so configurations serialize
@@ -95,8 +92,7 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
         changed = False
         for i in range(len(pieces) - 1):
             a, b = pieces[i], pieces[i + 1]
-            # swap when b sorts first and the two are disconnected
-            if b[0] < a[0] and a[3].isdisjoint(b[4]) and b[3].isdisjoint(a[4]):
+            if b[0] < a[0] and disconnected(a[3], b[3]):
                 pieces[i], pieces[i + 1] = b, a
                 changed = True
 
@@ -140,23 +136,6 @@ def _calls_in(e) -> set[tuple[str, str]]:
     return out
 
 
-def _is_choice_step(pre: Configuration, s: StepResult) -> bool:
-    if s.rule != "silent" or s.pos >= len(pre.processes):
-        return False
-    p = pre.processes[s.pos]
-    return isinstance(p, Thread) and not p.suspended and isinstance(redex(p.expr), Choice)
-
-
-def _choice_index(config: Configuration, succ: list[StepResult],
-                  s: StepResult) -> Optional[tuple[Choice, int]]:
-    # a silent step resolving a choice redex; returns (redex, branch index)
-    if not _is_choice_step(config, s):
-        return None
-    siblings = [t for t in succ
-                if t.pos == s.pos and t.rule == "silent" and t.variant == s.variant]
-    return redex(config.processes[s.pos].expr), siblings.index(s)
-
-
 @dataclass
 class Successors:
     kept: list[StepResult]
@@ -169,10 +148,10 @@ def bounded_successors(prog: Program, config: Configuration, unfold: int) -> Suc
     """All one-step successors, minus those the call budget rules out.
 
     A call that would push its method past the budget is dropped.  A choice
-    branch whose body syntactically mentions a call to an already-exhausted
-    method is dropped too: taking it could only end at the budget wall, and
-    cutting it here models the fair scheduler that eventually picks the
-    other branch.
+    step whose branch (`StepResult.branch`) syntactically mentions a call
+    to an already-exhausted method is dropped too: taking it could only end
+    at the budget wall, and cutting it here models the fair scheduler that
+    eventually picks the other branch.
     """
     raw = step_config(config, prog)
     kept: list[StepResult] = []
@@ -183,13 +162,10 @@ def bounded_successors(prog: Program, config: Configuration, unfold: int) -> Suc
             if entry(s.config.call_counts, key, 0) > unfold:
                 pruned_calls += 1
                 continue
-        ch = _choice_index(config, raw, s)
-        if ch is not None:
-            r, idx = ch
-            branch = (r.left, r.right)[idx]
-            if any(entry(config.call_counts, k, 0) >= unfold for k in _calls_in(branch)):
-                pruned_choices += 1
-                continue
+        if s.branch is not None and any(entry(config.call_counts, k, 0) >= unfold
+                                        for k in _calls_in(s.branch)):
+            pruned_choices += 1
+            continue
         kept.append(s)
     return Successors(kept, pruned_calls, pruned_choices, len(raw))
 
@@ -457,7 +433,7 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
                                    "expected": sorted(want), "got": sorted(pt2.marked)})
         mu0, mu1 = measures[-2], measures[-1]
         if mu0 is not None and mu1 is not None:
-            if _is_choice_step(pre, s):
+            if s.branch is not None:
                 if mu1 < mu0 - 1:
                     violations.append({"step": k, "code": "MeasureDroppedTooFar",
                                        "from": mu0, "to": mu1})

@@ -324,11 +324,6 @@ def env_plus(m: GradeMonoid, a: ResourceEnv, b: ResourceEnv) -> ResourceEnv:
     return env_norm(m, out)
 
 
-def env_leq(m: GradeMonoid, a: ResourceEnv, b: ResourceEnv) -> bool:
-    z = m.zero()
-    return all(m.leq(a.get(r, z), b.get(r, z)) for r in a.keys() | b.keys())
-
-
 def env_minus(m: GradeMonoid, total: ResourceEnv, used: ResourceEnv) -> Optional[ResourceEnv]:
     out = dict(total)
     z = m.zero()
@@ -354,10 +349,6 @@ def ctx_plus(m: GradeMonoid, a: ActorContext, b: ActorContext) -> ActorContext:
     for actor, env in b.items():
         out[actor] = env_plus(m, out.get(actor, {}), env)
     return ctx_norm(m, out)
-
-
-def ctx_leq(m: GradeMonoid, a: ActorContext, b: ActorContext) -> bool:
-    return all(env_leq(m, a.get(actor, {}), b.get(actor, {})) for actor in a.keys() | b.keys())
 
 
 def ctx_minus(m: GradeMonoid, total: ActorContext, used: ActorContext) -> Optional[ActorContext]:

@@ -58,7 +58,6 @@ from .terms import (
     ctx_key,
     entry,
     futures_consumed_one,
-    futures_produced_one,
     rename_var,
     with_entry,
 )
@@ -293,12 +292,11 @@ def awaited(m: GradeMonoid, thread: Thread) -> Optional[str]:
 # Rearrangement
 
 def disconnected(p: Process, q: Process) -> bool:
-    """Adjacent processes may swap only when neither consumes what the
-    other produces."""
-    return (
-        not (futures_produced_one(p) & futures_consumed_one(q))
-        and not (futures_produced_one(q) & futures_consumed_one(p))
-    )
+    """Adjacent processes may swap only when neither consumes the future
+    the other produces (an idle marker produces none). The one swap test,
+    it reads the futures each process keeps (`futures_consumed_one`)."""
+    return ((type(p) is Idle or p.future not in futures_consumed_one(q))
+            and (type(q) is Idle or q.future not in futures_consumed_one(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,8 @@ class StepResult:
     when the actor's idle marker lay to the left of the message. A step of
     a suspended thread activated by the variant (`act` or `yld`) reports
     where the activated thread lands: its own index, or one less when `act`
-    took an idle marker to its left.
+    took an idle marker to its left. `branch` is the branch a choice step
+    took, None for every other step; it is not serialized.
     """
 
     rule: str
@@ -328,6 +327,7 @@ class StepResult:
     actor: Optional[str]
     pos: int
     variant: str = "base"  # base | act | yld (scheduling move folded in)
+    branch: Optional[Expr] = None
 
     # the label breaks ties: suspended threads of two actors can both be
     # activated by `act` onto one `pos`, each taking a `get`
@@ -379,13 +379,12 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
     program. A call reads the fresh future, a let binding a returned value
     the fresh variable, an await the fulfilment it is offered and a hold
     the actor's `alpha` entry; any other redex reads nothing, so its entry
-    serves every configuration. An entry holds each step's rule, label and
-    the processes that take the thread's place: the updated thread, after
-    a call's message, or a return's fulfilled future and idle marker. So
-    equal steps share every process they build. A redex that faults gets
-    an empty entry; `stuck_diagnosis` reports why. Each successor is one
-    `config.copy` naming the fields its rule changes; it shares the others
-    with `config`."""
+    serves every configuration. An entry holds each step's rule, label,
+    the processes that take the thread's place (the updated thread, after
+    a call's message, or a return's fulfilled future and idle marker) and
+    choice branch, so equal steps share every process they build. A redex
+    that faults gets an empty entry; `stuck_diagnosis` reports why. Each
+    successor is one `config.copy` naming the fields its rule changes."""
     procs = config.processes
     rx = redex(thread.expr)
     reachable = offered = None
@@ -404,13 +403,13 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
             key = (thread, None)
     steps = prog.steps.get(key)
     if steps is None:
-        steps = prog.steps[key] = _new_steps(config, prog, thread, offered)
+        steps = prog.steps[key] = _new_steps(config, prog, thread, rx, offered)
 
     m = prog.monoid
     a = thread.actor
     head, tail = procs[:i], procs[i + 1:]
     out: list[StepResult] = []
-    for rule, label, built in steps:
+    for rule, label, built, branch in steps:
         match label:
             case HoldLbl(r, g) | RlsLbl(r, g):
                 env_a = entry(config.alpha, a)
@@ -432,32 +431,33 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
             case _:  # silent or return; a let redex bound the fresh variable
                 c = config.copy(head + built + tail,
                                 next_var=config.next_var + 1 if type(rx) is Let else None)
-        out.append(StepResult(rule, label, c, a, i, variant))
+        out.append(StepResult(rule, label, c, a, i, variant, branch))
     return out
 
 
-def _new_steps(config: Configuration, prog: Program, thread: Thread,
-               offered: Optional[tuple[str, Value]]) -> list[tuple[str, Label, tuple]]:
-    """A step-table entry of `_thread_steps`: the thread's steps in
-    `config`, offered the given fulfilment."""
+def _new_steps(config: Configuration, prog: Program, thread: Thread, rx: Expr,
+               offered: Optional[tuple[str, Value]]) -> list[tuple[str, Label, tuple, Expr | None]]:
+    """A step-table entry of `_thread_steps`: the steps of `thread` (redex
+    `rx`) in `config`, offered the given fulfilment; a choice's left first."""
     m = prog.monoid
     try:
         if isinstance(thread.expr, Return):  # return rule: the thread becomes a fulfilled future
             _, v = eval_value_expr(m, thread.env, thread.expr.value)
             built = (FulfilledFut(thread.future, v, thread.fut), Idle(thread.actor))
-            return [("return", Tau(), built)]
+            return [("return", Tau(), built, None)]
         res = step_expr(m, thread.env, thread.expr, prog, f"f#{config.next_future}",
                         f"y#{config.next_var}", offered, dict(entry(config.alpha, thread.actor)))
     except Stuck:
         return []
+    branches = (rx.left, rx.right) if type(rx) is Choice else (None,)
     out = []
-    for label, env2, expr2 in res:
+    for (label, env2, expr2), branch in zip(res, branches):
         built = (replace(thread, env=env2, expr=expr2),)
         if type(label) is CallLbl:
             sig = prog.signatures.get((label.actor, label.method))
             built = (CallMsg(label.future, label.actor, label.method, label.args,
                              sig and sig.fut),) + built
-        out.append((_RULE[type(label)], label, built))
+        out.append((_RULE[type(label)], label, built, branch))
     return out
 
 

@@ -6,9 +6,9 @@ sequencing happens only through let. A running program is a flat sequence
 of atomic processes next to a global resource state; order in the sequence
 is significant, rearrangement is a semantic move, not a syntactic identity.
 
-Also here: free variables, the produced/consumed future sets that govern
-when two processes may swap, configuration well-formedness, and printers
-whose output the parser reads back.
+Also here: free variables, the futures each process consumes (which
+govern when two processes may swap), configuration well-formedness, and
+printers whose output the parser reads back.
 """
 
 from __future__ import annotations
@@ -334,6 +334,7 @@ class Process:
     """
 
     _hash = None
+    _consumed = None  # see futures_consumed_one
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,8 @@ class Thread(Process):
 
     def twin(self, suspended: bool) -> "Thread":
         """This thread with the flag set as given. The other twin is built
-        once, and the two keep each other. It takes this thread's hash and
-        awaited future, which leave the flag out."""
+        once, and the two keep each other. It takes this thread's hash,
+        awaited future and consumed futures, which leave the flag out."""
         if suspended == self.suspended:
             return self
         t = self._twin
@@ -363,6 +364,7 @@ class Thread(Process):
             t = Thread(self.env, self.expr, self.future, self.actor, suspended, self.fut)
             object.__setattr__(t, "_hash", hash(self))
             object.__setattr__(t, "_awaits", self._awaits)
+            object.__setattr__(t, "_consumed", self._consumed)
             object.__setattr__(t, "_twin", self)
             object.__setattr__(self, "_twin", t)
         return t
@@ -404,21 +406,26 @@ Thread.__hash__ = _hash_thread
 Idle.__hash__ = CallMsg.__hash__ = FulfilledFut.__hash__ = _hash_once
 
 
-def futures_produced_one(p: Process) -> set[str]:
-    return set() if isinstance(p, Idle) else {p.future}
-
-
-def futures_consumed_one(p: Process) -> set[str]:
-    match p:
-        case Thread():
-            return set().union(*map(futures_in_value, p.env.values()), futures_in_expr(p.expr))
-        case CallMsg():
-            return set().union(*map(futures_in_value, p.args))
-        case FulfilledFut():
-            return futures_in_value(p.value)
-        case Idle():
-            return set()
-    raise TypeError(f"not a process: {p!r}")
+def futures_consumed_one(p: Process) -> frozenset[str]:
+    """The futures `p` consumes: those named in a thread's environment or
+    expression, a message's arguments or a fulfilment's value. Computed on
+    first use and kept on the process, as its hash is (see `_hash_once`)."""
+    c = p._consumed
+    if c is None:
+        match p:
+            case Thread():
+                c = set().union(*map(futures_in_value, p.env.values()), futures_in_expr(p.expr))
+            case CallMsg():
+                c = set().union(*map(futures_in_value, p.args))
+            case FulfilledFut():
+                c = futures_in_value(p.value)
+            case Idle():
+                c = ()
+            case _:
+                raise TypeError(f"not a process: {p!r}")
+        c = frozenset(c)
+        object.__setattr__(p, "_consumed", c)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -471,26 +478,24 @@ def well_formed(config: Configuration) -> list[str]:
 
     Each actor that appears at all, as an idle marker or through a thread
     (suspended ones included), has exactly one active thread or is idle
-    (never both, never more), and no future is produced twice.
+    (never both, never more), and no future is produced twice. Actors
+    are reported in first-seen order, not in string-hash order.
     """
     problems = []
-    active: dict[str, int] = {}
-    idle: dict[str, int] = {}
+    slots: dict[str, list[int]] = {}  # actor -> [active threads, idle markers]
     seen_futures: set[str] = set()
     for p in config.processes:
         k = type(p)
         if k is Idle:
-            idle[p.actor] = idle.get(p.actor, 0) + 1
+            slots.setdefault(p.actor, [0, 0])[1] += 1
             continue
         f = p.future
         if f in seen_futures:
             problems.append(f"future {f} produced twice")
         seen_futures.add(f)
         if k is Thread:
-            active[p.actor] = active.get(p.actor, 0) + (not p.suspended)
-    for actor in active.keys() | idle.keys():
-        n_active = active.get(actor, 0)
-        n_idle = idle.get(actor, 0)
+            slots.setdefault(p.actor, [0, 0])[0] += not p.suspended
+    for actor, (n_active, n_idle) in slots.items():
         if n_active + n_idle != 1:
             problems.append(
                 f"actor {actor} has {n_active} active threads and {n_idle} idle markers"

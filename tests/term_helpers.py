@@ -1,18 +1,16 @@
-"""Helpers that only the tests use: future sets of a whole process
-sequence, configurations built from mappings, a trace's last
+"""Helpers that only the tests use: the future a process produces, future
+sets of a whole process sequence, configurations built from mappings, a trace's last
 configuration, fresh future and variable names, a single parsed
 expression, and a finite sample of a grade algebra's carrier."""
 
 from gract.grades import INF, Affine, GradeMonoid, Level, Lin, NatExact, NatLeq
 from gract.parser import Parser
 from gract.semantics import Trace
-from gract.terms import (
-    Configuration,
-    Process,
-    ctx_key,
-    futures_consumed_one,
-    futures_produced_one,
-)
+from gract.terms import Configuration, Idle, Process, ctx_key, futures_consumed_one
+
+
+def futures_produced_one(p: Process) -> set[str]:
+    return set() if isinstance(p, Idle) else {p.future}
 
 
 def futures_produced(ps: list[Process]) -> set[str]:

@@ -2,15 +2,22 @@
 `config.alpha`, and `measure_of_config` composes without summing
 `requires`. Both must answer as the conversion-based judgment did: the
 resources turned into nested dicts (`ctx_of`), a `ctx_leq` pre-pass, then
-one loop over `requires`. That judgment is kept here as the reference.
+one loop over `requires`. That judgment is kept here as the reference,
+with its own copies of `ctx_leq` and `env_leq`, which the program no
+longer has.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gract
 from gract.explorer import explore
-from gract.grades import ctx_leq, format_grade
+from gract.grades import format_grade
 from gract.parser import parse_program
 from gract.terms import (
     CallMsg,
@@ -46,6 +53,15 @@ Vault {
 init Db: Doc^internal;
 start Db!leak()
 """
+
+
+def env_leq(m, a, b) -> bool:
+    z = m.zero()
+    return all(m.leq(a.get(r, z), b.get(r, z)) for r in a.keys() | b.keys())
+
+
+def ctx_leq(m, a, b) -> bool:
+    return all(env_leq(m, a.get(actor, {}), b.get(actor, {})) for actor in a.keys() | b.keys())
 
 
 def reference_type_config(prog, config) -> dict:
@@ -215,3 +231,29 @@ def test_a_rejected_sequence_reports_no_requires(cafe):
     assert report["requires"] == {} and report["measure"] == 0
     assert [e["code"] for e in report["errors"]] == ["UnknownMethod"]
     assert measure_of_config(cafe, config_of({}, msgs)) is None
+
+
+# types three actors with two idle markers each, listed a, a, b, b, c, c
+_IDLE_TWICE = """\
+import json, sys
+from gract.parser import parse_program
+from gract.terms import Configuration, Idle
+from gract.typecheck import type_config
+prog = parse_program(open(sys.argv[1]).read())
+print(json.dumps(type_config(prog, Configuration((), tuple(map(Idle, "aabbcc"))))))
+"""
+
+
+def test_ill_formed_actors_are_reported_in_first_seen_order_under_any_hash_seed():
+    path = [str(Path(gract.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    outputs = set()
+    for seed in range(1, 6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        argv = [sys.executable, "-c", _IDLE_TWICE, str(EXAMPLES / "cafe.gract")]
+        outputs.add(subprocess.run(argv, env=env, capture_output=True, text=True,
+                                   check=True).stdout)
+    assert len(outputs) == 1, outputs
+    report = json.loads(outputs.pop())
+    assert [e["detail"] for e in report["errors"]] == [
+        f"actor {a} has 0 active threads and 2 idle markers" for a in "abc"]

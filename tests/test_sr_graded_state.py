@@ -3,6 +3,8 @@ entries, zero grades left out. It must flag exactly what the law flagged
 when both sides were converted (`ctx_of`) and the expected side built
 with `ctx_minus`, `ctx_plus` and `ctx_norm`. That check is kept here as
 the reference, inside an otherwise unchanged `check_subject_reduction`.
+The reference finds a choice step from the parent's redex, as the
+explorer once did, so it does not read `StepResult.branch`.
 """
 
 import random
@@ -10,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from gract.explorer import _is_choice_step, check_subject_reduction
+from gract.explorer import check_subject_reduction
 from gract.grades import ctx_minus, ctx_norm, ctx_plus
 from gract.parser import parse_program
 from gract.semantics import (
@@ -21,9 +23,10 @@ from gract.semantics import (
     initial_config,
     label_str,
     random_chooser,
+    redex,
     run,
 )
-from gract.terms import ctx_key, ctx_of
+from gract.terms import Choice, Thread, ctx_key, ctx_of
 from gract.typecheck import type_config, type_process
 
 from corpus import EXAMPLES, KCAFE1, NATEQ_BARISTA
@@ -44,6 +47,13 @@ def _reference_alpha(m, alpha, s):
             return ctx_norm(m, ctx_plus(m, alpha, {s.actor: {r: g}}))
         case _:
             return ctx_norm(m, alpha)
+
+
+def _is_choice_step(pre, s) -> bool:
+    if s.rule != "silent" or s.pos >= len(pre.processes):
+        return False
+    p = pre.processes[s.pos]
+    return isinstance(p, Thread) and not p.suspended and isinstance(redex(p.expr), Choice)
 
 
 def reference_sr(prog, trace) -> dict:

@@ -30,13 +30,19 @@ from gract.terms import (
     Var,
     free_vars,
     futures_consumed_one,
-    futures_produced_one,
     rename_var,
     well_formed,
 )
 
 from corpus import EXAMPLES, TWO_CAFES
-from term_helpers import config_of, fresh_future, fresh_var, futures_consumed, futures_produced
+from term_helpers import (
+    config_of,
+    fresh_future,
+    fresh_var,
+    futures_consumed,
+    futures_produced,
+    futures_produced_one,
+)
 
 u = Lit(UnitVal())
 
