@@ -123,10 +123,9 @@ def cmd_check(args) -> int:
             pr.detail(f"method {mr['actor']}.{mr['method']}: "
                       f"{pr.paint(codes, 'red')}")
     cfg = report["configReport"]
-    if cfg:
-        word = pr.paint("ok", "green") if cfg["ok"] else \
-            pr.paint(", ".join(_err_str(e) for e in cfg["errors"]), "red")
-        pr.detail(f"configuration: {word} (measure {cfg['measure']})")
+    word = pr.paint("ok", "green") if cfg["ok"] else \
+        pr.paint(", ".join(_err_str(e) for e in cfg["errors"]), "red")
+    pr.detail(f"configuration: {word} (measure {cfg['measure']})")
     verdict = "PASS" if report["ok"] else "FAIL"
     pr.line(pr.paint(verdict, "green" if report["ok"] else "red"))
     return EXIT_OK if report["ok"] else EXIT_TYPE
@@ -202,9 +201,7 @@ def _refuse_illtyped(args, prog: Program, command: str) -> bool:
         _emit_json({"schema": "gract/1", "command": command,
                     "program": args.program, "status": "illtyped", **report})
     else:
-        codes = sorted({e["code"] for e in report["errors"]}
-                       | {e["code"] for mr in report["methodReports"]
-                          for e in mr["errors"]})
+        codes = sorted({e["code"] for e in report["errors"]})
         print(f"refusing to {command} an ill-typed program: {', '.join(codes)} "
               f"(use --unsafe to force)", file=sys.stderr)
     return True

@@ -17,8 +17,8 @@ and the body's computed measure must land exactly on the declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 from .grades import (
     ActorContext,
@@ -269,7 +269,8 @@ def _unify_branches(prog: Program, left: Expr, right: Expr,
         raise CheckError("BranchMismatch", "branches consume different futures", loc)
 
     used: Gamma = {}
-    for x in tl.used_vars.keys() | tr.used_vars.keys():
+    # in first-seen order, so the mismatch reported does not follow string hashing
+    for x in {**tl.used_vars, **tr.used_vars}:
         ul, ur = tl.used_vars.get(x), tr.used_vars.get(x)
         if ul == ur:
             used[x] = ul
@@ -290,8 +291,7 @@ def _unify_branches(prog: Program, left: Expr, right: Expr,
         elif m.leq(gr, gl):
             diff, absorber, g = m.minus(gl, gr), right, gl
         else:
-            raise CheckError("BranchMismatch",
-                             f"usage of {x}: ^{format_grade(gl)} vs ^{format_grade(gr)}", loc)
+            diff = None
         if diff is None or not m.is_discardable(diff) or not can_absorb(absorber):
             raise CheckError("BranchMismatch",
                              f"usage of {x}: ^{format_grade(gl)} vs ^{format_grade(gr)}", loc)
@@ -303,8 +303,7 @@ def _unify_branches(prog: Program, left: Expr, right: Expr,
         if _theta_match(m, hi.requires, lo.requires, hi.produces, lo.produces):
             # an await's context is its future type's, possibly with zeros
             return ExprTyping(tl.ty, hi.requires, ctx_norm(m, hi.produces),
-                              1 + min(tl.measure, tr.measure), used,
-                              set(tl.used_futs))
+                              1 + min(tl.measure, tr.measure), used, tl.used_futs)
     raise CheckError("BranchMismatch",
                      "branch contexts cannot be reconciled by one padding", loc)
 
@@ -461,12 +460,14 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
     return gamma, futs
 
 
-@dataclass
-class ProcTyping:
+class ProcTyping(NamedTuple):
+    """A sequence's typing, as the program's typing table stores it: shared
+    by every caller that types the sequence, so it is only read."""
+
     requires: ActorContext
     measure: int
     produced: dict[str, FutT]
-    marked: set[str] = field(default_factory=set)
+    marked: set[str]
 
 
 def _type_atomic(prog: Program, p: Process,
@@ -546,14 +547,14 @@ def type_process(prog: Program, processes) -> ProcTyping:
     table keeps it under `tuple(processes)`: a sequence the program has
     typed before is not composed again, and every subject-reduction check
     of the program types each distinct configuration once. Each process
-    is typed through the table's per-process entries, rejections are
-    never stored, and the result is built afresh and is the caller's to
-    change."""
+    is typed through the table's per-process entries, and rejections are
+    never stored. The result is the table's entry itself: a repeated call
+    returns the identical object, so it is only read."""
     if isinstance(processes, Process):
         processes = (processes,)
     key = tuple(processes)
-    parts = prog.typings.get(key)
-    if parts is None:
+    pt = prog.typings.get(key)
+    if pt is None:
         reqs, measure, produced, marked = _compose(prog, key)
         m = prog.monoid
         requires: ActorContext = {}
@@ -568,10 +569,8 @@ def type_process(prog: Program, processes) -> ProcTyping:
                     continue
                 for r, g in env.items():
                     have[r] = m.plus(have[r], g) if r in have else g
-        parts = prog.typings[key] = ctx_norm(m, requires), measure, produced, marked
-    requires, measure, produced, marked = parts
-    return ProcTyping({a: dict(env) for a, env in requires.items()},
-                      measure, dict(produced), set(marked))
+        pt = prog.typings[key] = ProcTyping(ctx_norm(m, requires), measure, produced, marked)
+    return pt
 
 
 def _compose(prog: Program, processes) -> tuple:

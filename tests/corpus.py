@@ -6,9 +6,13 @@ so the suite runs from any working directory.
 """
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import gract
 from gract.cli import main
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -105,3 +109,18 @@ def cli_output(argv) -> tuple[int, str]:
     with redirect_stdout(io.StringIO()) as out:
         code = main(argv)
     return code, out.getvalue()
+
+
+def hash_seed_outputs(args, seeds) -> set[tuple[int, str, str]]:
+    """The exit code, standard output and standard error of `python *args`
+    in a subprocess under each `PYTHONHASHSEED` in `seeds`, with this
+    checkout's `gract` importable. Output that follows string hashing
+    gives more than one triple."""
+    path = [str(Path(gract.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    outputs = set()
+    for seed in seeds:
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        outputs.add((done.returncode, done.stdout, done.stderr))
+    return outputs

@@ -8,6 +8,7 @@ step sequences) are pinned exactly; loosening them is not a fix.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -371,12 +372,16 @@ def test_8_checker_agrees_with_derivation_search():
     t0 = time.perf_counter()
     prog = _oracle_program()
     checked = accepted = disagreements = 0
+    # each rejection's code, location and detail, keyed by its judgment's index
+    rejections = hashlib.sha256()
     for e in _universe():
         for gdict, sdict in _contexts():
             checked += 1
             try:
                 t = type_expr(prog, "A", dict(gdict), dict(sdict), e)
-            except CheckError:
+            except CheckError as err:
+                rejections.update(
+                    f"{checked - 1}|{err.code}|{err.loc}|{err.detail}\n".encode())
                 continue
             accepted += 1
             gamma = frozenset(gdict.items())
@@ -392,6 +397,9 @@ def test_8_checker_agrees_with_derivation_search():
         "universe size frozen": checked == 294474,
         "accepted count frozen": accepted == 2919,
         "zero disagreements": disagreements == 0,
+        # the 291,555 rejections as recorded at b9d15bb
+        "rejections frozen": rejections.hexdigest() == (
+            "49df6d187ab87ca4f81ccac99bf41d8cd6d06849c8a793ee89dfda6ee10de582"),
         "under 5 minutes": elapsed < 300.0,
     }
     _verdict("derivation search confirms every canonically accepted judgment",

@@ -8,14 +8,9 @@ longer has.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import gract
 from gract.explorer import explore
 from gract.grades import format_grade
 from gract.parser import parse_program
@@ -33,7 +28,7 @@ from gract.terms import (
 )
 from gract.typecheck import CheckError, measure_of_config, type_config, type_process
 
-from corpus import EXAMPLES, KCAFE1, NATEQ_BARISTA
+from corpus import EXAMPLES, KCAFE1, NATEQ_BARISTA, hash_seed_outputs
 from term_helpers import config_of
 
 SOURCES = {p.name: p.read_text() for p in sorted(EXAMPLES.glob("*.gract"))}
@@ -245,15 +240,10 @@ print(json.dumps(type_config(prog, Configuration((), tuple(map(Idle, "aabbcc")))
 
 
 def test_ill_formed_actors_are_reported_in_first_seen_order_under_any_hash_seed():
-    path = [str(Path(gract.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-    outputs = set()
-    for seed in range(1, 6):
-        env = {**os.environ, "PYTHONHASHSEED": str(seed),
-               "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        argv = [sys.executable, "-c", _IDLE_TWICE, str(EXAMPLES / "cafe.gract")]
-        outputs.add(subprocess.run(argv, env=env, capture_output=True, text=True,
-                                   check=True).stdout)
+    outputs = hash_seed_outputs(["-c", _IDLE_TWICE, str(EXAMPLES / "cafe.gract")], range(1, 6))
     assert len(outputs) == 1, outputs
-    report = json.loads(outputs.pop())
+    code, out, err = outputs.pop()
+    assert code == 0 and err == "", err
+    report = json.loads(out)
     assert [e["detail"] for e in report["errors"]] == [
         f"actor {a} has 0 active threads and 2 idle markers" for a in "abc"]

@@ -1,5 +1,6 @@
 """Checker tests: canonical typings, method tables, configurations."""
 
+import json
 import random
 
 import pytest
@@ -43,7 +44,7 @@ from gract.typecheck import (
     type_value_expr,
 )
 
-from corpus import EXAMPLES
+from corpus import EXAMPLES, hash_seed_outputs
 
 M = Lin()
 UNIT_FUT = fut_type(UnitT(), {})
@@ -187,6 +188,32 @@ def test_choice_requires_reconcilable_contexts(cafe):
     with pytest.raises(CheckError) as e:
         type_expr(cafe, "B", {}, {}, bad)
     assert e.value.code == "BranchMismatch"
+
+
+# two variables used in one branch each: the first mismatch named must not
+# depend on string hashing
+_TWO_MISMATCHES = """\
+grade lin
+A {
+  main(): Unit requires A: R^1, A: S^1 produces measure 3 {
+    let r = hold 1 R in let s = hold 1 S in (release 1 r^1 (+) release 1 s^1) }
+}
+init A: R^1, A: S^1;
+start A!main()
+"""
+
+
+def test_branch_mismatch_names_the_first_seen_variable_under_any_hash_seed(tmp_path):
+    program = tmp_path / "two-mismatches.gract"
+    program.write_text(_TWO_MISMATCHES)
+    outputs = hash_seed_outputs(["-m", "gract.cli", "check", "--json", str(program)],
+                                range(1, 5))
+    assert len(outputs) == 1, outputs
+    code, out, err = outputs.pop()
+    assert code == 1 and err == "", err
+    report = json.loads(out)
+    assert [(e["code"], e["detail"]) for e in report["errors"]] == [
+        ("BranchMismatch", "usage of r: ^1 vs ^0")]
 
 
 def test_unused_future_binder_rejected(cafe):

@@ -193,20 +193,27 @@ def test_a_variant_program_types_with_its_own_table(cafe):
     assert type_process(cafe, msg).measure == mu
 
 
-def test_a_returned_typing_is_the_callers_to_change(fresh_cafe):
+def test_a_returned_typing_is_the_tables_shared_entry(fresh_cafe, seed4_runs):
     order = (GradedRes("Order", 1),)
     msgs = [CallMsg("f#1", "B", "takeOrder", order), CallMsg("f#2", "Cn", "pickup", ()),
             FulfilledFut("f#3", UnitVal())]
     for ps in (msgs, msgs[0]):
         pt = type_process(fresh_cafe, ps)
+        assert type_process(fresh_cafe, ps) is pt
         with without_memo():
-            want = type_process(fresh_cafe, ps)
-        for env in pt.requires.values():
-            env["CC"] = 7
-        pt.requires["X"] = {"CC": 1}
-        pt.produced.clear()
-        pt.marked.add("f#9")
-        assert type_process(fresh_cafe, ps) == want
+            assert type_process(fresh_cafe, ps) == pt
+    # the law checks and config typings only read the entries they share,
+    # so after them every sequence entry is still its key's typing
+    r = seed4_runs
+    assert all(check_subject_reduction(r.prog, tr)["ok"] for tr in r.traces)
+    for tr in r.traces:
+        for cfg in [tr.initial, *(s.config for s in tr.steps)]:
+            assert type_config(r.prog, cfg)["ok"]
+    keys = [key for key in r.prog.typings if type(key) is tuple]
+    got = [r.prog.typings[key] for key in keys]
+    with without_memo():
+        want = [type_process(r.prog, key) for key in keys]
+    assert len(keys) > 100 and got == want
 
 
 # ---------------------------------------------------------------------------
