@@ -462,12 +462,13 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
 
 class ProcTyping(NamedTuple):
     """A sequence's typing, as the program's typing table stores it: shared
-    by every caller that types the sequence, so it is only read."""
+    by every caller that types the sequence, so it is only read (`marked`
+    is frozen; `requires` and `produced` are read by convention)."""
 
     requires: ActorContext
     measure: int
     produced: dict[str, FutT]
-    marked: set[str]
+    marked: frozenset[str]
 
 
 def _type_atomic(prog: Program, p: Process,
@@ -605,7 +606,7 @@ def _compose(prog: Program, processes) -> tuple:
             produced[f] = t
         reqs.append(req)
         measure += n
-    return reqs, measure, produced, marked
+    return reqs, measure, produced, frozenset(marked)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,8 @@ def test_a_returned_typing_is_the_tables_shared_entry(fresh_cafe, seed4_runs):
     for ps in (msgs, msgs[0]):
         pt = type_process(fresh_cafe, ps)
         assert type_process(fresh_cafe, ps) is pt
+        # the marked set is frozen, so no caller can change a shared entry's
+        assert isinstance(pt.marked, frozenset)
         with without_memo():
             assert type_process(fresh_cafe, ps) == pt
     # the law checks and config typings only read the entries they share,
