@@ -371,39 +371,15 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
                   variant: str) -> list[StepResult]:
     """Steps of the active `thread` at position i of `config`, which
     reflects the variant: a thread activated by `act` or `yld` steps as
-    its active twin does.
-
-    The program's step table, `prog.steps`, maps the thread (a value, so
-    equal threads share an entry) and the one input its redex reads to
-    the thread's steps, built once for every run and exploration of the
-    program. A call reads the fresh future, a let binding a returned value
-    the fresh variable, an await the fulfilment it is offered and a hold
-    the actor's `alpha` entry; any other redex reads nothing, so its entry
-    serves every configuration. An entry holds each step's rule, label,
-    the processes that take the thread's place (the updated thread, after
-    a call's message, or a return's fulfilled future and idle marker) and
-    choice branch, so equal steps share every process they build. A redex
-    that faults gets an empty entry; `stuck_diagnosis` reports why. Each
-    successor is one `config.copy` naming the fields its rule changes."""
+    its active twin does. They come from the thread's step-table entry
+    (`_step_entry`), none from a fault. Each successor is one
+    `config.copy` naming the fields its rule changes."""
     procs = config.processes
     rx = redex(thread.expr)
-    reachable = offered = None
-    match rx:
-        case Call():
-            key = (thread, config.next_future)
-        case Let():
-            key = (thread, config.next_var)
-        case Await():
-            reachable = _offered_future(procs, prog.monoid, thread, i)
-            offered = reachable and reachable[:2]
-            key = (thread, offered)
-        case Hold():
-            key = (thread, entry(config.alpha, thread.actor))
-        case _:
-            key = (thread, None)
-    steps = prog.steps.get(key)
-    if steps is None:
-        steps = prog.steps[key] = _new_steps(config, prog, thread, rx, offered)
+    reachable = _offered_future(procs, prog.monoid, thread, i) if type(rx) is Await else None
+    steps = _step_entry(config, prog, thread, rx, reachable and reachable[:2])
+    if type(steps) is Stuck:
+        return []
 
     m = prog.monoid
     a = thread.actor
@@ -435,30 +411,57 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
     return out
 
 
-def _new_steps(config: Configuration, prog: Program, thread: Thread, rx: Expr,
-               offered: Optional[tuple[str, Value]]) -> list[tuple[str, Label, tuple, Expr | None]]:
-    """A step-table entry of `_thread_steps`: the steps of `thread` (redex
-    `rx`) in `config`, offered the given fulfilment; a choice's left first."""
+def _step_entry(config: Configuration, prog: Program, thread: Thread, rx: Expr,
+                offered: Optional[tuple[str, Value]]) -> list | Stuck:
+    """The active `thread`'s entry in the program's step table,
+    `prog.steps`, in `config` (redex `rx`, offered the given fulfilment),
+    built on a miss. Its key is the thread (a value, so equal threads
+    share an entry) and the one input its redex reads: a call the fresh
+    future, a let binding a returned value the fresh variable, an await
+    the fulfilment it is offered, a hold the actor's `alpha` entry, any
+    other redex nothing; so an entry serves every run and exploration of
+    the program. It holds each step's rule, label, the processes that
+    take the thread's place (the updated thread, after a call's message,
+    or a return's fulfilled future and idle marker) and choice branch, a
+    choice's left first, so equal steps share every process they build;
+    or, for a redex that faults, the fault."""
+    match rx:
+        case Call():
+            key = (thread, config.next_future)
+        case Let():
+            key = (thread, config.next_var)
+        case Await():
+            key = (thread, offered)
+        case Hold():
+            key = (thread, entry(config.alpha, thread.actor))
+        case _:
+            key = (thread, None)
+    table = prog.steps
+    steps = table.get(key)
+    if steps is not None:
+        return steps
     m = prog.monoid
     try:
         if isinstance(thread.expr, Return):  # return rule: the thread becomes a fulfilled future
             _, v = eval_value_expr(m, thread.env, thread.expr.value)
             built = (FulfilledFut(thread.future, v, thread.fut), Idle(thread.actor))
-            return [("return", Tau(), built, None)]
+            table[key] = [("return", Tau(), built, None)]
+            return table[key]
         res = step_expr(m, thread.env, thread.expr, prog, f"f#{config.next_future}",
                         f"y#{config.next_var}", offered, dict(entry(config.alpha, thread.actor)))
-    except Stuck:
-        return []
+    except Stuck as fault:  # a fresh one: the raised one's traceback keeps the stepping frames
+        table[key] = Stuck(fault.code, fault.detail)
+        return table[key]
     branches = (rx.left, rx.right) if type(rx) is Choice else (None,)
-    out = []
+    steps = table[key] = []
     for (label, env2, expr2), branch in zip(res, branches):
         built = (replace(thread, env=env2, expr=expr2),)
         if type(label) is CallLbl:
             sig = prog.signatures.get((label.actor, label.method))
             built = (CallMsg(label.future, label.actor, label.method, label.args,
                              sig and sig.fut),) + built
-        out.append((_RULE[type(label)], label, built, branch))
-    return out
+        steps.append((_RULE[type(label)], label, built, branch))
+    return steps
 
 
 def _free_actor(procs: tuple[Process, ...], m: GradeMonoid, a: str,
@@ -480,16 +483,16 @@ def _free_actor(procs: tuple[Process, ...], m: GradeMonoid, a: str,
     return procs[:k] + (t.twin(suspended=True),) + procs[k + 1:], i, "yld"
 
 
-def _spawned(prog: Program, msg: CallMsg) -> Optional[Thread]:
-    """The thread `msg` spawns, or None when its method is unknown or
-    given the wrong number of arguments. It is made once per program and
-    kept in the program's step table under the message."""
+def _spawned(prog: Program, msg: CallMsg) -> Thread | str:
+    """The thread `msg` spawns, or why it spawns none ("UnknownMethod" or
+    "BadArity"), found once per program and kept in its step table."""
     table = prog.steps
     if msg not in table:
         decl = prog.method(msg.actor, msg.method)
-        table[msg] = None if decl is None or len(decl.params) != len(msg.args) else Thread(
-            {x: v for (x, _), v in zip(decl.params, msg.args)}, decl.body, msg.future, msg.actor,
-            fut=msg.fut)
+        table[msg] = ("UnknownMethod" if decl is None
+                      else "BadArity" if len(decl.params) != len(msg.args)
+                      else Thread({x: v for (x, _), v in zip(decl.params, msg.args)}, decl.body,
+                                  msg.future, msg.actor, fut=msg.fut))
     return table[msg]
 
 
@@ -501,7 +504,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
         match p:
             case CallMsg():
                 spawned = _spawned(prog, p)
-                if spawned is None:
+                if type(spawned) is str:
                     continue
                 freed = _free_actor(config.processes, prog.monoid, p.actor, i)
                 if freed is not None:
@@ -524,27 +527,22 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
 
 
 def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
-    """Why a configuration has no successor: blocked holds, unfulfilled
-    awaits, unspawnable messages, faulted redexes."""
+    """Why a configuration has no successor, read from the program's step
+    table: each thread's fault (a blocked hold is `StuckAtHold`) and the
+    future it awaits, and why each message spawns no thread. A suspended
+    thread is read through its active twin's entry, offered nothing."""
     m = prog.monoid
     out: list[dict] = []
     fulfilled = {p.future for p in config.processes if isinstance(p, FulfilledFut)}
     for p in config.processes:
         if isinstance(p, Thread):
-            try:
-                step_expr(m, p.env, p.expr, prog, "f#?", "y#?", None,
-                          dict(entry(config.alpha, p.actor)))
-            except Stuck as fault:
-                if fault.code == "HoldBlocked":
-                    r = redex(p.expr)
-                    out.append({
-                        "code": "StuckAtHold",
-                        "actor": p.actor,
-                        "res": r.res,
-                        "grade": format_grade(r.grade),
-                    })
-                else:
-                    out.append({"code": fault.code, "actor": p.actor, "detail": fault.detail})
+            rx = redex(p.expr)
+            fault = _step_entry(config, prog, p.twin(suspended=False), rx, None)
+            if type(fault) is Stuck and fault.code == "HoldBlocked":
+                out.append({"code": "StuckAtHold", "actor": p.actor, "res": rx.res,
+                            "grade": format_grade(rx.grade)})
+            elif type(fault) is Stuck:
+                out.append({"code": fault.code, "actor": p.actor, "detail": fault.detail})
             f = awaited(m, p)
             if f is not None:
                 out.append({
@@ -554,13 +552,9 @@ def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:
                     "fulfilled": f in fulfilled,
                 })
         elif isinstance(p, CallMsg):
-            decl = prog.method(p.actor, p.method)
-            if decl is None:
-                out.append({"code": "UnknownMethod", "actor": p.actor, "method": p.method})
-            elif len(decl.params) != len(p.args):
-                out.append({"code": "BadArity", "actor": p.actor, "method": p.method})
-            else:
-                out.append({"code": "MessagePending", "actor": p.actor, "method": p.method})
+            reason = _spawned(prog, p)
+            out.append({"code": "MessagePending" if type(reason) is Thread else reason,
+                        "actor": p.actor, "method": p.method})
     return out
 
 

@@ -555,8 +555,8 @@ class Program:
     `typings` is either a process, for the typing of one process, or a
     tuple of processes, for the typing of a whole sequence. A key of
     `steps` is either an active thread with the one input its redex reads,
-    for that thread's steps (a suspended thread steps once activated, from
-    its active twin's entry), or a message, for the thread it spawns.
+    for its steps or its redex's fault (a suspended thread uses its active
+    twin's), or a message, for the thread it spawns or why it spawns none.
     Every entry is read-only, and every process in one is built once and
     shared by each step that reads it."""
 
@@ -571,7 +571,7 @@ class Program:
     def __post_init__(self) -> None:
         self.typings: dict[Process | tuple[Process, ...], tuple] = {}
         self.premises: dict[tuple, object] = {}
-        self.steps: dict[tuple | CallMsg, list | Optional[Thread]] = {}
+        self.steps: dict[tuple | CallMsg, list | Exception | Thread | str] = {}
         self.successors: dict[Configuration, list] = {}
         self.signatures: dict[tuple[str, str], MethodSig] = {}
         for actor, adecl in self.actors.items():

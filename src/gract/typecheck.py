@@ -529,8 +529,6 @@ def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
     and replaces its entry. Rejections are never stored, so an error is
     always raised afresh, at its own location. Callers only read what the
     table returns."""
-    if not isinstance(p, Process):
-        return _type_atomic(prog, p, visible)
     table = prog.typings
     seen = table.get(p)
     if seen is not None and (not seen[1] or all(visible.get(f) == t for f, t in seen[1])):

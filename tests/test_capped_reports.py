@@ -4,7 +4,9 @@ Once the cap is full and hit, `explore` stops keying successors, since
 none of them can be stored; the reports must be the ones a search that
 keys every successor gives. The sha256 is that of the report as
 `gract explore --json` prints it for `<program>.gract`, recorded when
-every successor was keyed.
+every successor was keyed. Two stuck programs' reports are pinned the
+same way, for the stuck state and the diagnosis they carry, recorded
+when the diagnosis stepped each thread a second time.
 """
 
 import hashlib
@@ -17,9 +19,11 @@ from gract.cli import _emit_json
 from gract.explorer import explore
 from gract.parser import parse_program
 
-from corpus import EXAMPLES, TWO_CAFES
+from corpus import EXAMPLES, NATEQ_BARISTA, TWO_CAFES
 
-PROGRAMS = {"cafe": (EXAMPLES / "cafe.gract").read_text(), "two-cafes": TWO_CAFES}
+PROGRAMS = {"cafe": (EXAMPLES / "cafe.gract").read_text(), "two-cafes": TWO_CAFES,
+            "cafe-nocup": (EXAMPLES / "cafe-nocup.gract").read_text(),
+            "nateq-barista": NATEQ_BARISTA}
 
 # program, max_states: verdict, states, depth, pruned calls and choices,
 # bound hit, sha256 of the report text
@@ -49,13 +53,23 @@ PINNED = {
 }
 
 
+# program: verdict, states, depth, sha256 of the report text, under
+# explore's default bounds
+STUCK = {
+    "cafe-nocup": ("StuckFound", 6, 5,
+                   "efc90771989bfd360f520a75de4ddce80b8e393fdfe1433ce54a71aa529bfdb4"),
+    "nateq-barista": ("StuckFound", 86, 13,
+                      "c1ecaf6559c42398e65dc1f7d405634313bd2fc3420c79757c3cd2cbb13d53cd"),
+}
+
+
 @pytest.fixture(scope="module")
 def programs():
     return {name: parse_program(src) for name, src in PROGRAMS.items()}
 
 
-def _report(programs, name, cap):
-    rep = explore(programs[name], unfold=2, max_states=cap)
+def _report(programs, name, **bounds):
+    rep = explore(programs[name], unfold=2, **bounds)
     with redirect_stdout(io.StringIO()) as out:
         _emit_json({"command": "explore", "program": f"{name}.gract", **rep.to_json()})
     return rep, out.getvalue()
@@ -63,8 +77,17 @@ def _report(programs, name, cap):
 
 @pytest.mark.parametrize("name, cap", sorted(PINNED))
 def test_capped_report_is_pinned(programs, name, cap):
-    rep, text = _report(programs, name, cap)
+    rep, text = _report(programs, name, max_states=cap)
     got = (rep.verdict, rep.states_visited, rep.max_depth, rep.pruned_calls,
            rep.pruned_choices, rep.bound_hit, hashlib.sha256(text.encode()).hexdigest())
     assert got == PINNED[name, cap]
     assert sum(rep.measure_histogram.values()) == rep.states_visited
+
+
+@pytest.mark.parametrize("name", sorted(STUCK))
+def test_stuck_report_is_pinned(programs, name):
+    rep, text = _report(programs, name)
+    got = (rep.verdict, rep.states_visited, rep.max_depth,
+           hashlib.sha256(text.encode()).hexdigest())
+    assert got == STUCK[name]
+    assert rep.stuck_state["diagnosis"]

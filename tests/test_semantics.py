@@ -423,6 +423,7 @@ REDEX_FAULTS = [
     ("clearance", Release("public", Lit(GradedRes("Doc", "secret"))),
      {"code": "UnreleasableGrade", "detail": "release public of Doc^secret"}),
     ("cafe", Hold(1, "CC"), {"code": "StuckAtHold", "res": "CC", "grade": "1"}),
+    ("cafe", Return(Var("y")), {"code": "UnboundVariable", "detail": "y"}),
 ]
 
 
@@ -435,6 +436,25 @@ def test_stuck_diagnosis_reports_each_redex_fault(name, expr, want):
     cfg = config_of({"A": {"CC": 0}}, [Thread({}, expr, "f#0", "A")])
     assert step_config(cfg, prog) == []
     assert stuck_diagnosis(cfg, prog) == [{"actor": "A", **want}]
+
+
+@pytest.mark.parametrize("msg, other, want", [
+    (CallMsg("f#0", "B", "nosuch", ()), Idle("B"), ["UnknownMethod"]),
+    (CallMsg("f#0", "B", "takeOrder", ()), Idle("B"), ["BadArity"]),
+    # B's thread needs a cup B lacks, so B stays busy and the message waits
+    (CallMsg("f#0", "B", "clean", (GradedRes("DC", 1),)), Thread({}, Hold(1, "CC"), "f#1", "B"),
+     ["MessagePending", "StuckAtHold"]),
+], ids=["unknown-method", "bad-arity", "busy-actor"])
+def test_stuck_diagnosis_reports_why_a_message_does_not_spawn(cafe, msg, other, want):
+    """A message that spawns no thread is diagnosed with the reason its
+    step-table entry keeps; one to a busy actor is pending."""
+    cfg = config_of({"B": {"CC": 0}}, [msg, other])
+    assert step_config(cfg, cafe) == []
+    got = stuck_diagnosis(cfg, cafe)
+    assert [d["code"] for d in got] == want
+    assert got[0] == {"code": want[0], "actor": "B", "method": msg.method}
+    reason = cafe.steps[msg]
+    assert type(reason) is Thread if want[0] == "MessagePending" else reason == want[0]
 
 
 def test_get_falls_back_to_moving_the_thread(cafe):

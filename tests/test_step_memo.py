@@ -14,12 +14,15 @@ from gract import semantics
 from gract.explorer import check_helpful, check_subject_reduction, explore
 from gract.parser import parse_program
 from gract.semantics import (
+    Stuck,
     config_to_json,
     fifo_chooser,
     initial_config,
+    is_terminated,
     random_chooser,
     run,
     step_config,
+    stuck_diagnosis,
 )
 from gract.terms import (
     Await,
@@ -42,7 +45,7 @@ from gract.terms import (
     Var,
 )
 
-from corpus import EXAMPLES, TWO_CAFES, cli_output
+from corpus import EXAMPLES, NATEQ_BARISTA, TWO_CAFES, cli_output
 from term_helpers import config_of
 
 
@@ -155,6 +158,35 @@ def test_check_helpful_after_explore_steps_nothing(step_expr_calls, case):
     assert step_expr_calls[0] == 0
     # each state is stepped once by each of them, so neither keeps its list
     assert prog.successors == {}
+
+
+@pytest.mark.parametrize("source, stuck_states", [
+    ((EXAMPLES / "cafe-nocup.gract").read_text(), 1), (NATEQ_BARISTA, 2),
+], ids=["cafe-nocup", "natEq-barista"])
+def test_diagnosis_after_explore_steps_nothing(step_expr_calls, source, stuck_states):
+    """Each stuck state `explore` stored is explained from the step table
+    alone. Diagnosing them stepped 2 and 8 threads again when the
+    diagnosis ran each thread's redex a second time."""
+    prog = parse_program(source)
+    rep = explore(prog, unfold=2)
+    assert rep.verdict == "StuckFound"
+    stuck = [c for c in rep.visited if not step_config(c, prog) and not is_terminated(c)]
+    assert len(stuck) == stuck_states
+    step_expr_calls[0] = 0
+    diagnoses = [stuck_diagnosis(c, prog) for c in stuck]
+    assert step_expr_calls[0] == 0
+    assert all(any(d["code"] == "StuckAtHold" for d in diag) for diag in diagnoses)
+
+
+def test_a_faulted_redex_keeps_a_fault_never_raised():
+    """A redex that faults has its fault as its step-table entry: a
+    `Stuck` never raised, so it keeps no traceback, and with it no frame
+    of the stepping that met the fault."""
+    prog = parse_program(NATEQ_BARISTA)
+    explore(prog, unfold=2)
+    faults = [v for v in prog.steps.values() if isinstance(v, BaseException)]
+    assert [(type(v), v.code) for v in faults] == [(Stuck, "HoldBlocked")] * 3
+    assert all(v.__traceback__ is None and v.__context__ is None for v in faults)
 
 
 def test_an_activated_thread_steps_from_its_active_twins_entry(step_expr_calls):
