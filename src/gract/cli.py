@@ -97,6 +97,12 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _emit(args, command: str, payload: dict) -> None:
+    """`payload` under the envelope every `--json` report carries."""
+    _emit_json({"schema": "gract/1", "command": command, "program": args.program,
+                **payload})
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -109,8 +115,7 @@ def cmd_check(args) -> int:
     prog = _load(args.program)
     report = check_program(prog)
     if args.json:
-        _emit_json({"schema": "gract/1", "command": "check",
-                    "program": args.program, **report})
+        _emit(args, "check", report)
         return EXIT_OK if report["ok"] else EXIT_TYPE
     pr = Printer(sys.stdout, args.quiet)
     for mr in report["methodReports"]:
@@ -198,8 +203,7 @@ def _refuse_illtyped(args, prog: Program, command: str) -> bool:
     if report["ok"]:
         return False
     if args.json:
-        _emit_json({"schema": "gract/1", "command": command,
-                    "program": args.program, "status": "illtyped", **report})
+        _emit(args, command, {"status": "illtyped", **report})
     else:
         codes = sorted({e["code"] for e in report["errors"]})
         print(f"refusing to {command} an ill-typed program: {', '.join(codes)} "
@@ -210,9 +214,8 @@ def _refuse_illtyped(args, prog: Program, command: str) -> bool:
 def _replay_failed(args, command: str, exc: Stuck) -> int:
     """Report a replay whose script does not fit the run it drives."""
     if args.json:
-        _emit_json({"schema": "gract/1", "command": command,
-                    "program": args.program, "status": "replay-failed",
-                    "error": {"code": exc.code, "detail": exc.detail}})
+        _emit(args, command, {"status": "replay-failed",
+                              "error": {"code": exc.code, "detail": exc.detail}})
         return EXIT_STUCK
     return _fail(f"replay failed: {exc.code}: {exc.detail}", EXIT_STUCK)
 
@@ -235,15 +238,14 @@ def cmd_run(args) -> int:
         return measure_of_config(prog, c) if checked else None
 
     if args.json:
-        payload = {"schema": "gract/1", "command": "run", "program": args.program,
-                   "status": tr.status, "stepCount": len(tr.steps),
+        payload = {"status": tr.status, "stepCount": len(tr.steps),
                    "initialMeasure": mu(tr.initial)}
         if not args.quiet:
             payload["steps"] = [step_to_json(k, s, mu(s.config))
                                 for k, s in enumerate(tr.steps)]
         if tr.status == "stuck":
             payload["diagnosis"] = tr.diagnosis
-        _emit_json(payload)
+        _emit(args, "run", payload)
         return EXIT_STUCK if tr.status == "stuck" else EXIT_OK
     pr = Printer(sys.stdout, args.quiet)
     for k, s in enumerate(tr.steps):
@@ -275,7 +277,7 @@ def cmd_explore(args) -> int:
         payload = rep.to_json()
         if args.quiet:
             payload.pop("witnessTrace", None)
-        _emit_json({"command": "explore", "program": args.program, **payload})
+        _emit(args, "explore", payload)
         return code
     pr = Printer(sys.stdout, args.quiet)
     good = rep.verdict in ("FairTerminating", "WeaklyTerminatingWitness")
@@ -309,9 +311,8 @@ def _sr_replay(args, prog: Program) -> int:
             violations.append({"step": k, "code": "RecordedConfigMismatch"})
     ok = not violations
     if args.json:
-        _emit_json({"schema": "gract/1", "command": "sr", "program": args.program,
-                    "replay": args.replay, "ok": ok, "steps": law["steps"],
-                    "violations": violations})
+        _emit(args, "sr", {"replay": args.replay, "ok": ok, "steps": law["steps"],
+                           "violations": violations})
         return EXIT_OK if ok else EXIT_SR
     pr = Printer(sys.stdout, args.quiet)
     word = pr.paint("ok", "green") if ok else pr.paint("VIOLATION", "red")
@@ -336,8 +337,7 @@ def cmd_sr(args) -> int:
         runs.append({"run": k, "status": tr.status, "steps": law["steps"],
                      "ok": law["ok"], "violations": law["violations"]})
     if args.json:
-        _emit_json({"schema": "gract/1", "command": "sr", "program": args.program,
-                    "ok": ok, "runs": runs})
+        _emit(args, "sr", {"ok": ok, "runs": runs})
         return EXIT_OK if ok else EXIT_SR
     pr = Printer(sys.stdout, args.quiet)
     for r in runs:

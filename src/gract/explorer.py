@@ -31,16 +31,7 @@ from .semantics import (
     step_config,
     stuck_diagnosis,
 )
-from .terms import (
-    Call,
-    Choice,
-    Configuration,
-    Idle,
-    Let,
-    Process,
-    Program,
-    entry,
-)
+from .terms import Configuration, Idle, Process, Program, calls_in, entry
 from .typecheck import measure_of_config, type_config, type_process
 
 
@@ -61,7 +52,7 @@ def _key_pieces(p: Process) -> tuple:
     return ser, "\0".join(parts[0::2]), parts[1::2], p
 
 
-def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
+def canonical_key(config: Configuration, memo: dict) -> tuple:
     """A name for the state that ignores process order (where swapping is
     legal), fresh-name spelling, and the freshness counters.
 
@@ -79,8 +70,6 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
     each distinct process once; it also maps the last three parts to their
     first equal copy, so stored keys share them.
     """
-    if memo is None:
-        memo = {}
     pieces = []
     for p in config.processes:
         pc = memo.get(p)
@@ -119,23 +108,6 @@ def canonical_key(config: Configuration, memo: Optional[dict] = None) -> tuple:
 # ---------------------------------------------------------------------------
 # Successor filtering under the unfold budget
 
-def _calls_in(e) -> set[tuple[str, str]]:
-    out: set[tuple[str, str]] = set()
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        match cur:
-            case Call(a, meth, _):
-                out.add((a, meth))
-            case Let(_, bound, bodye):
-                stack += [bound, bodye]
-            case Choice(left, right):
-                stack += [left, right]
-            case _:
-                pass
-    return out
-
-
 @dataclass
 class Successors:
     kept: list[StepResult]
@@ -163,7 +135,7 @@ def bounded_successors(prog: Program, config: Configuration, unfold: int) -> Suc
                 pruned_calls += 1
                 continue
         if s.branch is not None and any(entry(config.call_counts, k, 0) >= unfold
-                                        for k in _calls_in(s.branch)):
+                                        for k in calls_in(s.branch)):
             pruned_choices += 1
             continue
         kept.append(s)

@@ -7,7 +7,8 @@ zero is zero itself. Consumption is modelled by a partial subtraction that,
 where defined, is the largest residual: g + h' <= h holds exactly when h - g
 is defined and h' <= h - g. Instances where that adjunction law holds are
 "subtractive"; the exact-usage naturals ship with the weaker contract (see
-NatExact) because no subtraction on that carrier can satisfy the adjunction.
+NatExact): their subtraction cancels a summand, and the adjunction fails
+only at inf - inf.
 
 Every shipped instance also satisfies exactness, plus(g, minus(h, g)) == h
 whenever the subtraction is defined. The usage-inference checker depends on
@@ -74,7 +75,9 @@ class GradeMonoid:
 
 
 class _NatBase(GradeMonoid):
-    """Shared syntax and addition for the extended naturals."""
+    """Shared syntax, addition and subtraction for the extended naturals.
+    minus(h, g) cancels a summand: it is the k with g + k == h (inf when
+    both are inf), defined exactly when g <= h in the usual order."""
 
     def zero(self) -> Grade:
         return 0
@@ -83,6 +86,13 @@ class _NatBase(GradeMonoid):
         if g == INF or h == INF:
             return INF
         return g + h
+
+    def minus(self, total: Grade, used: Grade) -> Optional[Grade]:
+        if used > total:
+            return None
+        if total == INF:
+            return INF
+        return total - used
 
     def parse(self, text: str) -> Grade:
         if text == "inf":
@@ -95,11 +105,11 @@ class _NatBase(GradeMonoid):
 class NatExact(_NatBase):
     """Extended naturals under the equality order: exact usage tracking.
 
-    Subtraction is defined only when the arguments are equal or the total
-    is infinite; an infinite total always has an infinite residual, equal
-    finite amounts cancel to zero. The adjunction law fails on this carrier
-    no matter how subtraction is chosen, so only the monoid, order and
-    plain-subtraction laws apply here.
+    A grade held once may be split by plus among several users, and each
+    takes its share back by the naturals' cancellation, so every user
+    uses exactly what it declares. Under the equality order the adjunction
+    law fails only at inf - inf (inf + 1 == inf, yet 1 is not inf - inf);
+    the monoid, order, exactness and "split then hold" laws apply here.
     """
 
     name = "natEq"
@@ -108,13 +118,6 @@ class NatExact(_NatBase):
         return g == h
 
     releasable = leq
-
-    def minus(self, total: Grade, used: Grade) -> Optional[Grade]:
-        if total == INF:
-            return INF
-        if total == used:
-            return 0
-        return None
 
     def meet(self, g: Grade, h: Grade) -> Grade:
         return g if g == h else 0
@@ -129,13 +132,6 @@ class NatLeq(_NatBase):
         return g <= h
 
     releasable = leq
-
-    def minus(self, total: Grade, used: Grade) -> Optional[Grade]:
-        if used > total:
-            return None
-        if total == INF:
-            return INF
-        return total - used
 
     def meet(self, g: Grade, h: Grade) -> Grade:
         return min(g, h)

@@ -6,7 +6,8 @@ sequencing happens only through let. A running program is a flat sequence
 of atomic processes next to a global resource state; order in the sequence
 is significant, rearrangement is a semantic move, not a syntactic identity.
 
-Also here: free variables, the futures each process consumes (which
+Also here: the grammar's shape (`parts`) and the queries over it (free
+variables, futures and calls), the futures each process consumes (which
 govern when two processes may swap), configuration well-formedness, and
 printers whose output the parser reads back.
 """
@@ -267,28 +268,30 @@ def rename_var(e: Expr, old: str, new: str) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def free_vars(e: Expr) -> set[str]:
-    def of_ve(v: ValueExpr) -> set[str]:
-        match v:
-            case Var(name) | GradedVar(name, _):
-                return {name}
-            case _:
-                return set()
-
-    match e:
-        case Call(_, _, args) | PrimOp(_, args):
-            return set().union(*(of_ve(a) for a in args)) if args else set()
-        case Await(t) | Release(_, t):
-            return of_ve(t)
-        case Return(v):
-            return of_ve(v)
-        case Hold():
-            return set()
-        case Choice(l, r):
-            return free_vars(l) | free_vars(r)
-        case Let(x, bound, body):
-            return free_vars(bound) | (free_vars(body) - {x})
+def parts(e: Expr) -> tuple[tuple[Expr, ...], tuple[ValueExpr, ...]]:
+    """The sub-expressions and the value expressions directly inside `e`:
+    the grammar's shape, which the queries below walk."""
+    k = type(e)
+    if k is Let:
+        return (e.bound, e.body), ()
+    if k is Choice:
+        return (e.left, e.right), ()
+    if k is Call or k is PrimOp:
+        return (), e.args
+    if k is Await or k is Release:
+        return (), (e.target,)
+    if k is Return:
+        return (), (e.value,)
+    if k is Hold:
+        return (), ()
     raise TypeError(f"not an expression: {e!r}")
+
+
+def free_vars(e: Expr) -> set[str]:
+    if type(e) is Let:
+        return free_vars(e.bound) | (free_vars(e.body) - {e.var})
+    subs, values = parts(e)
+    return {v.name for v in values if type(v) is not Lit}.union(*map(free_vars, subs))
 
 
 def futures_in_value(v: Value) -> set[str]:
@@ -296,23 +299,15 @@ def futures_in_value(v: Value) -> set[str]:
 
 
 def futures_in_expr(e: Expr) -> set[str]:
-    def of_ve(v: ValueExpr) -> set[str]:
-        return futures_in_value(v.value) if isinstance(v, Lit) else set()
+    subs, values = parts(e)
+    out = {v.value.name for v in values if type(v) is Lit and type(v.value) is FutRef}
+    return out.union(*map(futures_in_expr, subs))
 
-    match e:
-        case Call(_, _, args) | PrimOp(_, args):
-            return set().union(*(of_ve(a) for a in args)) if args else set()
-        case Await(t) | Release(_, t):
-            return of_ve(t)
-        case Return(v):
-            return of_ve(v)
-        case Hold():
-            return set()
-        case Choice(l, r):
-            return futures_in_expr(l) | futures_in_expr(r)
-        case Let(_, bound, body):
-            return futures_in_expr(bound) | futures_in_expr(body)
-    raise TypeError(f"not an expression: {e!r}")
+
+def calls_in(e: Expr) -> set[tuple[str, str]]:
+    """The (actor, method) of every call in `e`."""
+    out = {(e.actor, e.method)} if type(e) is Call else set()
+    return out.union(*map(calls_in, parts(e)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -236,18 +236,13 @@ def can_absorb(e: Expr) -> bool:
 
 def _cancel(m: GradeMonoid, psi1: ActorContext, phi2: ActorContext) -> ActorContext:
     """Largest internal cancellation between what a first step frees and a
-    second step needs; coordinates where the meet is not below both (a meet
-    fallback on partial orders) cancel nothing. The result is only
-    subtracted, and by exactness a zero entry subtracts nothing, so it is
-    not normalized."""
+    second step needs: the meet of the two grades, which every algebra can
+    subtract from both. The result is only subtracted, and by exactness a
+    zero entry subtracts nothing, so it is not normalized."""
     out: ActorContext = {}
     for actor in psi1.keys() & phi2.keys():
         for r in psi1[actor].keys() & phi2[actor].keys():
-            g1, g2 = psi1[actor][r], phi2[actor][r]
-            c = m.meet(g1, g2)
-            if m.minus(g1, c) is None or m.minus(g2, c) is None:
-                continue
-            out.setdefault(actor, {})[r] = c
+            out.setdefault(actor, {})[r] = m.meet(psi1[actor][r], phi2[actor][r])
     return out
 
 
@@ -539,8 +534,8 @@ def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
 
 
 def type_process(prog: Program, processes) -> ProcTyping:
-    """Type a process or a whole sequence, composing left to right: a
-    future may be consumed only after its producer, each exactly once.
+    """Type a sequence of processes, composing left to right: a future
+    may be consumed only after its producer, each exactly once.
 
     The typing depends on the sequence alone, so the program's typing
     table keeps it under `tuple(processes)`: a sequence the program has
@@ -549,8 +544,6 @@ def type_process(prog: Program, processes) -> ProcTyping:
     is typed through the table's per-process entries, and rejections are
     never stored. The result is the table's entry itself: a repeated call
     returns the identical object, so it is only read."""
-    if isinstance(processes, Process):
-        processes = (processes,)
     key = tuple(processes)
     pt = prog.typings.get(key)
     if pt is None:

@@ -5,6 +5,7 @@ Tests resolve fixtures through `EXAMPLES`, which is found from this file,
 so the suite runs from any working directory.
 """
 
+import dataclasses
 import io
 import os
 import subprocess
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import gract
 from gract.cli import main
+from gract.grades import INF, NatExact
+from gract.parser import parse_program
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -66,9 +69,11 @@ start H!main()
 """
 
 # Two customers share one barista and one counter under exact naturals.
-# `check` accepts it: it splits the host's `B: CC^2` into two concurrent
-# `B: CC^1`. The machine's `hold 1 CC` needs `NatExact.minus(2, 1)`, which
-# is undefined, so every run gets stuck with B holding `CC^2`.
+# `check` accepts it (measure 88): it splits the host's `B: CC^2` into two
+# concurrent `B: CC^1`, and each `hold 1 CC` takes its share back by
+# cancellation, `NatExact.minus(2, 1) == 1`. `explore` at unfold 2 finds it
+# `FairTerminating` in 23,319 states, depth 88 (too slow for these tests;
+# CI runs it).
 NATEQ_BARISTA = """\
 grade natEq
 makeCoffee(o: Order^1, c: CC^1): Cf^1
@@ -102,6 +107,25 @@ H {
 init B: CC^2;
 start H!main()
 """
+
+
+class PlantedNatExact(NatExact):
+    """natEq with the subtraction it once had, defined only when the two
+    grades are equal or the total is inf. It cannot take back a share that
+    `plus` split off (`minus(2, 1)` is undefined), so it breaks "split then
+    hold": a planted fault that the law checks must catch."""
+
+    def minus(self, total, used):
+        if total == INF:
+            return INF
+        return 0 if total == used else None
+
+
+def planted_barista():
+    """`NATEQ_BARISTA` under `PlantedNatExact`. `check` still accepts it
+    (measure 88), and every run gets stuck with B holding `CC^2`: `explore`
+    at unfold 2 ends `StuckFound` in 86 states, depth 13."""
+    return dataclasses.replace(parse_program(NATEQ_BARISTA), monoid=PlantedNatExact())
 
 
 def cli_output(argv) -> tuple[int, str]:

@@ -6,7 +6,8 @@ keys every successor gives. The sha256 is that of the report as
 `gract explore --json` prints it for `<program>.gract`, recorded when
 every successor was keyed. Two stuck programs' reports are pinned the
 same way, for the stuck state and the diagnosis they carry, recorded
-when the diagnosis stepped each thread a second time.
+when the diagnosis stepped each thread a second time. The stuck barista
+is `NATEQ_BARISTA` under the planted algebra (`corpus.planted_barista`).
 """
 
 import hashlib
@@ -19,11 +20,10 @@ from gract.cli import _emit_json
 from gract.explorer import explore
 from gract.parser import parse_program
 
-from corpus import EXAMPLES, NATEQ_BARISTA, TWO_CAFES
+from corpus import EXAMPLES, TWO_CAFES, planted_barista
 
 PROGRAMS = {"cafe": (EXAMPLES / "cafe.gract").read_text(), "two-cafes": TWO_CAFES,
-            "cafe-nocup": (EXAMPLES / "cafe-nocup.gract").read_text(),
-            "nateq-barista": NATEQ_BARISTA}
+            "cafe-nocup": (EXAMPLES / "cafe-nocup.gract").read_text()}
 
 # program, max_states: verdict, states, depth, pruned calls and choices,
 # bound hit, sha256 of the report text
@@ -65,7 +65,8 @@ STUCK = {
 
 @pytest.fixture(scope="module")
 def programs():
-    return {name: parse_program(src) for name, src in PROGRAMS.items()}
+    return {**{name: parse_program(src) for name, src in PROGRAMS.items()},
+            "nateq-barista": planted_barista()}
 
 
 def _report(programs, name, **bounds):

@@ -58,19 +58,19 @@ def _mini(procs, nf=9, nv=9):
 def test_key_ignores_swappable_order():
     a = _mini([Idle("A"), Idle("B")])
     b = _mini([Idle("B"), Idle("A")])
-    assert canonical_key(a) == canonical_key(b)
+    assert canonical_key(a, {}) == canonical_key(b, {})
 
 
 def test_key_ignores_fresh_numbering_and_counters():
     a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")], nf=4)
     b = _mini([FulfilledFut("f#7", UnitVal()), Idle("B")], nf=8, nv=2)
-    assert canonical_key(a) == canonical_key(b)
+    assert canonical_key(a, {}) == canonical_key(b, {})
 
 
 def test_key_separates_different_states():
     a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")])
     b = _mini([Idle("B")])
-    assert canonical_key(a) != canonical_key(b)
+    assert canonical_key(a, {}) != canonical_key(b, {})
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,10 @@ def test_key_swaps_only_disconnected_neighbours():
     right one serializes first; the swapped order is another state."""
     ff = FulfilledFut("f#1", UnitVal())
     reader = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "A")
-    assert canonical_key(_mini([ff, reader])) != canonical_key(_mini([reader, ff]))
+    assert canonical_key(_mini([ff, reader]), {}) != canonical_key(_mini([reader, ff]), {})
     producer = Thread({}, Return(Lit(UnitVal())), "f#1", "A")
     msg = CallMsg("f#2", "B", "m", (FutRef("f#1"),))
-    assert canonical_key(_mini([msg, producer])) != canonical_key(_mini([producer, msg]))
+    assert canonical_key(_mini([msg, producer]), {}) != canonical_key(_mini([producer, msg]), {})
 
 
 def test_fifo_run_satisfies_preservation(cafe):

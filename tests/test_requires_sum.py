@@ -65,5 +65,5 @@ def test_requires_of_one_resource_add_up():
         got = type_process(cafe, msgs).requires
         assert _ordered(got) == [("B", [("CC", INF)]), ("Cn", [("Cf", 1)])]
         # the sum is not written into the contexts the program's table holds
-        assert type_process(cafe, msgs[0]).requires == {"B": {"CC": 1}}
+        assert type_process(cafe, msgs[:1]).requires == {"B": {"CC": 1}}
         assert cafe.typings[msgs[0]][0][0] == {"B": {"CC": 1}}

@@ -9,7 +9,7 @@ process.
 
 import pytest
 
-from gract.explorer import _calls_in, bounded_successors, explore
+from gract.explorer import bounded_successors, explore
 from gract.parser import parse_program
 from gract.semantics import CallLbl, disconnected, redex, step_config
 from gract.terms import (
@@ -21,6 +21,7 @@ from gract.terms import (
     Idle,
     Thread,
     Var,
+    calls_in,
     entry,
     futures_consumed_one,
     futures_in_expr,
@@ -75,7 +76,7 @@ def reference_bounded(prog, config, unfold):
                 continue
         branch = reference_branch(config, raw, s)
         if branch is not None and any(entry(config.call_counts, k, 0) >= unfold
-                                      for k in _calls_in(branch)):
+                                      for k in calls_in(branch)):
             pruned_choices += 1
             continue
         kept.append(s)

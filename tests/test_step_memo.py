@@ -45,7 +45,7 @@ from gract.terms import (
     Var,
 )
 
-from corpus import EXAMPLES, NATEQ_BARISTA, TWO_CAFES, cli_output
+from corpus import EXAMPLES, TWO_CAFES, cli_output, planted_barista
 from term_helpers import config_of
 
 
@@ -160,14 +160,15 @@ def test_check_helpful_after_explore_steps_nothing(step_expr_calls, case):
     assert prog.successors == {}
 
 
-@pytest.mark.parametrize("source, stuck_states", [
-    ((EXAMPLES / "cafe-nocup.gract").read_text(), 1), (NATEQ_BARISTA, 2),
+@pytest.mark.parametrize("load, stuck_states", [
+    (lambda: _load("cafe-nocup.gract"), 1), (planted_barista, 2),
 ], ids=["cafe-nocup", "natEq-barista"])
-def test_diagnosis_after_explore_steps_nothing(step_expr_calls, source, stuck_states):
+def test_diagnosis_after_explore_steps_nothing(step_expr_calls, load, stuck_states):
     """Each stuck state `explore` stored is explained from the step table
     alone. Diagnosing them stepped 2 and 8 threads again when the
-    diagnosis ran each thread's redex a second time."""
-    prog = parse_program(source)
+    diagnosis ran each thread's redex a second time. The barista is the
+    planted one (`corpus.planted_barista`), which gets stuck."""
+    prog = load()
     rep = explore(prog, unfold=2)
     assert rep.verdict == "StuckFound"
     stuck = [c for c in rep.visited if not step_config(c, prog) and not is_terminated(c)]
@@ -182,7 +183,7 @@ def test_a_faulted_redex_keeps_a_fault_never_raised():
     """A redex that faults has its fault as its step-table entry: a
     `Stuck` never raised, so it keeps no traceback, and with it no frame
     of the stepping that met the fault."""
-    prog = parse_program(NATEQ_BARISTA)
+    prog = planted_barista()
     explore(prog, unfold=2)
     faults = [v for v in prog.steps.values() if isinstance(v, BaseException)]
     assert [(type(v), v.code) for v in faults] == [(Stuck, "HoldBlocked")] * 3

@@ -1,10 +1,11 @@
 """A checked program that gets stuck is reported by every law check.
 
-`NATEQ_BARISTA` passes `check` and gets stuck in every run (see
-`corpus.py`). Whichever side is wrong, the checker or the machine, the
-stuck state is typable, so the helpful law and subject reduction must
-both name it. A stuck state that does not type (`cafe-nocup.gract`
-lacks the cup it needs) is no violation of either.
+`corpus.planted_barista()` is `NATEQ_BARISTA` under an algebra that
+breaks "split then hold": it passes `check` and gets stuck in every run.
+The stuck state is typable, so the helpful law and subject reduction
+must both name it. A stuck state that does not type (`cafe-nocup.gract`
+lacks the cup it needs) is no violation of either. Under `natEq` itself
+the barista is accepted and every run terminates.
 """
 
 import json
@@ -17,12 +18,12 @@ from gract.parser import parse_program
 from gract.semantics import initial_config, random_chooser, run
 from gract.typecheck import check_program
 
-from corpus import EXAMPLES, NATEQ_BARISTA, cli_output
+from corpus import EXAMPLES, NATEQ_BARISTA, cli_output, planted_barista
 
 
 @pytest.fixture(scope="module")
 def barista():
-    return parse_program(NATEQ_BARISTA)
+    return planted_barista()
 
 
 def test_the_checker_accepts_and_the_explorer_finds_it_stuck(barista):
@@ -50,16 +51,21 @@ def test_subject_reduction_flags_a_run_that_ends_stuck(barista):
                                   "measure": 76}]
 
 
-def test_sr_fails_on_every_stuck_run(tmp_path):
+def test_sr_passes_every_run_of_the_natEq_barista(tmp_path):
+    """Each customer's hold takes back the share of `CC^2` that the
+    checker split off for it, so no run gets stuck. (`explore` finds the
+    barista `FairTerminating` in 23,319 states; CI runs it.)"""
     path = tmp_path / "barista.gract"
     path.write_text(NATEQ_BARISTA)
+    code, out = cli_output(["check", str(path), "--json"])
+    report = json.loads(out)
+    assert code == 0 and report["ok"] and report["configReport"]["measure"] == 88
     code, out = cli_output(["sr", str(path), "--runs", "30", "--seed", "4", "--json"])
     report = json.loads(out)
-    assert code == 5 and not report["ok"]
+    assert code == 0 and report["ok"]
     assert len(report["runs"]) == 30
     for r in report["runs"]:
-        assert r["status"] == "stuck" and not r["ok"]
-        assert [v["code"] for v in r["violations"]] == ["StuckState"]
+        assert (r["status"], r["steps"], r["ok"], r["violations"]) == ("terminated", 88, True, [])
 
 
 def test_an_untypable_stuck_state_is_no_violation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from gract.explorer import explore
 from gract.grades import Lin
 from gract.parser import parse_program
 from gract.terms import (
@@ -28,13 +29,15 @@ from gract.terms import (
     Value,
     CallMsg,
     Var,
+    calls_in,
     free_vars,
     futures_consumed_one,
+    futures_in_expr,
     rename_var,
     well_formed,
 )
 
-from corpus import EXAMPLES, TWO_CAFES
+from corpus import EXAMPLES, NATEQ_BARISTA, TWO_CAFES
 from term_helpers import (
     config_of,
     fresh_future,
@@ -191,6 +194,53 @@ def test_rename_matches_the_pattern_matching_original():
                         assert rename_var(e, old, "y#0") == _rename_by_patterns(e, old, "y#0")
                         checked += 1
     assert checked > 200
+
+
+def _walks_by_patterns(e):
+    """Free variables, futures and calls of `e` by the pattern-matching
+    walks that the queries over `terms.parts` replaced."""
+    def ve(v):
+        match v:
+            case Var(name) | GradedVar(name, _):
+                return {name}, set()
+            case Lit(FutRef(name)):
+                return set(), {name}
+        return set(), set()
+
+    match e:
+        case Call(_, _, args) | PrimOp(_, args):
+            found = [ve(a) for a in args]
+            calls = {(e.actor, e.method)} if type(e) is Call else set()
+            return (set().union(*(f[0] for f in found)), set().union(*(f[1] for f in found)),
+                    calls)
+        case Await(t) | Release(_, t) | Return(t):
+            return (*ve(t), set())
+        case Hold():
+            return set(), set(), set()
+        case Choice(l, r):
+            a, b = _walks_by_patterns(l), _walks_by_patterns(r)
+            return a[0] | b[0], a[1] | b[1], a[2] | b[2]
+        case Let(x, bound, body):
+            a, b = _walks_by_patterns(bound), _walks_by_patterns(body)
+            return a[0] | (b[0] - {x}), a[1] | b[1], a[2] | b[2]
+
+
+def test_walks_over_parts_match_the_pattern_matching_originals():
+    exprs = []
+    for text in [p.read_text() for p in sorted(EXAMPLES.glob("*.gract"))] + [TWO_CAFES]:
+        prog = parse_program(text)
+        for actor in prog.actors.values():
+            for decl in actor.methods.values():
+                exprs += _subexpressions(decl.body)
+    # explored threads hold runtime expressions, with futures in them
+    barista = parse_program(NATEQ_BARISTA)
+    for config in explore(barista, unfold=2, max_states=300).visited:
+        for p in config.processes:
+            if type(p) is Thread:
+                exprs += _subexpressions(p.expr)
+    assert len(exprs) > 1000 and any(futures_in_expr(e) for e in exprs)
+    for e in exprs:
+        assert (free_vars(e), futures_in_expr(e), calls_in(e)) == _walks_by_patterns(e)
 
 
 def test_fresh_names_are_monotone():

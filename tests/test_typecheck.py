@@ -307,20 +307,20 @@ def test_type_local_env(cafe):
 
 
 def test_idle_types_empty(cafe):
-    pt = type_process(cafe, Idle("B"))
+    pt = type_process(cafe, [Idle("B")])
     assert (pt.requires, pt.measure, pt.produced, pt.marked) == ({}, 0, {}, set())
 
 
 def test_fulfilled_future_claims_its_promise(cafe):
     fut = fut_type(UnitT(), {"Cn": {"Cf": 1}})
-    pt = type_process(cafe, FulfilledFut("f#1", UnitVal(), fut))
+    pt = type_process(cafe, [FulfilledFut("f#1", UnitVal(), fut)])
     assert pt.requires == {"Cn": {"Cf": 1}}
     assert pt.measure == 0
     assert pt.produced == {"f#1": fut_type(UnitT(), {"Cn": {"Cf": 1}})}
 
 
 def test_message_charges_two_extra(cafe):
-    pt = type_process(cafe, CallMsg("f#0", "Cs", "main", ()))
+    pt = type_process(cafe, [CallMsg("f#0", "Cs", "main", ())])
     assert pt.measure == 39 + 2
     assert pt.requires == {"B": {"CC": 1}}
 

@@ -133,19 +133,19 @@ def test_memo_rechecks_the_futures_a_process_read(cafe):
     assert first.produced["f#2"] == UNIT_FUT
     assert second.produced["f#2"] == fut_type(ResT("Cf", 1), {})
     with pytest.raises(CheckError) as err:
-        type_process(cafe, reader)
+        type_process(cafe, [reader])
     assert err.value.code == "UnknownFuture"
 
 
 def test_fulfilments_differing_only_in_fut_get_their_own_typings(cafe):
     plain = FulfilledFut("f#1", UnitVal(), UNIT_FUT)
     cup = FulfilledFut("f#1", UnitVal(), fut_type(UnitT(), {"B": {"CC": 1}}))
-    assert type_process(cafe, plain).requires == {}
-    assert type_process(cafe, cup).requires == {"B": {"CC": 1}}
+    assert type_process(cafe, [plain]).requires == {}
+    assert type_process(cafe, [cup]).requires == {"B": {"CC": 1}}
     # one entry each: typing the second neither reused nor replaced the first
     assert cafe.typings[plain][0][0] == {}
     assert cafe.typings[cup][0][0] == {"B": {"CC": 1}}
-    assert type_process(cafe, plain).produced == {"f#1": UNIT_FUT}
+    assert type_process(cafe, [plain]).produced == {"f#1": UNIT_FUT}
 
 
 def test_memo_stores_no_rejection(cafe):
@@ -154,7 +154,7 @@ def test_memo_stores_no_rejection(cafe):
     for _ in range(2):
         before = len(cafe.typings)
         with pytest.raises(CheckError) as err:
-            type_process(cafe, thread)
+            type_process(cafe, [thread])
         errors.append(err.value.to_json())
         assert len(cafe.typings) == before and thread not in cafe.typings
     assert errors[0] == errors[1] and errors[0]["code"] == "UnknownFuture"
@@ -181,23 +181,23 @@ def test_a_rejected_sequence_leaves_no_entry(fresh_cafe):
 def test_a_variant_program_types_with_its_own_table(cafe):
     order = (GradedRes("Order", 1),)
     msg = CallMsg("f#1", "B", "takeOrder", order)
-    mu = type_process(cafe, msg).measure
+    mu = type_process(cafe, [msg]).measure
     assert msg in cafe.typings
     b = cafe.actors["B"]
     decl = b.methods["takeOrder"]
     variant = replace(cafe, actors={**cafe.actors, "B": replace(
         b, methods={**b.methods, "takeOrder": replace(decl, measure=decl.measure + 1)})})
     assert variant.typings == {} and variant.typings is not cafe.typings
-    assert type_process(variant, msg).measure == mu + 1
+    assert type_process(variant, [msg]).measure == mu + 1
     # the original's entry is neither read nor overwritten by the variant
-    assert type_process(cafe, msg).measure == mu
+    assert type_process(cafe, [msg]).measure == mu
 
 
 def test_a_returned_typing_is_the_tables_shared_entry(fresh_cafe, seed4_runs):
     order = (GradedRes("Order", 1),)
     msgs = [CallMsg("f#1", "B", "takeOrder", order), CallMsg("f#2", "Cn", "pickup", ()),
             FulfilledFut("f#3", UnitVal())]
-    for ps in (msgs, msgs[0]):
+    for ps in (msgs, msgs[:1]):
         pt = type_process(fresh_cafe, ps)
         assert type_process(fresh_cafe, ps) is pt
         # the marked set is frozen, so no caller can change a shared entry's
