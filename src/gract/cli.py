@@ -103,37 +103,46 @@ def _emit(args, command: str, payload: dict) -> None:
                 **payload})
 
 
+def _report(args, command: str, payload: dict, code: int, text) -> int:
+    """Print a command's one report: as JSON under `--json`, else as the
+    text that `text(printer, payload)` renders from it. Returns `code`."""
+    if args.json:
+        _emit(args, command, payload)
+    else:
+        text(Printer(sys.stdout, args.quiet), payload)
+    return code
+
+
+def _word(pr: Printer, ok: bool, good: str = "ok", bad: str = "VIOLATION") -> str:
+    return pr.paint(good, "green") if ok else pr.paint(bad, "red")
+
+
+def _diagnosis(pr: Printer, diagnosis: list[dict]) -> None:
+    for d in diagnosis:
+        pr.line("  " + ", ".join(f"{k}={v}" for k, v in d.items()))
+
+
 # ---------------------------------------------------------------------------
 # check
 
-def _err_str(e: dict) -> str:
-    loc = e.get("loc")
-    return f"{e['code']} at {loc}" if loc else e["code"]
-
-
 def cmd_check(args) -> int:
-    prog = _load(args.program)
-    report = check_program(prog)
-    if args.json:
-        _emit(args, "check", report)
-        return EXIT_OK if report["ok"] else EXIT_TYPE
-    pr = Printer(sys.stdout, args.quiet)
+    report = check_program(_load(args.program))
+    return _report(args, "check", report, EXIT_OK if report["ok"] else EXIT_TYPE,
+                   _check_text)
+
+
+def _check_text(pr: Printer, report: dict) -> None:
+    def word(r: dict) -> str:
+        """The word ok, or the error codes, each with its location if it has one."""
+        return _word(pr, r["ok"], bad=", ".join(
+            f"{e['code']} at {e['loc']}" if e.get("loc") else e["code"] for e in r["errors"]))
+
     for mr in report["methodReports"]:
-        if mr["ok"]:
-            pr.detail(f"method {mr['actor']}.{mr['method']}: "
-                      f"{pr.paint('ok', 'green')} "
-                      f"(measure {mr['computed']['measure']})")
-        else:
-            codes = ", ".join(_err_str(e) for e in mr["errors"])
-            pr.detail(f"method {mr['actor']}.{mr['method']}: "
-                      f"{pr.paint(codes, 'red')}")
+        tail = f" (measure {mr['computed']['measure']})" if mr["ok"] else ""
+        pr.detail(f"method {mr['actor']}.{mr['method']}: {word(mr)}{tail}")
     cfg = report["configReport"]
-    word = pr.paint("ok", "green") if cfg["ok"] else \
-        pr.paint(", ".join(_err_str(e) for e in cfg["errors"]), "red")
-    pr.detail(f"configuration: {word} (measure {cfg['measure']})")
-    verdict = "PASS" if report["ok"] else "FAIL"
-    pr.line(pr.paint(verdict, "green" if report["ok"] else "red"))
-    return EXIT_OK if report["ok"] else EXIT_TYPE
+    pr.detail(f"configuration: {word(cfg)} (measure {cfg['measure']})")
+    pr.line(_word(pr, report["ok"], "PASS", "FAIL"))
 
 
 # ---------------------------------------------------------------------------
@@ -222,44 +231,36 @@ def _replay_failed(args, command: str, exc: Stuck) -> int:
 
 def cmd_run(args) -> int:
     prog = _load(args.program)
-    checked = False
-    if not args.unsafe:
-        if _refuse_illtyped(args, prog, "run"):
-            return EXIT_TYPE
-        checked = True
+    checked = not args.unsafe
+    if checked and _refuse_illtyped(args, prog, "run"):
+        return EXIT_TYPE
     chooser = _chooser_for(args, prog)
-    cfg = initial_config(prog)
     try:
-        tr = run(cfg, prog, chooser, args.steps)
+        tr = run(initial_config(prog), prog, chooser, args.steps)
     except Stuck as exc:
         return _replay_failed(args, "run", exc)
 
     def mu(c) -> Optional[int]:
         return measure_of_config(prog, c) if checked else None
 
-    if args.json:
-        payload = {"status": tr.status, "stepCount": len(tr.steps),
-                   "initialMeasure": mu(tr.initial)}
-        if not args.quiet:
-            payload["steps"] = [step_to_json(k, s, mu(s.config))
-                                for k, s in enumerate(tr.steps)]
-        if tr.status == "stuck":
-            payload["diagnosis"] = tr.diagnosis
-        _emit(args, "run", payload)
-        return EXIT_STUCK if tr.status == "stuck" else EXIT_OK
-    pr = Printer(sys.stdout, args.quiet)
-    for k, s in enumerate(tr.steps):
-        m = mu(s.config)
-        tail = "" if m is None else f"  measure {m}"
-        pr.detail(f"{k:4d}  {pr.paint(s.rule, 'cyan'):<6}  "
-                  f"{label_str(s.label)} @{s.actor} ({s.variant}){tail}")
-    word = {"terminated": "green", "stuck": "red", "bound": "yellow"}[tr.status]
-    pr.line(f"{pr.paint(tr.status, word)} after {len(tr.steps)} steps")
+    payload = {"status": tr.status, "stepCount": len(tr.steps),
+               "initialMeasure": mu(tr.initial)}
+    if not args.quiet:
+        payload["steps"] = [step_to_json(k, s, mu(s.config)) for k, s in enumerate(tr.steps)]
     if tr.status == "stuck":
-        for d in tr.diagnosis:
-            pr.line("  " + ", ".join(f"{k}={v}" for k, v in d.items()))
-        return EXIT_STUCK
-    return EXIT_OK
+        payload["diagnosis"] = tr.diagnosis
+    return _report(args, "run", payload, EXIT_STUCK if tr.status == "stuck" else EXIT_OK,
+                   _run_text)
+
+
+def _run_text(pr: Printer, report: dict) -> None:
+    for s in report.get("steps", ()):
+        tail = f"  measure {s['measure']}" if "measure" in s else ""
+        pr.detail(f"{s['step']:4d}  {pr.paint(s['rule'], 'cyan'):<6}  "
+                  f"{s['label']} @{s['actor']} ({s['variant']}){tail}")
+    word = {"terminated": "green", "stuck": "red", "bound": "yellow"}[report["status"]]
+    pr.line(f"{pr.paint(report['status'], word)} after {report['stepCount']} steps")
+    _diagnosis(pr, report.get("diagnosis", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +270,21 @@ def cmd_explore(args) -> int:
     prog = _load(args.program)
     if not args.unsafe and _refuse_illtyped(args, prog, "explore"):
         return EXIT_TYPE
-    rep = explore(prog, unfold=args.unfold, max_depth=args.depth,
-                  max_states=args.states)
+    rep = explore(prog, unfold=args.unfold, max_depth=args.depth, max_states=args.states)
+    payload = rep.to_json()
+    if args.quiet:
+        payload.pop("witnessTrace", None)
     # only a fair-termination verdict counts as success for scripting
-    code = EXIT_OK if rep.verdict == "FairTerminating" else EXIT_STUCK
-    if args.json:
-        payload = rep.to_json()
-        if args.quiet:
-            payload.pop("witnessTrace", None)
-        _emit(args, "explore", payload)
-        return code
-    pr = Printer(sys.stdout, args.quiet)
-    good = rep.verdict in ("FairTerminating", "WeaklyTerminatingWitness")
-    pr.line(f"verdict: {pr.paint(rep.verdict, 'green' if good else 'red')}")
-    pr.detail(f"states: {rep.states_visited}  depth: {rep.max_depth}  "
-              f"pruned: {rep.pruned_choices} choice branches, {rep.pruned_calls} calls")
-    if rep.stuck_state:
-        for d in rep.stuck_state["diagnosis"]:
-            pr.line("  " + ", ".join(f"{k}={v}" for k, v in d.items()))
-    return code
+    return _report(args, "explore", payload,
+                   EXIT_OK if rep.verdict == "FairTerminating" else EXIT_STUCK, _explore_text)
+
+
+def _explore_text(pr: Printer, rep: dict) -> None:
+    good = rep["verdict"] in ("FairTerminating", "WeaklyTerminatingWitness")
+    pr.line(f"verdict: {pr.paint(rep['verdict'], 'green' if good else 'red')}")
+    pr.detail(f"states: {rep['statesVisited']}  depth: {rep['maxDepth']}  pruned: "
+              f"{rep['prunedChoices']} choice branches, {rep['prunedCalls']} calls")
+    _diagnosis(pr, rep.get("stuckState", {}).get("diagnosis", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +307,16 @@ def _sr_replay(args, prog: Program) -> int:
         if recorded is not None and recorded != config_to_json(s.config):
             violations.append({"step": k, "code": "RecordedConfigMismatch"})
     ok = not violations
-    if args.json:
-        _emit(args, "sr", {"replay": args.replay, "ok": ok, "steps": law["steps"],
-                           "violations": violations})
-        return EXIT_OK if ok else EXIT_SR
-    pr = Printer(sys.stdout, args.quiet)
-    word = pr.paint("ok", "green") if ok else pr.paint("VIOLATION", "red")
-    pr.detail(f"replayed {len(tr.steps)} recorded steps: {word}")
-    for v in violations[:5]:
+    return _report(args, "sr", {"replay": args.replay, "ok": ok, "steps": law["steps"],
+                                "violations": violations},
+                   EXIT_OK if ok else EXIT_SR, _replay_text)
+
+
+def _replay_text(pr: Printer, replay: dict) -> None:
+    pr.detail(f"replayed {replay['steps']} recorded steps: {_word(pr, replay['ok'])}")
+    for v in replay["violations"][:5]:
         pr.detail(f"    {v}")
-    pr.line(pr.paint("PASS" if ok else "FAIL", "green" if ok else "red"))
-    return EXIT_OK if ok else EXIT_SR
+    pr.line(_word(pr, replay["ok"], "PASS", "FAIL"))
 
 
 def cmd_sr(args) -> int:
@@ -336,17 +332,16 @@ def cmd_sr(args) -> int:
         ok = ok and law["ok"]
         runs.append({"run": k, "status": tr.status, "steps": law["steps"],
                      "ok": law["ok"], "violations": law["violations"]})
-    if args.json:
-        _emit(args, "sr", {"ok": ok, "runs": runs})
-        return EXIT_OK if ok else EXIT_SR
-    pr = Printer(sys.stdout, args.quiet)
-    for r in runs:
-        word = pr.paint("ok", "green") if r["ok"] else pr.paint("VIOLATION", "red")
-        pr.detail(f"run {r['run']}: {r['status']} after {r['steps']} steps, {word}")
+    return _report(args, "sr", {"ok": ok, "runs": runs}, EXIT_OK if ok else EXIT_SR, _sr_text)
+
+
+def _sr_text(pr: Printer, sr: dict) -> None:
+    for r in sr["runs"]:
+        pr.detail(f"run {r['run']}: {r['status']} after {r['steps']} steps, "
+                  f"{_word(pr, r['ok'])}")
         for v in r["violations"][:3]:
             pr.detail(f"    {v}")
-    pr.line(pr.paint("PASS" if ok else "FAIL", "green" if ok else "red"))
-    return EXIT_OK if ok else EXIT_SR
+    pr.line(_word(pr, sr["ok"], "PASS", "FAIL"))
 
 
 # ---------------------------------------------------------------------------

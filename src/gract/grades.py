@@ -3,18 +3,14 @@
 A grade measures how much of a resource a program may use: nothing, exactly
 once, at most once, without restriction, or at a level drawn from a finite
 lattice. Grades form an ordered commutative monoid whose only element below
-zero is zero itself. Consumption is modelled by a partial subtraction that,
-where defined, is the largest residual: g + h' <= h holds exactly when h - g
-is defined and h' <= h - g. Instances where that adjunction law holds are
-"subtractive"; the exact-usage naturals ship with the weaker contract (see
-NatExact): their subtraction cancels a summand, and the adjunction fails
-only at inf - inf.
+zero is zero itself. Consumption is modelled by a partial subtraction:
+minus(h, g) is what is left of h once g is taken from it, or None where h
+does not cover g.
 
-Every shipped instance also satisfies exactness, plus(g, minus(h, g)) == h
-whenever the subtraction is defined. The usage-inference checker depends on
-this when it cancels a producer against a consumer, so a custom instance
-without exactness would surface as spurious mismatch reports, not as
-unsoundness.
+The checker and the machine agree only where an algebra keeps the laws
+their rules rely on. README's "Which law each grade operation relies on"
+states the seven laws and names the one each call site relies on; every
+shipped instance keeps all seven, and tests/test_grades.py checks them.
 
 Grades are plain values (ints, the float infinity, or level names as
 strings); each monoid instance owns their interpretation, ordering and
@@ -108,8 +104,8 @@ class NatExact(_NatBase):
     A grade held once may be split by plus among several users, and each
     takes its share back by the naturals' cancellation, so every user
     uses exactly what it declares. Under the equality order the adjunction
-    law fails only at inf - inf (inf + 1 == inf, yet 1 is not inf - inf);
-    the monoid, order, exactness and "split then hold" laws apply here.
+    (g + k <= h exactly when k <= h - g) fails only at inf - inf: inf + 1
+    == inf, yet 1 is not inf - inf. README's seven laws all hold here.
     """
 
     name = "natEq"
@@ -309,32 +305,11 @@ ResourceEnv = dict[str, Grade]
 ActorContext = dict[str, ResourceEnv]
 
 
-def env_norm(m: GradeMonoid, env: ResourceEnv) -> ResourceEnv:
-    return {r: g for r, g in env.items() if g != m.zero()}
-
-
-def env_plus(m: GradeMonoid, a: ResourceEnv, b: ResourceEnv) -> ResourceEnv:
-    out = dict(a)
-    for r, g in b.items():
-        out[r] = m.plus(out[r], g) if r in out else g
-    return env_norm(m, out)
-
-
-def env_minus(m: GradeMonoid, total: ResourceEnv, used: ResourceEnv) -> Optional[ResourceEnv]:
-    out = dict(total)
-    z = m.zero()
-    for r, g in used.items():
-        left = m.minus(out.get(r, z), g)
-        if left is None:
-            return None
-        out[r] = left
-    return env_norm(m, out)
-
-
 def ctx_norm(m: GradeMonoid, ctx: ActorContext) -> ActorContext:
+    z = m.zero()
     out = {}
     for actor, env in ctx.items():
-        env = env_norm(m, env)
+        env = {r: g for r, g in env.items() if g != z}
         if env:
             out[actor] = env
     return out
@@ -343,15 +318,20 @@ def ctx_norm(m: GradeMonoid, ctx: ActorContext) -> ActorContext:
 def ctx_plus(m: GradeMonoid, a: ActorContext, b: ActorContext) -> ActorContext:
     out = {actor: dict(env) for actor, env in a.items()}
     for actor, env in b.items():
-        out[actor] = env_plus(m, out.get(actor, {}), env)
+        mine = out.setdefault(actor, {})
+        for r, g in env.items():
+            mine[r] = m.plus(mine[r], g) if r in mine else g
     return ctx_norm(m, out)
 
 
 def ctx_minus(m: GradeMonoid, total: ActorContext, used: ActorContext) -> Optional[ActorContext]:
     out = {actor: dict(env) for actor, env in total.items()}
+    z = m.zero()
     for actor, env in used.items():
-        left = env_minus(m, out.get(actor, {}), env)
-        if left is None:
-            return None
-        out[actor] = left
+        mine = out.setdefault(actor, {})
+        for r, g in env.items():
+            left = m.minus(mine.get(r, z), g)
+            if left is None:
+                return None
+            mine[r] = left
     return ctx_norm(m, out)

@@ -585,11 +585,10 @@ def _compose(prog: Program, processes) -> tuple:
                 raise CheckError("FutureConsumedBeforeProduced",
                                  f"future {err.detail}", err.loc) from None
             raise
+        # each consumed future is in `produced`: `_type_atomic_memo` read it there
         for f in sorted(futs) if futs else ():
             if f in marked:
                 raise CheckError("MarkedReuse", f"future {f} consumed twice")
-            if f not in produced:
-                raise CheckError("FutureConsumedBeforeProduced", f"future {f}")
             marked.add(f)
         for f, t in prod.items():
             if f in produced:

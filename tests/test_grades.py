@@ -29,8 +29,6 @@ from gract.grades import (
     ctx_minus,
     ctx_norm,
     ctx_plus,
-    env_minus,
-    env_plus,
     format_grade,
 )
 
@@ -419,7 +417,7 @@ def test_ctx_minus_defined_when_covered(a, b):
 
 def test_env_absent_is_zero():
     m = Lin()
-    assert env_plus(m, {"r": 1}, {"r": 1}) == {"r": INF}
-    assert env_minus(m, {"r": 1}, {"r": 1}) == {}
-    assert env_minus(m, {}, {"r": 1}) is None
-    assert env_minus(m, {"r": 1, "s": INF}, {"r": 1}) == {"s": INF}
+    assert ctx_plus(m, {"A": {"r": 1}}, {"A": {"r": 1}}) == {"A": {"r": INF}}
+    assert ctx_minus(m, {"A": {"r": 1}}, {"A": {"r": 1}}) == {}
+    assert ctx_minus(m, {}, {"A": {"r": 1}}) is None
+    assert ctx_minus(m, {"A": {"r": 1, "s": INF}}, {"A": {"r": 1}}) == {"A": {"s": INF}}
