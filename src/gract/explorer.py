@@ -382,15 +382,14 @@ def check_subject_reduction(prog: Program, trace: Trace) -> dict:
 
     pre = trace.initial
     pt = snap(pre, -1)
-    unmarked0 = None if pt is None else set(pt.produced) - pt.marked
+    unread0 = None if pt is None else pt.unread
     for k, s in enumerate(trace.steps):
         post = s.config
         pt2 = snap(post, k)
         if pt is not None and pt2 is not None:
-            unmarked = set(pt2.produced) - pt2.marked
-            if unmarked0 is not None and unmarked != unmarked0:
+            if unread0 is not None and pt2.unread != unread0:
                 violations.append({"step": k, "code": "UnreadSetChanged",
-                                   "was": sorted(unmarked0), "now": sorted(unmarked)})
+                                   "was": sorted(unread0), "now": sorted(pt2.unread)})
             # the call label carries the fresh future, the get label the consumed one
             want = set(pt.marked)
             match s.rule, s.label:

@@ -468,8 +468,8 @@ def with_entry(pairs: tuple, key, value) -> tuple:
     return tuple(sorted({**dict(pairs), key: value}.items()))
 
 
-def well_formed(config: Configuration) -> list[str]:
-    """Diagnostics, empty when the configuration is well formed.
+def well_formed(processes: tuple[Process, ...]) -> list[str]:
+    """Diagnostics, empty when the processes make a well-formed configuration.
 
     Each actor that appears at all, as an idle marker or through a thread
     (suspended ones included), has exactly one active thread or is idle
@@ -479,7 +479,7 @@ def well_formed(config: Configuration) -> list[str]:
     problems = []
     slots: dict[str, list[int]] = {}  # actor -> [active threads, idle markers]
     seen_futures: set[str] = set()
-    for p in config.processes:
+    for p in processes:
         k = type(p)
         if k is Idle:
             slots.setdefault(p.actor, [0, 0])[1] += 1

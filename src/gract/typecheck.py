@@ -123,7 +123,8 @@ def futs_add(a: set[str], b: set[str], loc: str) -> set[str]:
 
 def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -> None:
     """A value of type `actual` can stand where `expected` is needed:
-    resources may carry surplus grade provided the surplus is droppable."""
+    resources may carry surplus grade provided the surplus is droppable.
+    An exact fit leaves none, though natEq's `inf - inf` is `inf`."""
     k = type(actual)
     if k is ResT:
         if type(expected) is ResT and actual.res == expected.res:
@@ -133,7 +134,7 @@ def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -
                                  f"have {actual.res}^{format_grade(h)}, need ^{format_grade(g)}",
                                  loc)
             surplus = m.minus(h, g)
-            if surplus is None or not m.is_discardable(surplus):
+            if h != g and (surplus is None or not m.is_discardable(surplus)):
                 raise CheckError(
                     "NonDiscardableLeftover",
                     f"surplus {actual.res}^{format_grade(h)} over ^{format_grade(g)}", loc)
@@ -419,7 +420,8 @@ def _check_binder_leftover(m: GradeMonoid, x: str, ty: Type, used: Optional[Type
         if left is None:
             raise CheckError("GradeTooSmall",
                              f"{x}: {r}^{format_grade(h)} used at ^{format_grade(g)}", loc)
-        if left != m.zero() and (not m.is_discardable(left) or not can_absorb(scope)):
+        # only an exact use leaves nothing over (natEq's inf - inf is inf)
+        if h != g and (not m.is_discardable(left) or not can_absorb(scope)):
             raise CheckError("NonDiscardableLeftover",
                              f"{x}: {r}^{format_grade(left)} left over", loc)
     elif k is FutT:
@@ -456,14 +458,18 @@ def type_local_env(prog: Program, lam: LocalEnv, sigma: Sigma,
 
 
 class ProcTyping(NamedTuple):
-    """A sequence's typing, as the program's typing table stores it: shared
-    by every caller that types the sequence, so it is only read (`marked`
-    is frozen; `requires` and `produced` are read by convention)."""
+    """A sequence's typing as the program's typing table stores it, with
+    what the configuration judgment reads of the sequence alone: its
+    `well_formed` diagnostics, its rendered `requires` and its unread
+    (produced, unmarked) futures. It is shared, so it is only read."""
 
     requires: ActorContext
     measure: int
     produced: dict[str, FutT]
     marked: frozenset[str]
+    ill_formed: tuple[str, ...]
+    requires_json: dict
+    unread: frozenset[str]
 
 
 def _type_atomic(prog: Program, p: Process,
@@ -561,7 +567,10 @@ def type_process(prog: Program, processes) -> ProcTyping:
                     continue
                 for r, g in env.items():
                     have[r] = m.plus(have[r], g) if r in have else g
-        pt = prog.typings[key] = ProcTyping(ctx_norm(m, requires), measure, produced, marked)
+        requires = ctx_norm(m, requires)
+        pt = prog.typings[key] = ProcTyping(
+            requires, measure, produced, marked, tuple(well_formed(key)),
+            _grades_json(requires), frozenset(produced) - marked)
     return pt
 
 
@@ -608,18 +617,20 @@ def _grades_json(ctx: ActorContext) -> dict:
 
 def type_config(prog: Program, config: Configuration) -> dict:
     """Type the whole configuration and check its claims fit the graded
-    state. The report is JSON-ready; ok is False on any error. Each
-    required `(actor, resource)` is checked against its entry in
-    `config.alpha` as stored, in `requires` order; a resource held but
-    not required is never reported, whatever its grade."""
-    errors = [{"code": "IllFormed", "loc": "", "detail": problem}
-              for problem in well_formed(config)]
-    if errors:
-        return {"ok": False, "requires": {}, "measure": 0, "errors": errors}
+    state. The report is JSON-ready; ok is False on any error, IllFormed
+    first. All but the resource fit is read from the sequence's entry.
+    Each required `(actor, resource)` is checked against `config.alpha`
+    as stored, in `requires` order; a resource held but not required is
+    never reported, whatever its grade."""
     try:
         pt = type_process(prog, config.processes)
+        problems, errors = pt.ill_formed, []
     except CheckError as e:
-        return {"ok": False, "requires": {}, "measure": 0, "errors": [e.to_json()]}
+        # no rejection is stored, so well-formedness is judged afresh
+        pt, problems, errors = None, well_formed(config.processes), [e.to_json()]
+    if problems or pt is None:
+        errors = [{"code": "IllFormed", "loc": "", "detail": p} for p in problems] or errors
+        return {"ok": False, "requires": {}, "measure": 0, "errors": errors}
     m = prog.monoid
     for actor, env in pt.requires.items():
         for r, g in env.items():
@@ -627,7 +638,7 @@ def type_config(prog: Program, config: Configuration) -> dict:
             if not m.leq(g, have):
                 errors.append({"code": "InsufficientInitialResources", "loc": f"init {actor}.{r}",
                                "detail": f"requires {format_grade(g)}, holds {format_grade(have)}"})
-    return {"ok": not errors, "requires": _grades_json(pt.requires), "measure": pt.measure,
+    return {"ok": not errors, "requires": pt.requires_json, "measure": pt.measure,
             "errors": errors}
 
 

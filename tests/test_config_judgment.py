@@ -66,7 +66,7 @@ def reference_type_config(prog, config) -> dict:
     """The judgment as it was: ctx_of, then ctx_leq, then the loop."""
     m = prog.monoid
     errors = []
-    for problem in well_formed(config):
+    for problem in well_formed(config.processes):
         errors.append({"code": "IllFormed", "loc": "", "detail": problem})
     requires, measure = {}, 0
     if not errors:

@@ -303,7 +303,7 @@ def test_initial_config_shape(cafe):
     assert cfg.alpha == (("B", (("CC", 1),)),)
     assert cfg.call_counts == ((("Cs", "main"), 1),)
     assert msg.fut is not None and msg.fut == cafe.signatures["Cs", "main"].fut
-    assert not well_formed(cfg)
+    assert not well_formed(cfg.processes)
 
 
 def test_first_step_is_spawn(cafe):
@@ -345,7 +345,7 @@ def test_runs_stay_well_formed_and_futures_read_once(cafe):
         assert tr.status == "terminated"
         reads = {}
         for s in tr.steps:
-            assert well_formed(s.config) == []
+            assert well_formed(s.config.processes) == []
             if s.rule == "get":
                 f = s.label.future
                 reads[f] = reads.get(f, 0) + 1

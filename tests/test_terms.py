@@ -108,25 +108,25 @@ def test_well_formed_one_active_or_idle():
             Thread({}, Return(u), "g", "a"),
         ],
     )
-    assert any("a" in p for p in well_formed(two_active))
+    assert any("a" in p for p in well_formed(two_active.processes))
 
     ok = config_of(
         {},
         [Idle("a"), Thread({}, Return(u), "f", "a", suspended=True)],
     )
-    assert well_formed(ok) == []
+    assert well_formed(ok.processes) == []
 
     dup = config_of(
         {},
         [FulfilledFut("f", UnitVal()), FulfilledFut("f", UnitVal()), Idle("a")],
     )
-    assert any("f" in p for p in well_formed(dup))
+    assert any("f" in p for p in well_formed(dup.processes))
 
     both = config_of(
         {},
         [Idle("a"), Thread({}, Return(u), "f", "a")],
     )
-    assert well_formed(both) != []
+    assert well_formed(both.processes) != []
 
 
 def test_well_formed_counts_an_actor_seen_only_through_suspended_threads():
@@ -135,7 +135,7 @@ def test_well_formed_counts_an_actor_seen_only_through_suspended_threads():
         [Thread({}, Return(u), "f", "a", suspended=True),
          Thread({}, Return(u), "g", "a", suspended=True), Idle("b")],
     )
-    assert well_formed(waiting) == ["actor a has 0 active threads and 0 idle markers"]
+    assert well_formed(waiting.processes) == ["actor a has 0 active threads and 0 idle markers"]
 
 
 def test_rename_respects_shadowing():

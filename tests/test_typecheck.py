@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gract.explorer import explore
 from gract.grades import INF, Lin
 from gract.parser import parse_program
 from gract.semantics import initial_config, run, fifo_chooser
@@ -253,6 +254,33 @@ def test_ambient_leftover_at_root(cafe):
     # the unrestricted version vanishes at the return's leaf
     t = type_expr(cafe, "B", {"spare": ResT("CC", INF)}, {}, Return(Lit(UnitVal())))
     assert t.measure == 0
+
+
+EXACT_INF = """\
+grade {grade}
+use(c: CC^inf): Unit
+A {{
+  go(): Unit requires A: CC^inf produces measure 3 {{ let c = hold inf CC in use(c^inf) }}
+  keep(): Unit requires A: CC^inf produces A: CC^inf measure 3 {{
+    let c = hold inf CC in release inf c^inf }}
+}}
+init A: CC^inf;
+start A!go()
+"""
+
+
+@pytest.mark.parametrize("grade", ["natEq", "natLeq"])
+def test_an_exact_fit_at_inf_leaves_nothing_over(grade):
+    """natEq's `inf - inf` is `inf`, which it cannot discard; an argument
+    (`use`) or binder (`keep`) used at exactly its grade leaves nothing."""
+    prog = parse_program(EXACT_INF.format(grade=grade))
+    report = check_program(prog)
+    assert report["ok"], report["errors"]
+    assert [r["computed"]["measure"] for r in report["methodReports"]] == [3, 3]
+    assert explore(prog, unfold=2).verdict == "FairTerminating"
+    # a finite use of c^inf still fits neither `use` nor the binder
+    short = parse_program(EXACT_INF.format(grade=grade).replace("use(c^inf)", "use(c^5)"))
+    assert [e["code"] for e in check_program(short)["errors"]] == ["GradeTooSmall"]
 
 
 def test_shadowed_binder_rejected(cafe):

@@ -12,6 +12,7 @@ import pytest
 
 from gract import typecheck
 from gract.explorer import check_helpful, check_subject_reduction, explore, helpful_chooser
+from gract.grades import format_grade
 from gract.parser import parse_program
 from gract.semantics import fifo_chooser, initial_config, random_chooser, run, step_config
 from gract.terms import (
@@ -20,16 +21,19 @@ from gract.terms import (
     FulfilledFut,
     FutRef,
     GradedRes,
+    Idle,
     Lit,
     ResT,
     Thread,
     UnitT,
     UnitVal,
     fut_type,
+    well_formed,
 )
 from gract.typecheck import CheckError, measure_of_config, type_config, type_process
 
 from corpus import EXAMPLES, cli_output
+from term_helpers import config_of
 
 CAFE = EXAMPLES / "cafe.gract"
 UNIT_FUT = fut_type(UnitT(), {})
@@ -216,6 +220,64 @@ def test_a_returned_typing_is_the_tables_shared_entry(fresh_cafe, seed4_runs):
     with without_memo():
         want = [type_process(r.prog, key) for key in keys]
     assert len(keys) > 100 and got == want
+    # the judgment's sequence-only part, against a fresh computation of each
+    for pt, fresh, key in zip(got, want, keys):
+        assert pt.unread == set(fresh.produced) - set(fresh.marked)
+        assert pt.requires_json == {a: {r: format_grade(g) for r, g in env.items()}
+                                    for a, env in fresh.requires.items()}
+        assert pt.ill_formed == tuple(well_formed(key)) == ()
+    # a report carries the entry's rendering itself, not a copy
+    cfg = r.traces[0].steps[-1].config
+    assert type_config(r.prog, cfg)["requires"] is type_process(
+        r.prog, cfg.processes).requires_json
+
+
+@pytest.fixture
+def well_formed_calls(monkeypatch):
+    calls = []
+    real = typecheck.well_formed
+
+    def counting(processes):
+        calls.append(tuple(processes))
+        return real(processes)
+
+    monkeypatch.setattr(typecheck, "well_formed", counting)
+    return calls
+
+
+def test_well_formedness_is_judged_once_per_sequence(seed4_runs, well_formed_calls):
+    prog = _parse_cafe()
+    traces = seed4_runs.traces
+    snapshots = [tuple(cfg.processes) for tr in traces
+                 for cfg in [tr.initial, *(s.config for s in tr.steps)]]
+    assert all(check_subject_reduction(prog, tr)["ok"] for tr in traces)
+    entries = [key for key in prog.typings if type(key) is tuple]
+    # each distinct sequence once, on its entry's miss; never per snapshot
+    assert len(well_formed_calls) == len(set(well_formed_calls)) == len(entries)
+    assert set(well_formed_calls) == set(entries) == set(snapshots)
+    assert len(well_formed_calls) * 10 < len(snapshots)
+    well_formed_calls.clear()
+    assert all(check_subject_reduction(prog, tr)["ok"] for tr in traces)
+    assert well_formed_calls == []
+
+
+def test_an_ill_formed_sequence_is_reported_ill_formed(fresh_cafe, well_formed_calls):
+    twice_idle = config_of({}, [Idle("B"), Idle("B")])
+    # two fulfilments of one future: ill formed, and untypable (DoubleProduce)
+    twice_fulfilled = config_of({}, [FulfilledFut("f#1", UnitVal(), UNIT_FUT)] * 2)
+    with pytest.raises(CheckError):
+        type_process(fresh_cafe, twice_fulfilled.processes)
+    for cfg, problem in ((twice_idle, "actor B has 0 active threads and 2 idle markers"),
+                         (twice_fulfilled, "future f#1 produced twice")):
+        want = {"ok": False, "requires": {}, "measure": 0,
+                "errors": [{"code": "IllFormed", "loc": "", "detail": problem}]}
+        # the first call misses, the second hits where there is an entry
+        assert type_config(fresh_cafe, cfg) == want == type_config(fresh_cafe, cfg)
+    # the typable one is stored once, with its diagnostics; the rejection never is
+    assert fresh_cafe.typings[twice_idle.processes].ill_formed == (
+        "actor B has 0 active threads and 2 idle markers",)
+    assert twice_fulfilled.processes not in fresh_cafe.typings
+    assert well_formed_calls == [twice_idle.processes] + [twice_fulfilled.processes] * 2
 
 
 # ---------------------------------------------------------------------------
