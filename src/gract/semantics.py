@@ -464,36 +464,23 @@ def _step_entry(config: Configuration, prog: Program, thread: Thread, rx: Expr,
     return steps
 
 
-def _actor_slots(procs: tuple[Process, ...]) -> tuple[dict[str, int], dict[str, int]]:
-    """The position of each actor's first idle marker and of its first
-    active thread, found in one scan."""
-    idle: dict[str, int] = {}
-    active: dict[str, int] = {}
-    for j, p in enumerate(procs):
-        k = type(p)
-        if k is Idle:
-            idle.setdefault(p.actor, j)
-        elif k is Thread and not p.suspended:
-            active.setdefault(p.actor, j)
-    return idle, active
-
-
-def _free_actor(procs: tuple[Process, ...], m: GradeMonoid, a: str, i: int,
-                slots: tuple[dict, dict]) -> Optional[tuple[tuple[Process, ...], int, str]]:
+def _free_actor(procs: tuple[Process, ...], m: GradeMonoid, a: str,
+                i: int) -> Optional[tuple[tuple[Process, ...], int, str]]:
     """Make room for a new thread of actor `a` in place of the process at
     i (a message to spawn, or a suspended thread to activate): take a's
     idle marker (variant "act"), or else suspend a's active thread if it
-    awaits (variant "yld"). `slots` is `_actor_slots(procs)`. Returns the
-    processes with room made, the position where the caller puts the
-    thread, and the variant; None when a is busy."""
-    idle, active = slots
-    j = idle.get(a)
-    if j is not None:
-        return procs[:j] + procs[j + 1:], i - 1 if j < i else i, "act"
-    k = active.get(a)
-    if k is None or awaited(m, procs[k]) is None:
+    awaits (variant "yld"). Returns the processes with room made, the
+    position where the caller puts the thread, and the variant; None when
+    a is busy."""
+    k = t = None
+    for j, p in enumerate(procs):
+        if type(p) is Idle and p.actor == a:
+            return procs[:j] + procs[j + 1:], i - 1 if j < i else i, "act"
+        if t is None and type(p) is Thread and p.actor == a and not p.suspended:
+            k, t = j, p
+    if t is None or awaited(m, t) is None:
         return None
-    return procs[:k] + (procs[k].twin(suspended=True),) + procs[k + 1:], i, "yld"
+    return procs[:k] + (t.twin(suspended=True),) + procs[k + 1:], i, "yld"
 
 
 def _spawned(prog: Program, msg: CallMsg) -> Thread | str:
@@ -513,31 +500,27 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     """Every successor reachable by one rule after folded rearrangement;
     threads step through the program's step table (see `_thread_steps`)."""
     out: list[StepResult] = []
-    procs = config.processes
-    slots = None  # built for the first message or suspended thread
-    for i, p in enumerate(procs):
+    for i, p in enumerate(config.processes):
         match p:
             case CallMsg():
                 spawned = _spawned(prog, p)
                 if type(spawned) is str:
                     continue
-                slots = _actor_slots(procs) if slots is None else slots
-                freed = _free_actor(procs, prog.monoid, p.actor, i, slots)
+                freed = _free_actor(config.processes, prog.monoid, p.actor, i)
                 if freed is not None:
-                    room, pos, variant = freed
-                    c = config.copy(room[:pos] + (spawned,) + room[pos + 1:])
+                    procs, pos, variant = freed
+                    c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
                     # a spawn keeps its message's position; an idle actor is its base case
                     out.append(StepResult("spawn", Tau(), c, p.actor, i,
                                           "base" if variant == "act" else variant))
             case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))
             case Thread():
-                slots = _actor_slots(procs) if slots is None else slots
-                freed = _free_actor(procs, prog.monoid, p.actor, i, slots)
+                freed = _free_actor(config.processes, prog.monoid, p.actor, i)
                 if freed is not None:
-                    room, pos, variant = freed
+                    procs, pos, variant = freed
                     active = p.twin(suspended=False)
-                    base = config.copy(room[:pos] + (active,) + room[pos + 1:])
+                    base = config.copy(procs[:pos] + (active,) + procs[pos + 1:])
                     out.extend(_thread_steps(base, prog, active, pos, variant))
     out.sort(key=StepResult.sort_key)
     return out

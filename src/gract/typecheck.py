@@ -123,8 +123,7 @@ def futs_add(a: set[str], b: set[str], loc: str) -> set[str]:
 
 def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -> None:
     """A value of type `actual` can stand where `expected` is needed:
-    resources may carry surplus grade provided the surplus is droppable.
-    An exact fit leaves none, though natEq's `inf - inf` is `inf`."""
+    resources may carry surplus grade provided the surplus is droppable."""
     k = type(actual)
     if k is ResT:
         if type(expected) is ResT and actual.res == expected.res:
@@ -134,7 +133,7 @@ def fits_expected(m: GradeMonoid, actual: Type, expected: Type, loc: str = "") -
                                  f"have {actual.res}^{format_grade(h)}, need ^{format_grade(g)}",
                                  loc)
             surplus = m.minus(h, g)
-            if h != g and (surplus is None or not m.is_discardable(surplus)):
+            if surplus is None or not m.is_discardable(surplus):
                 raise CheckError(
                     "NonDiscardableLeftover",
                     f"surplus {actual.res}^{format_grade(h)} over ^{format_grade(g)}", loc)
@@ -420,8 +419,7 @@ def _check_binder_leftover(m: GradeMonoid, x: str, ty: Type, used: Optional[Type
         if left is None:
             raise CheckError("GradeTooSmall",
                              f"{x}: {r}^{format_grade(h)} used at ^{format_grade(g)}", loc)
-        # only an exact use leaves nothing over (natEq's inf - inf is inf)
-        if h != g and (not m.is_discardable(left) or not can_absorb(scope)):
+        if left != m.zero() and (not m.is_discardable(left) or not can_absorb(scope)):
             raise CheckError("NonDiscardableLeftover",
                              f"{x}: {r}^{format_grade(left)} left over", loc)
     elif k is FutT:
@@ -621,7 +619,8 @@ def type_config(prog: Program, config: Configuration) -> dict:
     first. All but the resource fit is read from the sequence's entry.
     Each required `(actor, resource)` is checked against `config.alpha`
     as stored, in `requires` order; a resource held but not required is
-    never reported, whatever its grade."""
+    never reported, whatever its grade. The report's `requires` is the
+    entry's own dict, shared by every report on the sequence: only read it."""
     try:
         pt = type_process(prog, config.processes)
         problems, errors = pt.ill_formed, []
@@ -736,9 +735,11 @@ def check_method_table(prog: Program) -> dict:
 
 
 def check_program(prog: Program) -> dict:
-    """Method table consistency plus typability of the start state."""
+    """Method table consistency plus typability of the start state. The
+    report is the caller's own: its `requires` is a copy of the entry's."""
     table = check_method_table(prog)
     config_report = type_config(prog, initial_config(prog))
+    config_report["requires"] = {a: dict(env) for a, env in config_report["requires"].items()}
     errors = [e for r in table["methodReports"] for e in r["errors"]]
     errors += config_report["errors"]
     return {

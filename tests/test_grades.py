@@ -315,10 +315,6 @@ def test_natexact_design_table():
     assert m.minus(5, 5) == 0
     assert m.minus(INF, 5) == INF
     assert m.minus(INF, INF) == INF
-    # the one self-residual that is not discardable (every other instance's
-    # is, test_self_and_zero_subtraction), so the checker reads an exact
-    # fit as leaving nothing rather than as this residual
-    assert not m.is_discardable(m.minus(INF, INF))
     assert m.minus(5, 3) == 2
     assert not m.leq(3, 5)
     assert not m.is_discardable(2)

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from gract.explorer import explore
+from gract.explorer import check_subject_reduction, explore
 from gract.grades import INF, Lin
 from gract.parser import parse_program
-from gract.semantics import initial_config, run, fifo_chooser
+from gract.semantics import initial_config, run, fifo_chooser, random_chooser
 from gract.terms import (
     Await,
     Call,
@@ -270,15 +270,33 @@ start A!go()
 
 
 @pytest.mark.parametrize("grade", ["natEq", "natLeq"])
-def test_an_exact_fit_at_inf_leaves_nothing_over(grade):
-    """natEq's `inf - inf` is `inf`, which it cannot discard; an argument
-    (`use`) or binder (`keep`) used at exactly its grade leaves nothing."""
+def test_an_exact_use_at_inf_leaves_inf(grade):
+    """Using `c^inf` of a `c: CC^inf` leaves `minus(inf, inf) == inf`, in
+    the machine's environment as in the checker. natLeq drops that
+    leftover, so the program checks and every state of its runs types.
+    natEq cannot drop it, and a run does reach a thread that holds it
+    unused, so the checker must refuse the program."""
     prog = parse_program(EXACT_INF.format(grade=grade))
     report = check_program(prog)
+    traces = [run(initial_config(prog), prog, random_chooser(random.Random(seed)), 50)
+              for seed in range(4)]
+    sr = [check_subject_reduction(prog, tr) for tr in traces]
+    if grade == "natEq":
+        assert [(e["code"], e["loc"]) for e in report["errors"]] == [
+            ("NonDiscardableLeftover", "A.go use argument 0"),
+            ("NonDiscardableLeftover", "A.keep")]
+        # after the use, the thread holds the leftover it can never drop
+        assert all(r["violations"][-1]["errors"] == [{
+            "code": "NonDiscardableLeftover", "loc": "thread f#0 of A",
+            "detail": "y#0: CC^inf unused"}] for r in sr)
+        return
     assert report["ok"], report["errors"]
     assert [r["computed"]["measure"] for r in report["methodReports"]] == [3, 3]
-    assert explore(prog, unfold=2).verdict == "FairTerminating"
-    # a finite use of c^inf still fits neither `use` nor the binder
+    result = explore(prog, unfold=2)
+    assert result.verdict == "FairTerminating"
+    assert "untypable" not in result.measure_histogram
+    assert all(r["ok"] for r in sr)
+    # a finite use of c^inf fits neither `use` nor the binder
     short = parse_program(EXACT_INF.format(grade=grade).replace("use(c^inf)", "use(c^5)"))
     assert [e["code"] for e in check_program(short)["errors"]] == ["GradeTooSmall"]
 

@@ -30,7 +30,8 @@ from gract.terms import (
     fut_type,
     well_formed,
 )
-from gract.typecheck import CheckError, measure_of_config, type_config, type_process
+from gract.typecheck import (CheckError, check_program, measure_of_config, type_config,
+                             type_process)
 
 from corpus import EXAMPLES, cli_output
 from term_helpers import config_of
@@ -230,6 +231,14 @@ def test_a_returned_typing_is_the_tables_shared_entry(fresh_cafe, seed4_runs):
     cfg = r.traces[0].steps[-1].config
     assert type_config(r.prog, cfg)["requires"] is type_process(
         r.prog, cfg.processes).requires_json
+    # check_program's report is its caller's: editing it changes no entry
+    report = check_program(fresh_cafe)["configReport"]
+    shared = type_config(fresh_cafe, initial_config(fresh_cafe))["requires"]
+    assert report["requires"] == shared and report["requires"] is not shared
+    before = {a: dict(env) for a, env in shared.items()}
+    for env in report["requires"].values():
+        env.clear()
+    assert type_config(fresh_cafe, initial_config(fresh_cafe))["requires"] == before
 
 
 @pytest.fixture
