@@ -319,6 +319,12 @@ class StepResult:
     where the activated thread lands: its own index, or one less when `act`
     took an idle marker to its left. `branch` is the branch a choice step
     took, None for every other step; it is not serialized.
+
+    `successors` links to `config`'s list in the program's `successors`
+    table, so that a run that takes the step again need not look `config`
+    up. `run` sets it once, on the first arrival through the step, and
+    nothing else does; it takes no part in equality or `repr`, and
+    `dataclasses.replace` does not copy it.
     """
 
     rule: str
@@ -328,6 +334,8 @@ class StepResult:
     pos: int
     variant: str = "base"  # base | act | yld (scheduling move folded in)
     branch: Optional[Expr] = None
+    successors: Optional[list[StepResult]] = field(default=None, init=False, compare=False,
+                                                   repr=False)
 
     # the label breaks ties: suspended threads of two actors can both be
     # activated by `act` onto one `pos`, each taking a `get`
@@ -498,15 +506,22 @@ def _spawned(prog: Program, msg: CallMsg) -> Thread | str:
 
 def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     """Every successor reachable by one rule after folded rearrangement;
-    threads step through the program's step table (see `_thread_steps`)."""
+    threads step through the program's step table (see `_thread_steps`).
+    A thread whose awaited future no fulfilment of `config` produces has
+    no step, and making room adds no fulfilment, so it is skipped before
+    room is made or its step-table entry read."""
+    m = prog.monoid
+    fulfilled = {p.future for p in config.processes if type(p) is FulfilledFut}
     out: list[StepResult] = []
     for i, p in enumerate(config.processes):
+        if type(p) is Thread and (f := awaited(m, p)) is not None and f not in fulfilled:
+            continue
         match p:
             case CallMsg():
                 spawned = _spawned(prog, p)
                 if type(spawned) is str:
                     continue
-                freed = _free_actor(config.processes, prog.monoid, p.actor, i)
+                freed = _free_actor(config.processes, m, p.actor, i)
                 if freed is not None:
                     procs, pos, variant = freed
                     c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
@@ -516,7 +531,7 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
             case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))
             case Thread():
-                freed = _free_actor(config.processes, prog.monoid, p.actor, i)
+                freed = _free_actor(config.processes, m, p.actor, i)
                 if freed is not None:
                     procs, pos, variant = freed
                     active = p.twin(suspended=False)
@@ -592,13 +607,14 @@ def run(config: Configuration, prog: Program, chooser: Chooser, max_steps: int) 
     is inspected even when the budget is spent, so a run that ends exactly
     on the budget still reports how it ended. Successor lists come from
     the program's `successors` table, so runs of one program step each
-    distinct configuration once."""
+    distinct configuration once. The table is read at the start and on a
+    step's first arrival, which links the step to its target's list
+    (`StepResult.successors`); a later arrival follows the link and hashes
+    no configuration."""
     steps: list[StepResult] = []
     current = config
+    succ = _successors(current, prog)
     for k in count():
-        succ = prog.successors.get(current)
-        if succ is None:
-            succ = prog.successors[current] = step_config(current, prog)
         if not succ:
             status = "terminated" if is_terminated(current) else "stuck"
             return Trace(config, steps, status,
@@ -609,6 +625,17 @@ def run(config: Configuration, prog: Program, chooser: Chooser, max_steps: int) 
         chosen = succ[idx]
         steps.append(chosen)
         current = chosen.config
+        succ = chosen.successors
+        if succ is None:
+            succ = chosen.successors = _successors(current, prog)
+
+
+def _successors(config: Configuration, prog: Program) -> list[StepResult]:
+    """`config`'s list in the program's `successors` table, stepped on a miss."""
+    succ = prog.successors.get(config)
+    if succ is None:
+        succ = prog.successors[config] = step_config(config, prog)
+    return succ
 
 
 def random_chooser(rng: random.Random) -> Chooser:

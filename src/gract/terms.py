@@ -552,8 +552,11 @@ class Program:
     `steps` is either an active thread with the one input its redex reads,
     for its steps or its redex's fault (a suspended thread uses its active
     twin's), or a message, for the thread it spawns or why it spawns none.
-    Every entry is read-only, and every process in one is built once and
-    shared by each step that reads it."""
+    Every entry is read-only, with one exception: each step in a
+    `successors` list has a write-once link, `StepResult.successors`,
+    which `run` sets to this table's list for the step's target on the
+    first arrival through the step. Every process in an entry is built
+    once and shared by each step that reads it."""
 
     monoid: GradeMonoid
     op_sigs: dict[str, OpSig]

@@ -104,18 +104,20 @@ def test_explore_steps_each_thread_once(step_expr_calls):
     """A timing-free guard. Without the table, the cafe at unfold 2 takes
     282 expression steps. Keyed on every input a step could read, the
     table stepped 167 of them afresh; keyed on the one input each redex
-    reads, 129."""
+    reads, 129; and 102 once a thread awaiting a future that no
+    fulfilment produces is not stepped at all."""
     rep = explore(_load("cafe.gract"), unfold=2)
     assert rep.states_visited == 153
-    assert step_expr_calls[0] == 129
+    assert step_expr_calls[0] == 102
 
 
 def test_two_cafes_step_each_thread_once(step_expr_calls):
     """The same guard on wide states: the two cafes' first 200 states
-    took 169 expression steps with the wider key, and take 89."""
+    took 169 expression steps with the wider key, 89 with the narrow one,
+    and take 72 without stepping an await that nothing fulfils."""
     prog, bounds, states = _explorations()[1]
     assert explore(prog, **bounds).states_visited == states
-    assert step_expr_calls[0] == 89
+    assert step_expr_calls[0] == 72
 
 
 def test_a_second_run_steps_nothing(step_expr_calls):
@@ -132,20 +134,26 @@ def test_a_second_run_steps_nothing(step_expr_calls):
     assert len(again.steps) == 41 and all(s is t for s, t in zip(again.steps, first.steps))
 
 
+def _gate4_runs(cafe):
+    """Gate 4's 100 runs: one Random(4) schedules them, 200 steps each."""
+    rng = random.Random(4)
+    return [run(initial_config(cafe), cafe, random_chooser(rng), 200) for _ in range(100)]
+
+
 def test_runs_step_each_distinct_configuration_once(monkeypatch, step_expr_calls):
     """Gate 4's step budget over 100 runs scheduled by one Random(4), as
     `gract sr --seed 4` schedules them: 6,806 steps, but 369 distinct
     configurations, so 369 `step_config` calls where stepping at every
-    visit made 6,906. Their threads are stepped afresh 291 times (516
-    when the step table keyed a thread on every input)."""
+    visit made 6,906. Their threads are stepped afresh 249 times (516
+    when the step table keyed a thread on every input, 291 when it also
+    stepped an await that nothing fulfils)."""
     cafe = _load("cafe.gract")
     calls = _count_calls(monkeypatch, "step_config")
-    rng = random.Random(4)
-    traces = [run(initial_config(cafe), cafe, random_chooser(rng), 200) for _ in range(100)]
+    traces = _gate4_runs(cafe)
     seen = {tr.initial for tr in traces} | {s.config for tr in traces for s in tr.steps}
     assert sum(len(tr.steps) for tr in traces) == 6806
     assert calls[0] == len(seen) == len(cafe.successors) == 369
-    assert step_expr_calls[0] == 291
+    assert step_expr_calls[0] == 249
 
 
 @pytest.mark.parametrize("case", range(2), ids=["cafe", "two-cafes"])
@@ -209,8 +217,15 @@ def test_an_activated_thread_steps_from_its_active_twins_entry(step_expr_calls):
 def test_a_step_builds_each_process_once(monkeypatch):
     """A call's message, a return's fulfilment, a spawned thread and an
     activated twin are built once from what their step reads, so every
-    configuration that reaches them shares one object."""
+    configuration that reaches them shares one object. A suspended
+    thread is activated only beside its awaited fulfilment, which the
+    cafe's exploration does in one configuration; two more, which differ
+    only in their counters, activate one thread in both."""
     cafe = _load("cafe.gract")
+    waiting = Thread({"g": FutRef("f#2")}, Let("c", Await(Var("g")), Return(Var("c"))),
+                     "f#1", "Cs", suspended=True)
+    pair = [config_of({}, [FulfilledFut("f#2", UnitVal()), waiting, Idle("Cs")], next_future=n)
+            for n in (3, 5)]
     activated = {}  # active twin -> {configuration it steps in: the twin's id}
     real = semantics._thread_steps
 
@@ -221,7 +236,7 @@ def test_a_step_builds_each_process_once(monkeypatch):
 
     monkeypatch.setattr(semantics, "_thread_steps", spy)
     made = {}  # (rule, what the step read) -> {parent configuration: process built}
-    for cfg in explore(cafe, unfold=2).visited:
+    for cfg in explore(cafe, unfold=2).visited + pair:
         for s in step_config(cfg, cafe):
             if s.variant != "base" or s.rule not in ("call", "return", "spawn"):
                 continue
@@ -261,8 +276,9 @@ def test_a_hold_steps_only_under_enough_resources(step_expr_calls):
 
 def test_an_await_steps_only_when_its_fulfilment_is_offered(step_expr_calls):
     """The table keeps the fulfilment an await reads: the same awaiting
-    thread gets nothing from another future's fulfilment and takes the
-    value each offer carries."""
+    thread takes the value each offer carries, and beside another
+    future's fulfilment it has no step and is not stepped (three
+    expression steps when it was)."""
     cafe = _load("cafe.gract")
     waiting = Thread({"g": FutRef("f#2")}, Let("c", Await(Var("g")), Return(Var("c"))),
                      "f#1", "Cs")
@@ -270,7 +286,7 @@ def test_an_await_steps_only_when_its_fulfilment_is_offered(step_expr_calls):
               FulfilledFut("f#2", GradedRes("Cf", 1))]
     (other, unit, cf), calls = _counted_steps(
         cafe, [config_of({}, [f, waiting]) for f in offers], step_expr_calls)
-    assert other == [] and calls == 3
+    assert other == [] and calls == 2
     got = [s.config.processes for s in unit + cf]
     assert [s.rule for s in unit + cf] == ["get", "get"]
     assert [p[0].expr for p in got] == [Let("c", Return(Lit(v)), Return(Var("c")))
@@ -322,6 +338,59 @@ def test_a_variant_program_steps_with_its_own_table(step_expr_calls):
     assert cafe.steps.keys() == table.keys()
     assert all(cafe.steps[k] is v for k, v in table.items())
     assert cafe.successors.keys() == successors.keys()
+
+
+def test_a_run_follows_each_step_to_its_targets_successors(monkeypatch):
+    """A timing-free guard. A step's first arrival links it to its target's
+    successor list, so a second pass of gate 4's 100 runs, which takes
+    only steps the first took, reads the program's `successors` table at
+    each run's start alone; looking each of its 6,806 targets up hashed
+    each configuration again."""
+    cafe = _load("cafe.gract")
+    first = _gate4_runs(cafe)
+    reads = [0]
+
+    def read(prog):
+        reads[0] += 1
+        return vars(prog)["successors"]
+
+    monkeypatch.setattr(Program, "successors", property(read), raising=False)
+    again = _gate4_runs(cafe)
+    assert sum(len(tr.steps) for tr in again) == 6806 and reads[0] == 100
+    assert all(s is t for tr, tr2 in zip(first, again) for s, t in zip(tr.steps, tr2.steps))
+    monkeypatch.undo()
+    assert all(s.successors is cafe.successors[s.config] for tr in again for s in tr.steps)
+
+
+def test_a_steps_link_is_no_part_of_its_value():
+    """A linked step equals, and prints as, the same step unlinked, and
+    `dataclasses.replace` leaves the copy unlinked."""
+    cafe = _load("cafe.gract")
+    linked = run(initial_config(cafe), cafe, fifo_chooser, 200).steps[0]
+    assert linked.successors is cafe.successors[linked.config]
+    unlinked = step_config(initial_config(cafe), cafe)[0]
+    assert unlinked.successors is None
+    assert unlinked == linked and repr(unlinked) == repr(linked)
+    copy = replace(linked)
+    assert copy.successors is None and copy == linked
+
+
+def test_a_variant_program_follows_no_link_into_the_original():
+    """A variant (`dataclasses.replace`) with nothing changed takes equal
+    steps to equal configurations, so only identity shows whose lists its
+    runs read: each step they take, and each list it links to, is the
+    variant's own, on a run's first arrival and on a second run alike."""
+    cafe = _load("cafe.gract")
+    want = [run(initial_config(cafe), cafe, fifo_chooser, 200) for _ in range(2)][-1]
+    steps = {id(s) for succ in cafe.successors.values() for s in succ}
+    lists = {id(succ) for succ in cafe.successors.values()}
+    variant = replace(cafe)
+    for _ in range(2):
+        got = run(initial_config(variant), variant, fifo_chooser, 200)
+        assert _briefs(got) == _briefs(want)
+        assert not {id(s) for s in got.steps} & steps
+        assert not {id(s.successors) for s in got.steps} & lists
+        assert all(s.successors is variant.successors[s.config] for s in got.steps)
 
 
 # ---------------------------------------------------------------------------
