@@ -181,11 +181,11 @@ def _step_brief(s: StepResult) -> dict:
             "actor": s.actor, "variant": s.variant}
 
 
-def _trace_to(parents: dict, key: tuple) -> list[dict]:
+def _trace_to(reached: dict, cfg: Configuration) -> list[dict]:
     steps = []
-    while parents[key] is not None:
-        key, brief = parents[key]
-        steps.append(brief)
+    while reached[cfg] is not None:
+        cfg, s = reached[cfg]
+        steps.append(_step_brief(s))
     steps.reverse()
     return steps
 
@@ -204,23 +204,23 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
     other, so a stuck or terminated state there is judged, but none of its
     successors is stored. A StuckFound report's `max_depth` is the stuck
     state's depth plus one. At most `max_states` states are stored, the
-    start state among them, so it must be at least 1.
-    A successor equal to a stored configuration is dropped unkeyed.
+    start state among them, so it must be at least 1. One table maps each
+    stored state to its parent and the step that reached it; canonical keys
+    only drop duplicates, and a successor equal to a stored state is dropped
+    unkeyed. Only the steps on the witness's path are formatted.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, not {max_states}")
     start = config if config is not None else initial_config(prog)
     key_memo: dict = {}
-    key0 = canonical_key(start, key_memo)
-    visited: dict[tuple, Configuration] = {key0: start}
-    stored = {start}
-    parents: dict[tuple, Optional[tuple[tuple, dict]]] = {key0: None}
+    keys = {canonical_key(start, key_memo)}
+    reached: dict[Configuration, Optional[tuple[Configuration, StepResult]]] = {start: None}
     histogram: dict[str, int] = {}
     pruned_calls = pruned_choices = 0
     bound_hit = False
     hard_truncated = False
-    terminal_key: Optional[tuple] = None
-    stuck: Optional[tuple[tuple, Configuration]] = None
+    terminal: Optional[Configuration] = None
+    stuck: Optional[Configuration] = None
     depth = 0
 
     def note_measure(cfg: Configuration) -> None:
@@ -229,66 +229,62 @@ def explore(prog: Program, config: Optional[Configuration] = None, *,
         histogram[k] = histogram.get(k, 0) + 1
 
     note_measure(start)
-    level: list[tuple[tuple, Configuration]] = [(key0, start)]
+    level = [start]
 
     while level:
         at_cap = depth >= max_depth
-        nxt: list[tuple[tuple, Configuration]] = []
-        for key, cfg in level:
+        nxt: list[Configuration] = []
+        for cfg in level:
             succ = bounded_successors(prog, cfg, unfold)
             pruned_calls += succ.pruned_calls
             pruned_choices += succ.pruned_choices
             if succ.raw_count == 0:
                 if not is_terminated(cfg):
-                    stuck = key, cfg
+                    stuck = cfg
                     break
-                if terminal_key is None:
-                    terminal_key = key
+                if terminal is None:
+                    terminal = cfg
                 continue
-            if not succ.kept:
-                hard_truncated = True
-                continue
-            if succ.pruned_calls:
+            if succ.pruned_calls or not succ.kept:
                 hard_truncated = True
             for s in succ.kept:
-                full = at_cap or len(visited) >= max_states
+                full = at_cap or len(reached) >= max_states
                 if bound_hit and full:
                     break  # no successor can be stored any more
-                if s.config in stored:
+                if s.config in reached:
                     continue
                 k2 = canonical_key(s.config, key_memo)
-                if k2 in visited:
+                if k2 in keys:
                     continue
                 if full:
                     bound_hit = True
                     continue
-                visited[k2] = s.config
-                stored.add(s.config)
-                parents[k2] = (key, _step_brief(s))
+                keys.add(k2)
+                reached[s.config] = (cfg, s)
                 note_measure(s.config)
-                nxt.append((k2, s.config))
+                nxt.append(s.config)
         if stuck is not None:
             break
         level = nxt
         if nxt:
             depth += 1
 
-    end = terminal_key
+    end = terminal
     if stuck is not None:
-        verdict, depth, end = "StuckFound", depth + 1, stuck[0]
+        verdict, depth, end = "StuckFound", depth + 1, stuck
     elif not (bound_hit or hard_truncated):
         verdict = "FairTerminating"
-    elif terminal_key is not None:
+    elif terminal is not None:
         verdict = "WeaklyTerminatingWitness"
     else:
         verdict = "BoundExhausted"
     return ExploreReport(
-        verdict, len(visited), depth, histogram, pruned_calls, pruned_choices, bound_hit,
-        witness_trace=None if end is None else _trace_to(parents, end),
+        verdict, len(reached), depth, histogram, pruned_calls, pruned_choices, bound_hit,
+        witness_trace=None if end is None else _trace_to(reached, end),
         stuck_state=None if stuck is None else {
-            "config": config_to_json(stuck[1]),
-            "diagnosis": stuck_diagnosis(stuck[1], prog)},
-        visited=list(visited.values()))
+            "config": config_to_json(stuck),
+            "diagnosis": stuck_diagnosis(stuck, prog)},
+        visited=list(reached))
 
 
 # ---------------------------------------------------------------------------

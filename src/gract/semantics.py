@@ -216,36 +216,30 @@ def step_expr(m: GradeMonoid, env: LocalEnv, e: Expr, prog: Program, fresh_futur
     only a choice there has two steps. A return, or an await whose future
     is not `offered`'s (future, value), has none. A hold needs its grade
     in `alpha`, the actor's resources."""
-    return _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, alpha)
-
-
-def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, alpha):
+    lets = []  # the lets around the redex, outermost first
+    while isinstance(e, Let) and not isinstance(e.bound, Return):
+        lets.append(e)
+        e = e.bound
     match e:
         case Return(_):
-            return []  # consumed by the configuration-level return rule
-        case Let(x, bound, body):
-            if isinstance(bound, Return):
-                env2, v = eval_value_expr(m, env, bound.value)
-                env2 = dict(env2)
-                env2[fresh_var] = v
-                return [(Tau(), env2, rename_var(body, x, fresh_var))]
-            return [(label, env2, Let(x, bound2, body)) for label, env2, bound2
-                    in _step_expr(m, env, bound, prog, fresh_future, fresh_var, offered, alpha)]
+            steps = []  # consumed by the configuration-level return rule
+        case Let(x, Return(value), body):
+            env2, v = eval_value_expr(m, env, value)
+            steps = [(Tau(), {**env2, fresh_var: v}, rename_var(body, x, fresh_var))]
         case Call(actor, method, args):
             env2, vals = eval_value_list(m, env, args)
             label = CallLbl(fresh_future, actor, method, vals)
-            return [(label, env2, Return(Lit(FutRef(fresh_future))))]
+            steps = [(label, env2, Return(Lit(FutRef(fresh_future))))]
         case Await(target):
             env2, v = eval_value_expr(m, env, target)
             if not isinstance(v, FutRef):
                 raise Stuck("AwaitOnNonFuture", str(v))
-            if offered is None or offered[0] != v.name:
-                return []
-            return [(FutLbl(v.name, offered[1]), env2, Return(Lit(offered[1])))]
+            hit = offered is not None and offered[0] == v.name
+            steps = [(FutLbl(v.name, offered[1]), env2, Return(Lit(offered[1])))] if hit else []
         case Hold(g, r):
             if m.minus(alpha.get(r, m.zero()), g) is None:
                 raise Stuck("HoldBlocked", f"{r}^{format_grade(g)}")
-            return [(HoldLbl(r, g), env, Return(Lit(GradedRes(r, g))))]
+            steps = [(HoldLbl(r, g), env, Return(Lit(GradedRes(r, g))))]
         case Release(g, target):
             env2, v = eval_value_expr(m, env, target)
             if not isinstance(v, GradedRes):
@@ -253,14 +247,18 @@ def _step_expr(m, env, e, prog, fresh_future, fresh_var, offered, alpha):
             if not m.releasable(g, v.grade):
                 raise Stuck("ReleaseExceedsGrade" if not m.leq(g, v.grade) else "UnreleasableGrade",
                             f"release {format_grade(g)} of {v.res}^{format_grade(v.grade)}")
-            return [(RlsLbl(v.res, g), env2, Return(Lit(UnitVal())))]
+            steps = [(RlsLbl(v.res, g), env2, Return(Lit(UnitVal())))]
         case PrimOp(op, args):
             env2, vals = eval_value_list(m, env, args)
             result = apply_primop(prog, op, vals)
-            return [(Tau(), env2, Return(Lit(result)))]
+            steps = [(Tau(), env2, Return(Lit(result)))]
         case Choice(left, right):
-            return [(Tau(), env, left), (Tau(), env, right)]
-    raise TypeError(f"not an expression: {e!r}")
+            steps = [(Tau(), env, left), (Tau(), env, right)]
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    for let in reversed(lets):
+        steps = [(label, env2, Let(let.var, e2, let.body)) for label, env2, e2 in steps]
+    return steps
 
 
 def redex(e: Expr) -> Expr:

@@ -138,6 +138,27 @@ def test_missing_cup_is_found_stuck(nocup):
     assert len(rep.witness_trace) == 4
 
 
+@pytest.mark.parametrize("program, verdict, length", [
+    ("cafe", "FairTerminating", 41), ("nocup", "StuckFound", 4)])
+def test_only_the_witness_path_is_formatted(monkeypatch, request, program, verdict, length):
+    """Each stored state keeps the step that reached it; a step is
+    formatted only when it lies on the witness's path."""
+    prog = request.getfixturevalue(program)
+    brief = explorer._step_brief
+    briefs = []
+
+    def counting(s):
+        briefs.append(s)
+        return brief(s)
+
+    monkeypatch.setattr(explorer, "_step_brief", counting)
+    rep = explore(prog, unfold=2)
+    assert (rep.verdict, len(rep.witness_trace)) == (verdict, length)
+    assert len(briefs) == length
+    assert rep.visited[0] == initial_config(prog)
+    assert len(set(rep.visited)) == len(rep.visited) == rep.states_visited
+
+
 def test_state_budget_reports_bound(cafe):
     rep = explore(cafe, unfold=2, max_states=5)
     assert rep.bound_hit
