@@ -2,16 +2,15 @@
 
 The explorer walks every interleaving of a program up to three bounds: a
 per-method call budget (the unfold limit), a depth limit, and a state limit.
-States are canonicalized before deduplication, so runs that differ only by
-commuting independent processes or by the spelling of fresh names collapse
-into one node.  On top of the reachable set it evaluates two dynamic laws:
-every step of a run preserves typability with a controlled measure drop, and
-every live typable state offers at least one measure-decreasing successor.
+States are stored once per canonical key, which forgets fresh-name spelling
+and the order of neighbours that may swap.  On top of the reachable set it
+evaluates two dynamic laws: every step of a run preserves typability with a
+controlled measure drop, and every live typable state offers at least one
+measure-decreasing successor.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,11 +26,11 @@ from .semantics import (
     initial_config,
     is_terminated,
     label_str,
-    process_to_json,
     step_config,
     stuck_diagnosis,
 )
-from .terms import Configuration, Idle, Process, Program, calls_in, entry
+from .terms import (CallMsg, Configuration, FulfilledFut, Idle, Process, Program, Thread,
+                    calls_in, entry)
 from .typecheck import measure_of_config, type_config, type_process
 
 
@@ -43,45 +42,59 @@ _FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy]#\d+)")
 
 
 def _key_pieces(p: Process) -> tuple:
-    """What canonical_key reads of one process, computed once per distinct
-    process: its serialization, that serialization's literal template (the
-    text between fresh names, joined by NUL, which JSON never writes raw),
-    the fresh names in order, and the process itself, for the swap test."""
-    ser = json.dumps(process_to_json(p), sort_keys=True)
-    parts = _FRESH.split(ser)
-    return ser, "\0".join(parts[0::2]), parts[1::2], p
+    """What canonical_key reads of one process, once per distinct process:
+    its template, each field (a thread's environment in binding order) as
+    the count of its fresh names and the text around them, and the names in
+    order. The two spell the process back; the template spells no name."""
+    match p:
+        case Thread(env, expr, future, actor, suspended):
+            fields = ("suspended" if suspended else "active", actor, future,
+                      *(s for x, v in env.items() for s in (x, str(v))), str(expr))
+        case Idle(actor):
+            fields = ("idle", actor)
+        case CallMsg(future, actor, method, args):
+            fields = ("msg", future, actor, method, *map(str, args))
+        case FulfilledFut(future, value):
+            fields = ("fulfilled", future, str(value))
+    template, names = [], []
+    for text in fields:
+        parts = _FRESH.split(text)
+        template += (len(parts) // 2, *parts[0::2])
+        names += parts[1::2]
+    return tuple(template), names
 
 
 def canonical_key(config: Configuration, memo: dict) -> tuple:
     """A name for the state that ignores process order (where swapping is
     legal), fresh-name spelling, and the freshness counters.
 
-    Adjacent processes are bubble-sorted by their serialization whenever
-    `semantics.disconnected` lets them swap.  The key is each process's
-    template followed by codes for its fresh names (n for the n-th future,
-    ~n for the n-th let-variable, by first occurrence), then the resources,
-    each produced future's code with the declared type its producer
-    carries, and the call budget, whose sorted tuples the configuration
-    holds.  Distinct keys may still denote equivalent states; that costs
-    extra visits, never a wrong merge.
+    Adjacent processes are bubble-sorted by their templates (ties keep
+    their order) whenever `semantics.disconnected` lets them swap.  The key
+    is each process's template and the declared type of the future it
+    produces, followed by codes for its fresh names (n for the n-th
+    future, ~n for the n-th let-variable, by first occurrence), then the
+    resources and the call budget, whose sorted tuples the configuration
+    holds.  Only states that a renaming and legal swaps map onto each
+    other share a key; other equivalent states may not, which costs extra
+    visits, never a wrong merge.
 
     `memo`, owned by the caller, maps each process (a value, so equal
-    processes share an entry) to its pieces, so configurations serialize
-    each distinct process once; it also maps the last three parts to their
-    first equal copy, so stored keys share them.
+    processes share an entry) to its pieces, so configurations cut each
+    distinct process once.
     """
     pieces = []
     for p in config.processes:
         pc = memo.get(p)
         if pc is None:
-            pc = memo[p] = _key_pieces(p)
+            tpl, names = _key_pieces(p)
+            pc = memo[p] = tpl, names, p, (tpl, getattr(p, "fut", None))
         pieces.append(pc)
     changed = True
     while changed:
         changed = False
         for i in range(len(pieces) - 1):
             a, b = pieces[i], pieces[i + 1]
-            if b[0] < a[0] and disconnected(a[3], b[3]):
+            if b[0] < a[0] and disconnected(a[2], b[2]):
                 pieces[i], pieces[i + 1] = b, a
                 changed = True
 
@@ -89,8 +102,8 @@ def canonical_key(config: Configuration, memo: dict) -> tuple:
     futures = variables = 0
     body: list = []
     for pc in pieces:
-        body.append(pc[1])
-        for name in pc[2]:
+        body.append(pc[3])
+        for name in pc[1]:
             code = mapping.get(name)
             if code is None:
                 if name[0] == "f":
@@ -99,10 +112,7 @@ def canonical_key(config: Configuration, memo: dict) -> tuple:
                     code, variables = ~variables, variables + 1
                 mapping[name] = code
             body.append(code)
-
-    live = sorted((mapping[p.future], p.fut) for p in config.processes if type(p) is not Idle)
-    rest = (config.alpha, tuple(live), config.call_counts)
-    return tuple(body), memo.setdefault(rest, rest)
+    return tuple(body), config.alpha, config.call_counts
 
 
 # ---------------------------------------------------------------------------

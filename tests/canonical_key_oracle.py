@@ -1,14 +1,17 @@
 """Reference canonical state key, serialized from scratch on every call.
 
-This is the explorer's original `canonical_key`, kept verbatim but for the
-live futures, which it now reads from the processes that produce them, and
-the resources and call budget, which it reads as mappings: it
-serializes every process of the configuration with `json.dumps`, tests each
-adjacent pair with `disconnected`, and renames fresh names with one regex
-pass over the joined body.  The explorer's key reuses per-process pieces
-across configurations and returns a tuple, not a string; the differential
-tests require its keys to partition states the same way as these strings:
-two states share a key exactly when they share an oracle string.
+This is the explorer's original `canonical_key`, changed where the
+explorer's key stopped reading fresh-name spelling: each process is
+serialized with `json.dumps` in the order `process_to_json` builds it, a
+thread's environment in binding order, and adjacent processes are ordered
+by their serialized fields with the fresh names cut out.  It still tests
+each adjacent pair with `disconnected`, renames fresh names with one regex
+pass over the joined body, and reads the live futures from the processes
+that produce them and the resources and call budget as mappings.  The
+explorer's key reuses per-process pieces across configurations and
+returns a tuple, not a string; the differential tests require its keys to
+partition states the same way as these strings: two states share a key
+exactly when they share an oracle string.
 """
 
 from __future__ import annotations
@@ -22,22 +25,33 @@ from gract.terms import Configuration, Idle, ctx_of
 _FRESH = re.compile(r"(?<![A-Za-z0-9_])([fy])#\d+")
 
 
-def _proc_ser(p) -> str:
-    return json.dumps(process_to_json(p), sort_keys=True)
+def _order(d: dict) -> tuple:
+    """A serialized process's place in the order: each field, its kind
+    first and a mapping's keys and values in turn, as the number of fresh
+    names in it and the text around them."""
+    out = []
+    for v in d.values():
+        texts = [t for kv in v.items() for t in kv] if type(v) is dict else \
+            v if type(v) is list else [v]
+        for text in texts:
+            out.append(len(_FRESH.findall(text)))
+            out += _FRESH.sub("\0", text).split("\0")
+    return tuple(out)
 
 
 def canonical_key(config: Configuration) -> str:
     procs = list(config.processes)
-    sers = [_proc_ser(p) for p in procs]
+    dicts = [process_to_json(p) for p in procs]
+    orders = [_order(d) for d in dicts]
     changed = True
     while changed:
         changed = False
         for i in range(len(procs) - 1):
-            if sers[i + 1] < sers[i] and disconnected(procs[i], procs[i + 1]):
-                procs[i], procs[i + 1] = procs[i + 1], procs[i]
-                sers[i], sers[i + 1] = sers[i + 1], sers[i]
+            if orders[i + 1] < orders[i] and disconnected(procs[i], procs[i + 1]):
+                for xs in (procs, dicts, orders):
+                    xs[i], xs[i + 1] = xs[i + 1], xs[i]
                 changed = True
-    body = "[" + ",".join(sers) + "]"
+    body = json.dumps(dicts)
 
     mapping: dict[str, str] = {}
     counts = {"f": 0, "y": 0}

@@ -72,8 +72,7 @@ start H!main()
 # `check` accepts it (measure 88): it splits the host's `B: CC^2` into two
 # concurrent `B: CC^1`, and each `hold 1 CC` takes its share back by
 # cancellation, `NatExact.minus(2, 1) == 1`. `explore` at unfold 2 finds it
-# `FairTerminating` in 23,319 states, depth 88 (too slow for these tests;
-# CI runs it).
+# `FairTerminating` in 8,929 states, depth 88.
 NATEQ_BARISTA = """\
 grade natEq
 makeCoffee(o: Order^1, c: CC^1): Cf^1
@@ -124,7 +123,7 @@ class PlantedNatExact(NatExact):
 def planted_barista():
     """`NATEQ_BARISTA` under `PlantedNatExact`. `check` still accepts it
     (measure 88), and every run gets stuck with B holding `CC^2`: `explore`
-    at unfold 2 ends `StuckFound` in 86 states, depth 13."""
+    at unfold 2 ends `StuckFound` in 78 states, depth 13."""
     return dataclasses.replace(parse_program(NATEQ_BARISTA), monoid=PlantedNatExact())
 
 

@@ -1,8 +1,9 @@
 """Differential tests of the explorer's canonical state key.
 
-`canonical_key_oracle.canonical_key` is the explorer's original key: one
-string per state, every process serialized afresh and fresh names renamed
-by a regex pass.  The explorer's key is a tuple built from cached
+`canonical_key_oracle.canonical_key` is the explorer's original key, made
+to forget fresh-name spelling as the explorer's key does: one string per
+state, every process serialized afresh and fresh names renamed by a regex
+pass.  The explorer's key is a tuple built from cached
 per-process pieces.  It need not be the same string, only the same
 partition of states: two states get the same key exactly when they get the
 same oracle string, so dedupe, state counts, BFS order and reports cannot
@@ -16,7 +17,7 @@ from gract import explorer
 from gract.parser import parse_program
 from gract.typecheck import check_program
 
-from corpus import EXAMPLES, TWO_CAFES
+from corpus import EXAMPLES, KCAFE1, TWO_CAFES, planted_barista
 
 
 def _load(name):
@@ -70,6 +71,18 @@ def test_checked_corpus_keys_equal_the_oracle(monkeypatch):
     assert checked == ["clearance.gract"]
 
 
+@pytest.mark.parametrize("load, states", [(lambda: parse_program(KCAFE1), 149),
+                                           (planted_barista, 78)], ids=["kcafe(1)", "barista"])
+def test_keys_that_once_read_spelling_equal_the_oracle(monkeypatch, load, states):
+    """The programs whose states the key once told apart by fresh-name
+    spelling: a thread's environment sorted by name, and processes ordered
+    by text that spelled their names."""
+    rep, n, mismatches = _explore_against_oracle(monkeypatch, load(), unfold=2)
+    assert rep.states_visited == states
+    assert n > states
+    assert mismatches[:1] == []
+
+
 def test_two_cafe_keys_equal_the_oracle(monkeypatch):
     prog = parse_program(TWO_CAFES)
     assert check_program(prog)["ok"]
@@ -93,16 +106,16 @@ def test_the_bijection_check_tells_merges_and_splits_apart(monkeypatch):
 
 def test_explore_serializes_each_process_once(monkeypatch):
     """A timing-free guard: explore shares process objects between
-    configurations, and the key serializes each object once (848 calls
-    at unfold 2 when every key serialized every process)."""
-    real = explorer.process_to_json
+    configurations, and the key cuts each object into its pieces once (848
+    serializations at unfold 2 when every key serialized every process)."""
+    real = explorer._key_pieces
     calls = [0]
 
     def counting(p):
         calls[0] += 1
         return real(p)
 
-    monkeypatch.setattr(explorer, "process_to_json", counting)
+    monkeypatch.setattr(explorer, "_key_pieces", counting)
     rep = explorer.explore(_load("cafe.gract"), unfold=2)
     assert rep.states_visited == 153
     assert 0 < calls[0] < 400

@@ -58,8 +58,8 @@ PINNED = {
 STUCK = {
     "cafe-nocup": ("StuckFound", 6, 5,
                    "efc90771989bfd360f520a75de4ddce80b8e393fdfe1433ce54a71aa529bfdb4"),
-    "nateq-barista": ("StuckFound", 86, 13,
-                      "c1ecaf6559c42398e65dc1f7d405634313bd2fc3420c79757c3cd2cbb13d53cd"),
+    "nateq-barista": ("StuckFound", 78, 13,
+                      "0fb18da3a87f7cf64a5e18d54b7eb68133e69fbeaa9b437a71b4058f4728d822"),
 }
 
 

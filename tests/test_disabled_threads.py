@@ -88,8 +88,8 @@ EXPLORED = {
     "cafe": (lambda: _load("cafe.gract"), {"unfold": 2}, "FairTerminating", 153),
     "two-cafes": (lambda: parse_program(TWO_CAFES), {"unfold": 2, "max_states": 200},
                   "BoundExhausted", 200),
-    "kcafe(1)": (lambda: parse_program(KCAFE1), {"unfold": 2}, "FairTerminating", 167),
-    "natEq-barista": (planted_barista, {"unfold": 2}, "StuckFound", 86),
+    "kcafe(1)": (lambda: parse_program(KCAFE1), {"unfold": 2}, "FairTerminating", 149),
+    "natEq-barista": (planted_barista, {"unfold": 2}, "StuckFound", 78),
 }
 
 

@@ -22,6 +22,7 @@ from gract.terms import (
     CallMsg,
     FulfilledFut,
     FutRef,
+    GradedRes,
     Idle,
     Lit,
     Return,
@@ -71,6 +72,21 @@ def test_key_separates_different_states():
     a = _mini([FulfilledFut("f#3", UnitVal()), Idle("B")])
     b = _mini([Idle("B")])
     assert canonical_key(a, {}) != canonical_key(b, {})
+
+
+def test_key_separates_environment_values():
+    """Threads that differ only in what a variable holds, a resource's
+    grade or the future it names, are different states. The two
+    fulfilments have one template, so only the codes of their names tell
+    which one the thread holds."""
+    def reader(value):
+        return Thread({"x": value}, Await(Var("x")), "f#3", "A")
+
+    ffs = [FulfilledFut("f#1", UnitVal()), FulfilledFut("f#2", UnitVal())]
+    assert canonical_key(_mini([reader(FutRef("f#1")), *ffs]), {}) != \
+        canonical_key(_mini([reader(FutRef("f#2")), *ffs]), {})
+    assert canonical_key(_mini([reader(GradedRes("CC", 1))]), {}) != \
+        canonical_key(_mini([reader(GradedRes("CC", 2))]), {})
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +258,7 @@ def test_helpful_run_terminates_at_the_measure(cafe):
 
 def test_key_swaps_only_disconnected_neighbours():
     """A producer and a consumer of its future keep their order, though the
-    right one serializes first; the swapped order is another state."""
+    right one's template orders first; the swapped order is another state."""
     ff = FulfilledFut("f#1", UnitVal())
     reader = Thread({"y": FutRef("f#1")}, Await(Var("y")), "f#2", "A")
     assert canonical_key(_mini([ff, reader]), {}) != canonical_key(_mini([reader, ff]), {})

@@ -1,6 +1,6 @@
 """What one exploration shares between states and with its caller: the
 caller's start configuration is left alone, and the key memo, keyed on the
-process value, serializes each distinct process once."""
+process value, cuts each distinct process into its key pieces once."""
 
 from gract import explorer
 from gract.explorer import explore
@@ -28,15 +28,16 @@ def test_explore_leaves_the_start_configuration_alone():
 
 def test_explore_serializes_each_distinct_process_once(monkeypatch):
     """A timing-free guard: equal processes share one key-memo entry, so
-    the key serializes each distinct process once (263 calls at unfold 2
-    when it serialized each process object once)."""
-    real = explorer.process_to_json
+    the key cuts each distinct process into its pieces once (263
+    serializations at unfold 2 when it serialized each process object
+    once)."""
+    real = explorer._key_pieces
     calls = [0]
 
     def counting(p):
         calls[0] += 1
         return real(p)
 
-    monkeypatch.setattr(explorer, "process_to_json", counting)
+    monkeypatch.setattr(explorer, "_key_pieces", counting)
     assert explore(_load("cafe.gract"), unfold=2).states_visited == 153
     assert 0 < calls[0] < 200

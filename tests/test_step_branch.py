@@ -37,7 +37,7 @@ SOURCES.update(TWO_CAFES=TWO_CAFES, KCAFE1=KCAFE1, NATEQ_BARISTA=NATEQ_BARISTA)
 SOURCES["nested-choice"] = SOURCES["cafe.gract"].replace(
     "(return unit (+) let r = Cs!main() in r?; return unit) }",
     "let z = (let r = Cs!main() in r? (+) return unit) in return z }")
-# TWO_CAFES explores 26,106 states at unfold 1 to 3; the first 2,000 do here
+# TWO_CAFES explores 10,661 states at unfold 1 to 3; the first 2,000 do here
 MAX_STATES = 2000
 
 

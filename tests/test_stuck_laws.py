@@ -30,14 +30,14 @@ def test_the_checker_accepts_and_the_explorer_finds_it_stuck(barista):
     report = check_program(barista)
     assert report["ok"] and report["configReport"]["measure"] == 88
     rep = explore(barista, unfold=2)
-    assert (rep.verdict, rep.states_visited, rep.max_depth) == ("StuckFound", 86, 13)
+    assert (rep.verdict, rep.states_visited, rep.max_depth) == ("StuckFound", 78, 13)
 
 
 def test_check_helpful_reports_each_typable_stuck_state(barista):
     law = check_helpful(barista, explore(barista, unfold=2).visited)
     assert not law["ok"]
     assert [(v["code"], v["measure"]) for v in law["violations"]] == [("StuckState", 76)] * 2
-    assert law["checked"] == 86
+    assert law["checked"] == 78
     [stuck] = {json.dumps(v["config"]["actors"]) for v in law["violations"]}
     assert json.loads(stuck) == {"B": {"CC": "2"}}
 
@@ -54,7 +54,7 @@ def test_subject_reduction_flags_a_run_that_ends_stuck(barista):
 def test_sr_passes_every_run_of_the_natEq_barista(tmp_path):
     """Each customer's hold takes back the share of `CC^2` that the
     checker split off for it, so no run gets stuck. (`explore` finds the
-    barista `FairTerminating` in 23,319 states; CI runs it.)"""
+    barista `FairTerminating` in 8,929 states; CI runs it.)"""
     path = tmp_path / "barista.gract"
     path.write_text(NATEQ_BARISTA)
     code, out = cli_output(["check", str(path), "--json"])
