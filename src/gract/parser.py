@@ -77,6 +77,12 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
+# How deep expressions may nest: each `;`, `let` bound or body, and
+# parenthesis (a choice's two branches) opens one level. Checking, running
+# and exploring walk terms recursively, so this keeps them inside Python's
+# default recursion limit.
+MAX_NESTING = 256
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
@@ -235,23 +241,26 @@ class Parser:
         self.seq_counter += 1
         return name
 
-    def expr(self, bound: frozenset[str]) -> Expr:
-        first = self.simple_expr(bound)
+    # `depth` counts the levels around an expression (see MAX_NESTING)
+    def expr(self, bound: frozenset[str], depth: int = 0) -> Expr:
+        first = self.simple_expr(bound, depth)
         if self.peek().text == ";":
             self.next()
-            rest = self.expr(bound)
+            rest = self.expr(bound, depth + 1)
             return Let(self.fresh_seq(), first, rest)
         return first
 
-    def simple_expr(self, bound: frozenset[str]) -> Expr:
+    def simple_expr(self, bound: frozenset[str], depth: int) -> Expr:
+        if depth > MAX_NESTING:
+            raise self.fail(f"expression nests deeper than {MAX_NESTING}")
         t = self.peek()
         if t.text == "let":
             self.next()
             var = self.ident("variable")
             self.expect("=")
-            head = self.simple_expr(bound)
+            head = self.simple_expr(bound, depth + 1)
             self.expect("in")
-            body = self.expr(bound | {var})
+            body = self.expr(bound | {var}, depth + 1)
             return Let(var, head, body)
         if t.text == "return":
             self.next()
@@ -266,10 +275,10 @@ class Parser:
             return Release(g, self.vexpr(bound))
         if t.text == "(":
             self.next()
-            inner = self.expr(bound)
+            inner = self.expr(bound, depth + 1)
             if self.peek().text == "(+)":
                 self.next()
-                right = self.expr(bound)
+                right = self.expr(bound, depth + 1)
                 self.expect(")")
                 return Choice(inner, right)
             self.expect(")")

@@ -300,23 +300,11 @@ def disconnected(p: Process, q: Process) -> bool:
 # ---------------------------------------------------------------------------
 # Configuration steps
 
-RULE_ORDER = {"spawn": 0, "silent": 1, "hold": 2, "rls": 3, "call": 4, "get": 5, "return": 6}
-VARIANT_ORDER = {"base": 0, "act": 1, "yld": 2}
-
-
 @dataclass(slots=True)
 class StepResult:
     """One successor: the rule taken, its label, the new configuration, the
-    acting actor, and where and how it acted.
-
-    `pos` depends on the rule. A step of an active thread (variant `base`)
-    reports the thread's index in the parent. A spawn reports its message's
-    index in the parent; the new thread lands there, or one to the left
-    when the actor's idle marker lay to the left of the message. A step of
-    a suspended thread activated by the variant (`act` or `yld`) reports
-    where the activated thread lands: its own index, or one less when `act`
-    took an idle marker to its left. `branch` is the branch a choice step
-    took, None for every other step; it is not serialized.
+    acting actor, and how it acted: the variant, and the branch a choice
+    step took (None for every other step; it is not serialized).
 
     `successors` links to `config`'s list in the program's `successors`
     table, so that a run that takes the step again need not look `config`
@@ -329,17 +317,10 @@ class StepResult:
     label: Label
     config: Configuration
     actor: Optional[str]
-    pos: int
     variant: str = "base"  # base | act | yld (scheduling move folded in)
     branch: Optional[Expr] = None
     successors: Optional[list[StepResult]] = field(default=None, init=False, compare=False,
                                                    repr=False)
-
-    # the label breaks ties: suspended threads of two actors can both be
-    # activated by `act` onto one `pos`, each taking a `get`
-    def sort_key(self):
-        return (self.pos, RULE_ORDER[self.rule], VARIANT_ORDER[self.variant],
-                label_str(self.label))
 
 
 def is_terminated(config: Configuration) -> bool:
@@ -413,7 +394,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
             case _:  # silent or return; a let redex bound the fresh variable
                 c = config.copy(head + built + tail,
                                 next_var=config.next_var + 1 if type(rx) is Let else None)
-        out.append(StepResult(rule, label, c, a, i, variant, branch))
+        out.append(StepResult(rule, label, c, a, variant, branch))
     return out
 
 
@@ -507,7 +488,12 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     threads step through the program's step table (see `_thread_steps`).
     A thread whose awaited future no fulfilment of `config` produces has
     no step, and making room adds no fulfilment, so it is skipped before
-    room is made or its step-table entry read."""
+    room is made or its step-table entry read.
+
+    Successors come in the order of the processes that act, as they stand
+    in `config`: a spawn at its message, an activation (`act` or `yld`) at
+    its suspended thread, an active thread's steps at the thread; a
+    choice's left branch comes first."""
     m = prog.monoid
     fulfilled = {p.future for p in config.processes if type(p) is FulfilledFut}
     out: list[StepResult] = []
@@ -523,8 +509,8 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                 if freed is not None:
                     procs, pos, variant = freed
                     c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
-                    # a spawn keeps its message's position; an idle actor is its base case
-                    out.append(StepResult("spawn", Tau(), c, p.actor, i,
+                    # an idle actor is a spawn's base case
+                    out.append(StepResult("spawn", Tau(), c, p.actor,
                                           "base" if variant == "act" else variant))
             case Thread(suspended=False):
                 out.extend(_thread_steps(config, prog, p, i, "base"))
@@ -535,7 +521,6 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     active = p.twin(suspended=False)
                     base = config.copy(procs[:pos] + (active,) + procs[pos + 1:])
                     out.extend(_thread_steps(base, prog, active, pos, variant))
-    out.sort(key=StepResult.sort_key)
     return out
 
 

@@ -1,12 +1,12 @@
 """Helpers that only the tests use: the future a process produces, future
 sets of a whole process sequence, configurations built from mappings, a trace's last
-configuration, fresh future and variable names, a single parsed
-expression, and a finite sample of a grade algebra's carrier."""
+configuration, an actor's active thread, fresh future and variable names, a
+single parsed expression, and a finite sample of a grade algebra's carrier."""
 
 from gract.grades import INF, Affine, GradeMonoid, Level, Lin, NatExact, NatLeq
 from gract.parser import Parser
 from gract.semantics import Trace
-from gract.terms import Configuration, Idle, Process, ctx_key, futures_consumed_one
+from gract.terms import Configuration, Idle, Process, Thread, ctx_key, futures_consumed_one
 
 
 def futures_produced_one(p: Process) -> set[str]:
@@ -41,6 +41,13 @@ def config_of(alpha: dict, processes, next_future: int = 0, next_var: int = 0,
 def final_config(trace: Trace) -> Configuration:
     """The configuration the trace ends in."""
     return trace.steps[-1].config if trace.steps else trace.initial
+
+
+def active_thread(config: Configuration, actor: str) -> Thread:
+    """`actor`'s one active thread in `config`: the process that a step of
+    variant `base`, other than a spawn, acts on."""
+    return next(p for p in config.processes
+                if type(p) is Thread and p.actor == actor and not p.suspended)
 
 
 def fresh_future(config: Configuration) -> tuple[str, Configuration]:

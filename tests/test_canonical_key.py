@@ -10,14 +10,19 @@ same oracle string, so dedupe, state counts, BFS order and reports cannot
 move.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 import canonical_key_oracle as oracle
 from gract import explorer
 from gract.parser import parse_program
+from gract.terms import FutRef, GradedRes, Idle, Thread
 from gract.typecheck import check_program
 
 from corpus import EXAMPLES, KCAFE1, TWO_CAFES, planted_barista
+from term_helpers import carrier_sample
 
 
 def _load(name):
@@ -25,22 +30,33 @@ def _load(name):
         return parse_program(fh.read())
 
 
+def _bijection():
+    """The bijection check: a function that pairs one more key with its
+    oracle string, and the list of pairs that break the bijection between
+    keys and strings."""
+    string_of: dict = {}
+    key_of: dict = {}
+    mismatches = []
+
+    def pair(key, want):
+        if string_of.setdefault(key, want) != want or key_of.setdefault(want, key) != key:
+            mismatches.append((key, want))
+
+    return pair, mismatches
+
+
 def _explore_against_oracle(monkeypatch, prog, **bounds):
     """Explore with every key the explorer computes paired with the
     oracle's string; returns the report, the number of keys and the pairs
     that break the bijection between keys and strings."""
     real = explorer.canonical_key
-    string_of: dict = {}
-    key_of: dict = {}
+    pair, mismatches = _bijection()
     keys = []
-    mismatches = []
 
     def checked(config, *memo):
         key = real(config, *memo)
         keys.append(key)
-        want = oracle.canonical_key(config)
-        if string_of.setdefault(key, want) != want or key_of.setdefault(want, key) != key:
-            mismatches.append((key, want))
+        pair(key, oracle.canonical_key(config))
         return key
 
     monkeypatch.setattr(explorer, "canonical_key", checked)
@@ -90,6 +106,51 @@ def test_two_cafe_keys_equal_the_oracle(monkeypatch):
                                                  unfold=2, max_states=1000)
     assert rep.states_visited == 1000 and rep.bound_hit
     assert n > 1000
+    assert mismatches[:1] == []
+
+
+def _perturbed(config, m):
+    """Copies of `config` that differ from it in one value of one thread's
+    environment: a future it names redirected to another future the state
+    produces, or a resource's grade changed to another grade of `m`; each
+    with the type of the value changed."""
+    procs = config.processes
+    produced = [p.future for p in procs if type(p) is not Idle]
+    for i, p in enumerate(procs):
+        if type(p) is not Thread:
+            continue
+        for x, v in p.env.items():
+            if type(v) is FutRef:
+                others = [FutRef(f) for f in produced if f != v.name]
+            elif type(v) is GradedRes:
+                others = [GradedRes(v.res, g) for g in carrier_sample(m) if g != v.grade]
+            else:
+                continue
+            for w in others:
+                t = replace(p, env={**p.env, x: w})
+                yield type(v), config.copy(procs[:i] + (t,) + procs[i + 1:])
+
+
+@pytest.mark.parametrize("load, states", [(lambda: parse_program(KCAFE1), 149),
+                                           (lambda: _load("cafe.gract"), 153)],
+                         ids=["kcafe(1)", "cafe"])
+def test_environment_perturbations_are_keyed_as_the_oracle_keys_them(load, states):
+    """Every stored state and every copy of it with one environment value
+    changed (a named future, a grade) are partitioned alike by the two
+    keys. Explorations alone never reach two states that differ only
+    there, so a key that dropped environment values or fresh-name codes
+    passed every exploration test."""
+    prog = load()
+    rep = explorer.explore(prog, unfold=2)
+    assert rep.states_visited == states
+    pair, mismatches = _bijection()
+    memo: dict = {}
+    kinds = Counter()
+    for config in rep.visited:
+        for kind, c in [(None, config), *_perturbed(config, prog.monoid)]:
+            pair(explorer.canonical_key(c, memo), oracle.canonical_key(c))
+            kinds[kind] += 1
+    assert kinds[FutRef] > 0 and kinds[GradedRes] > 0, kinds
     assert mismatches[:1] == []
 
 

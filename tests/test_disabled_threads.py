@@ -1,7 +1,8 @@
 """A thread whose awaited future no fulfilment of the configuration
 produces has no step. `step_config` skips it before making room for it or
 reading its step-table entry; every successor is the one that making
-room for and stepping every thread gives."""
+room for and stepping every thread gives, in the order that the sort
+`step_config` once ended with gave."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from gract.semantics import (
     Tau,
     fifo_chooser,
     initial_config,
+    label_str,
     run,
     step_config,
     stuck_diagnosis,
@@ -28,7 +30,7 @@ from gract.terms import (
     Var,
 )
 
-from corpus import EXAMPLES, KCAFE1, TWO_CAFES, planted_barista
+from corpus import EXAMPLES, KCAFE1, NATEQ_BARISTA, TWO_CAFES, planted_barista
 from term_helpers import config_of
 
 
@@ -36,10 +38,18 @@ def _load(name):
     return parse_program((EXAMPLES / name).read_text())
 
 
+# the ranks the sort broke ties of one position with, the label's text last
+RULE_ORDER = {"spawn": 0, "silent": 1, "hold": 2, "rls": 3, "call": 4, "get": 5, "return": 6}
+VARIANT_ORDER = {"base": 0, "act": 1, "yld": 2}
+
+
 def stepping_every_thread(config, prog):
     """The reference: `step_config` as it was before disabled threads were
-    skipped. Room is made for every message and suspended thread, and
-    every thread is stepped."""
+    skipped and before its successors stopped being sorted. Room is made
+    for every message and suspended thread, every thread is stepped, and
+    the successors are sorted by where each acted (a spawn at its message,
+    a thread where it stepped, an activated thread where it landed), then
+    by rule, variant and label text."""
     out = []
     for i, p in enumerate(config.processes):
         match p:
@@ -51,23 +61,25 @@ def stepping_every_thread(config, prog):
                 if freed is not None:
                     procs, pos, variant = freed
                     c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
-                    out.append(StepResult("spawn", Tau(), c, p.actor, i,
-                                          "base" if variant == "act" else variant))
+                    out.append((i, StepResult("spawn", Tau(), c, p.actor,
+                                              "base" if variant == "act" else variant)))
             case Thread(suspended=False):
-                out.extend(semantics._thread_steps(config, prog, p, i, "base"))
+                out += [(i, s) for s in semantics._thread_steps(config, prog, p, i, "base")]
             case Thread():
                 freed = semantics._free_actor(config.processes, prog.monoid, p.actor, i)
                 if freed is not None:
                     procs, pos, variant = freed
                     active = p.twin(suspended=False)
                     base = config.copy(procs[:pos] + (active,) + procs[pos + 1:])
-                    out.extend(semantics._thread_steps(base, prog, active, pos, variant))
-    out.sort(key=StepResult.sort_key)
-    return out
+                    out += [(pos, s)
+                            for s in semantics._thread_steps(base, prog, active, pos, variant)]
+    out.sort(key=lambda ps: (ps[0], RULE_ORDER[ps[1].rule], VARIANT_ORDER[ps[1].variant],
+                             label_str(ps[1].label)))
+    return [s for _, s in out]
 
 
 def _brief(s):
-    return (s.rule, s.label, s.actor, s.pos, s.variant, s.branch, s.config)
+    return (s.rule, s.label, s.actor, s.variant, s.branch, s.config)
 
 
 def _assert_exact(prog, configs):
@@ -86,10 +98,15 @@ def _unsolvable_run():
 
 EXPLORED = {
     "cafe": (lambda: _load("cafe.gract"), {"unfold": 2}, "FairTerminating", 153),
+    "cafe(5)": (lambda: _load("cafe.gract"), {"unfold": 5}, "FairTerminating", 408),
+    "cafe-nocup": (lambda: _load("cafe-nocup.gract"), {"unfold": 2}, "StuckFound", 6),
+    "clearance": (lambda: _load("clearance.gract"), {"unfold": 2}, "FairTerminating", 19),
     "two-cafes": (lambda: parse_program(TWO_CAFES), {"unfold": 2, "max_states": 200},
                   "BoundExhausted", 200),
     "kcafe(1)": (lambda: parse_program(KCAFE1), {"unfold": 2}, "FairTerminating", 149),
     "natEq-barista": (planted_barista, {"unfold": 2}, "StuckFound", 78),
+    "shared-barista(1)": (lambda: parse_program(NATEQ_BARISTA), {"unfold": 1},
+                          "BoundExhausted", 718),
 }
 
 

@@ -74,9 +74,9 @@ def test_renaming_fresh_names_keeps_each_stored_key(explored):
 
 
 def _let_steps(prog, cfg) -> dict:
-    """The `let` steps of active threads at `cfg`, by the thread's
-    position: those that bind the next fresh variable."""
-    return {s.pos: s for s in step_config(cfg, prog)
+    """The `let` steps of active threads at `cfg`, by the thread's actor:
+    those that bind the next fresh variable."""
+    return {s.actor: s for s in step_config(cfg, prog)
             if s.variant == "base" and s.config.next_var == cfg.next_var + 1}
 
 

@@ -1,11 +1,14 @@
 """Malformed input ends in a diagnosis, never in a traceback.
 
 The tokenizer's classes agree with Python's own character predicates on
-every code point, and `gract check` answers every token-level mutant of
-the corpus with exit code 0, 1 or 2.
+every code point, `gract check` answers every token-level mutant of the
+corpus with exit code 0, 1 or 2, and an expression nested deeper than
+`MAX_NESTING` is a parse error (exit 2), while one nested exactly that
+deep is checked, run, explored and law-checked.
 """
 
 import random
+import re
 import sys
 import unicodedata
 
@@ -13,9 +16,9 @@ import pytest
 
 from gract.cli import main
 from gract.grades import GradeParseError, NatExact, NatLeq
-from gract.parser import ParseError, tokenize
+from gract.parser import MAX_NESTING, ParseError, tokenize
 
-from corpus import EXAMPLES
+from corpus import EXAMPLES, hash_seed_outputs
 
 SKIP = " \t\r\n"
 PUNCT = "{}(),:;=!?^⊕"
@@ -206,3 +209,52 @@ def test_check_never_raises_on_corpus_mutants(tmp_path, capsys):
         capsys.readouterr()
     # the mutants reach the parser's errors and the checker's verdicts
     assert {1, 2} <= codes
+
+
+def _nested(shape: str, n: int) -> tuple[str, int]:
+    """A method body of the given shape nested `n` levels deep, and the
+    measure the checker computes for it."""
+    match shape:
+        case "parentheses":
+            return "(" * n + "return unit" + ")" * n, 0
+        case "choices":
+            return "(return unit (+) " * n + "return unit" + ")" * n, 1
+        case "let-bounds":
+            return ("".join(f"let x{k} = " for k in range(n)) + "return unit"
+                    + "".join(f" in return x{k}" for k in reversed(range(n))), n)
+        case "let-bodies":
+            return "".join(f"let x{k} = return unit in " for k in range(n)) + "return unit", n
+        case "sequence":
+            return "; ".join(["return unit"] * (n + 1)), n
+    raise ValueError(shape)
+
+
+def _deep_program(tmp_path, shape: str, n: int):
+    body, measure = _nested(shape, n)
+    path = tmp_path / f"{shape}-{n}.gract"
+    path.write_text(f"grade lin\nA {{\n  m(): Unit requires produces measure {measure} {{\n"
+                    f"    {body} }}\n}}\ninit ;\nstart A!m()\n")
+    return path
+
+
+SHAPES = ("parentheses", "choices", "let-bounds", "let-bodies", "sequence")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_deepest_nesting_checks_runs_and_explores(tmp_path, capsys, shape):
+    """At Python's default recursion limit, inside the test runner's own
+    frames, which a command run from the shell does not have."""
+    path = str(_deep_program(tmp_path, shape, MAX_NESTING))
+    for argv in (["check"], ["run", "--unsafe"], ["explore", "--unsafe"], ["sr", "--runs", "2"]):
+        assert main([argv[0], path, "--quiet", *argv[1:]]) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_one_level_deeper_is_a_located_parse_error(tmp_path, shape):
+    """Run as a command, so that a traceback would reach stderr."""
+    path = str(_deep_program(tmp_path, shape, MAX_NESTING + 1))
+    [(code, out, err)] = hash_seed_outputs(["-m", "gract.cli", "check", path], [0])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"{re.escape(path)}:4:\d+: expression nests deeper than {MAX_NESTING}\n",
+                        err), err

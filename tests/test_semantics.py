@@ -258,19 +258,23 @@ def test_swap_blocked_by_dataflow():
 def test_idle_actor_activates_a_suspended_thread(cafe):
     s = Thread({}, Return(Lit(UnitVal())), "f#1", "A", suspended=True)
     [only] = step_config(config_of({}, [Idle("A"), s]), cafe)
-    # activation takes the idle marker to its left, so the thread acts at 0
-    assert (only.rule, only.variant, only.pos) == ("return", "act", 0)
+    # activation takes the idle marker to its left, so the fulfilment lands at 0
+    assert (only.rule, only.variant, only.actor) == ("return", "act", "A")
     assert only.config.processes == (FulfilledFut("f#1", UnitVal()), Idle("A"))
 
 
 def test_spawn_reports_its_message_position(cafe):
+    """A spawn is listed where its message stands, after a thread that
+    stands before the message, though its thread lands in front of it."""
     msg = CallMsg("f#2", "Cn", "pickup", ())
-    [only] = step_config(config_of({}, [Idle("Cn"), Idle("B"), msg]), cafe)
+    done = Thread({}, Return(Lit(UnitVal())), "f#1", "A")
+    ret, spawn = step_config(config_of({}, [Idle("Cn"), done, msg]), cafe)
+    assert (ret.rule, ret.actor) == ("return", "A")
+    assert (spawn.rule, spawn.variant, spawn.actor) == ("spawn", "base", "Cn")
     # the idle marker on the left goes, so the thread lands at 1
-    assert (only.rule, only.variant, only.pos) == ("spawn", "base", 2)
-    assert only.config.processes[0] == Idle("B")
-    assert isinstance(only.config.processes[1], Thread)
-    assert not only.config.processes[1].suspended
+    assert spawn.config.processes[0] is done
+    assert isinstance(spawn.config.processes[1], Thread)
+    assert not spawn.config.processes[1].suspended
 
 
 def test_message_to_an_awaiting_actor_yields(cafe):
@@ -278,7 +282,7 @@ def test_message_to_an_awaiting_actor_yields(cafe):
     waiting = thread_awaiting("f#1", actor="Cn", future="f#0")
     cfg = config_of({}, [msg, waiting])
     [only] = step_config(cfg, cafe)
-    assert (only.rule, only.variant, only.pos) == ("spawn", "yld", 0)
+    assert (only.rule, only.variant, only.actor) == ("spawn", "yld", "Cn")
     spawned, suspended = only.config.processes
     assert isinstance(spawned, Thread) and not spawned.suspended and spawned.future == "f#2"
     assert isinstance(suspended, Thread) and suspended.suspended and suspended.future == "f#0"
@@ -484,8 +488,8 @@ def test_step_config_is_deterministic(cafe):
     for _ in range(10):
         a = step_config(cfg, cafe)
         b = step_config(cfg, cafe)
-        assert [(s.rule, label_str(s.label), s.variant, s.pos) for s in a] == \
-               [(s.rule, label_str(s.label), s.variant, s.pos) for s in b]
+        assert [(s.rule, label_str(s.label), s.actor, s.variant) for s in a] == \
+               [(s.rule, label_str(s.label), s.actor, s.variant) for s in b]
         assert [config_to_json(s.config) for s in a] == [config_to_json(s.config) for s in b]
         cfg = a[0].config
 

@@ -27,10 +27,11 @@ from gract.semantics import (
     redex,
     run,
 )
-from gract.terms import Choice, Thread, ctx_key, ctx_of
+from gract.terms import Choice, ctx_key, ctx_of
 from gract.typecheck import type_config, type_process
 
 from corpus import EXAMPLES, KCAFE1, planted_barista
+from term_helpers import active_thread
 
 SOURCES = {
     "cafe": (EXAMPLES / "cafe.gract").read_text(),
@@ -53,10 +54,10 @@ def _reference_alpha(m, alpha, s):
 
 
 def _is_choice_step(pre, s) -> bool:
-    if s.rule != "silent" or s.pos >= len(pre.processes):
+    # only an active thread's redex is a choice, so a choice step is `base`
+    if s.rule != "silent" or s.variant != "base":
         return False
-    p = pre.processes[s.pos]
-    return isinstance(p, Thread) and not p.suspended and isinstance(redex(p.expr), Choice)
+    return isinstance(redex(active_thread(pre, s.actor).expr), Choice)
 
 
 def reference_sr(prog, trace) -> dict:

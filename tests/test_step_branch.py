@@ -29,7 +29,7 @@ from gract.terms import (
 )
 
 from corpus import EXAMPLES, KCAFE1, NATEQ_BARISTA, TWO_CAFES
-from term_helpers import futures_produced_one
+from term_helpers import active_thread, futures_produced_one
 
 SOURCES = {p.name: p.read_text() for p in sorted(EXAMPLES.glob("*.gract"))}
 SOURCES.update(TWO_CAFES=TWO_CAFES, KCAFE1=KCAFE1, NATEQ_BARISTA=NATEQ_BARISTA)
@@ -42,10 +42,10 @@ MAX_STATES = 2000
 
 
 def _is_choice_step(pre, s) -> bool:
-    if s.rule != "silent" or s.pos >= len(pre.processes):
+    # only an active thread's redex is a choice, so a choice step is `base`
+    if s.rule != "silent" or s.variant != "base":
         return False
-    p = pre.processes[s.pos]
-    return isinstance(p, Thread) and not p.suspended and isinstance(redex(p.expr), Choice)
+    return isinstance(redex(active_thread(pre, s.actor).expr), Choice)
 
 
 def _choice_index(config, succ, s):
@@ -53,8 +53,8 @@ def _choice_index(config, succ, s):
     if not _is_choice_step(config, s):
         return None
     siblings = [t for t in succ
-                if t.pos == s.pos and t.rule == "silent" and t.variant == s.variant]
-    return redex(config.processes[s.pos].expr), siblings.index(s)
+                if t.actor == s.actor and t.rule == "silent" and t.variant == s.variant]
+    return redex(active_thread(config, s.actor).expr), siblings.index(s)
 
 
 def reference_branch(config, succ, s):

@@ -46,7 +46,7 @@ from gract.terms import (
 )
 
 from corpus import EXAMPLES, TWO_CAFES, cli_output, planted_barista
-from term_helpers import config_of
+from term_helpers import active_thread, config_of
 
 
 def _load(name):
@@ -240,7 +240,11 @@ def test_a_step_builds_each_process_once(monkeypatch):
         for s in step_config(cfg, cafe):
             if s.variant != "base" or s.rule not in ("call", "return", "spawn"):
                 continue
-            acting = cfg.processes[s.pos]
+            if s.rule == "spawn":  # the message, which the successor no longer holds
+                kept = {id(p) for p in s.config.processes}
+                acting = next(p for p in cfg.processes if type(p) is CallMsg and id(p) not in kept)
+            else:
+                acting = active_thread(cfg, s.actor)
             if s.rule == "call":
                 read, kind, future = (acting, cfg.next_future), CallMsg, s.label.future
             else:
@@ -419,7 +423,7 @@ def test_equal_steps_share_the_updated_thread():
     for cfg in explore(cafe, unfold=2).visited:
         first, again = step_config(cfg, cafe), step_config(cfg, cafe)
         assert all(s.config is not t.config for s, t in zip(first, again))
-        pairs += [(s.config.processes[s.pos], t.config.processes[t.pos])
+        pairs += [(active_thread(s.config, s.actor), active_thread(t.config, t.actor))
                   for s, t in zip(first, again) if s.rule == "silent"]
     assert pairs and all(p is q for p, q in pairs)
 
