@@ -65,8 +65,8 @@ def parse_expr(text: str, monoid: GradeMonoid, bound: frozenset[str] = frozenset
     p = Parser(text)
     p.monoid = monoid
     e = p.expr(bound)
-    if p.peek().kind != "EOF":
-        raise p.fail(f"trailing input {p.peek().text!r}")
+    if p.peek():
+        raise p.fail(f"trailing input {p.peek()!r}")
     return e
 
 

@@ -258,3 +258,31 @@ def test_one_level_deeper_is_a_located_parse_error(tmp_path, shape):
     assert (code, out) == (2, "")
     assert re.fullmatch(rf"{re.escape(path)}:4:\d+: expression nests deeper than {MAX_NESTING}\n",
                         err), err
+
+
+def _deep_type_program(tmp_path, n: int) -> str:
+    """A program whose operation parameter, and a method's parameter and
+    result, have a type of `n` nested `fut(`."""
+    ty = "fut(" * n + "Unit" + ", )" * n
+    path = tmp_path / f"fut-{n}.gract"
+    path.write_text(f"grade lin\nuse(x: {ty}): Unit\nA {{\n"
+                    f"  m(): Unit requires produces measure 0 {{ return unit }}\n"
+                    f"  g(x: {ty}): {ty} requires produces measure 0 {{ return x }}\n"
+                    f"}}\ninit ;\nstart A!m()\n")
+    return str(path)
+
+
+def test_the_deepest_type_checks_runs_and_explores(tmp_path, capsys):
+    path = _deep_type_program(tmp_path, MAX_NESTING)
+    for argv in (["check"], ["run", "--unsafe"], ["explore", "--unsafe"], ["sr", "--runs", "2"]):
+        assert main([argv[0], path, "--quiet", *argv[1:]]) == 0, argv
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [MAX_NESTING + 1, 1200])
+def test_a_type_nested_deeper_is_a_located_parse_error(tmp_path, n):
+    """Located at the first type past the limit, on the operation's line."""
+    path = _deep_type_program(tmp_path, n)
+    [(code, out, err)] = hash_seed_outputs(["-m", "gract.cli", "check", path], [0])
+    col = len("use(x: ") + len("fut(") * (MAX_NESTING + 1) + 1
+    assert (code, out, err) == (2, "", f"{path}:2:{col}: type nests deeper than {MAX_NESTING}\n")

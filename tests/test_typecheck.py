@@ -308,6 +308,31 @@ def test_shadowed_binder_rejected(cafe):
     assert e_.value.code == "ShadowedBinder"
 
 
+# `e1; e2` binds a fresh `_sN`; the body below sequences inside a `let`
+# whose binder the text names
+SPELLED_BINDER = """\
+grade lin
+A {
+  m(): Unit requires A: R^1 produces A: R^1 measure 4 {
+    let NAME = hold 1 R in (return unit; TAIL) }
+}
+init A: R^1;
+start A!m()
+"""
+
+
+@pytest.mark.parametrize("tail", ["release 1 NAME^1", "return unit", "release 1 NAME"])
+def test_a_sequencing_binder_never_captures_a_spelled_name(tail):
+    """`_s0` and `_s1` are legal names: a text that spells them gets the
+    error codes that the same text with `c` gets, and no ShadowedBinder."""
+    codes = {}
+    for name in ("c", "_s0", "_s1"):
+        text = SPELLED_BINDER.replace("TAIL", tail).replace("NAME", name)
+        codes[name] = [e["code"] for e in check_program(parse_program(text))["errors"]]
+    assert codes["_s0"] == codes["_s1"] == codes["c"], codes
+    assert "ShadowedBinder" not in codes["c"]
+
+
 def test_weakening_by_droppable_context(cafe):
     # adding variables the expression can drop at a leaf never breaks it
     rng = random.Random(5)
