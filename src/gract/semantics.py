@@ -22,7 +22,7 @@ that could enable a rule.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Optional
 
@@ -442,7 +442,7 @@ def _step_entry(config: Configuration, prog: Program, thread: Thread, rx: Expr,
     branches = (rx.left, rx.right) if type(rx) is Choice else (None,)
     steps = table[key] = []
     for (label, env2, expr2), branch in zip(res, branches):
-        built = (replace(thread, env=env2, expr=expr2),)
+        built = (Thread(env2, expr2, thread.future, thread.actor, fut=thread.fut),)
         if type(label) is CallLbl:
             sig = prog.signatures.get((label.actor, label.method))
             built = (CallMsg(label.future, label.actor, label.method, label.args,

@@ -144,6 +144,7 @@ class Lit(ValueExpr):
 
 class Expr:
     _hash = None  # see _hash_once
+    _free = None  # see free_vars
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,13 @@ def _rename_ve(v: ValueExpr, old: str, new: str) -> ValueExpr:
 
 
 def rename_var(e: Expr, old: str, new: str) -> Expr:
-    """Capture-avoiding variable renaming; grades ride along unchanged.
-    Dispatches on the node's exact class, as it runs on every let step."""
+    """Capture-avoiding variable renaming; grades ride along unchanged. A
+    node in which `old` is not free is returned as it is, so the result
+    shares every subterm the renaming leaves alone and builds only the
+    path to `old`'s uses. Dispatches on the node's exact class, as it runs
+    on every let step."""
+    if old not in free_vars(e):
+        return e
     k = type(e)
     if k is Let:
         body = e.body if e.var == old else rename_var(e.body, old, new)
@@ -261,11 +267,7 @@ def rename_var(e: Expr, old: str, new: str) -> Expr:
         return Release(e.grade, _rename_ve(e.target, old, new))
     if k is PrimOp:
         return PrimOp(e.op, tuple(_rename_ve(x, old, new) for x in e.args))
-    if k is Choice:
-        return Choice(rename_var(e.left, old, new), rename_var(e.right, old, new))
-    if k is Hold:
-        return e
-    raise TypeError(f"not an expression: {e!r}")
+    return Choice(rename_var(e.left, old, new), rename_var(e.right, old, new))
 
 
 def parts(e: Expr) -> tuple[tuple[Expr, ...], tuple[ValueExpr, ...]]:
@@ -287,11 +289,19 @@ def parts(e: Expr) -> tuple[tuple[Expr, ...], tuple[ValueExpr, ...]]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def free_vars(e: Expr) -> set[str]:
-    if type(e) is Let:
-        return free_vars(e.bound) | (free_vars(e.body) - {e.var})
-    subs, values = parts(e)
-    return {v.name for v in values if type(v) is not Lit}.union(*map(free_vars, subs))
+def free_vars(e: Expr) -> frozenset[str]:
+    """The variables free in `e`, computed on first use and kept on the
+    node, as its hash is (see `_hash_once`)."""
+    f = e._free
+    if f is None:
+        if type(e) is Let:
+            f = free_vars(e.bound) | (free_vars(e.body) - {e.var})
+        else:
+            subs, values = parts(e)
+            f = frozenset({v.name for v in values if type(v) is not Lit}).union(
+                *map(free_vars, subs))
+        object.__setattr__(e, "_free", f)
+    return f
 
 
 def futures_in_value(v: Value) -> set[str]:
@@ -464,8 +474,12 @@ def entry(pairs: tuple, key, default=()):
 
 
 def with_entry(pairs: tuple, key, value) -> tuple:
-    """`pairs`, (key, value) pairs sorted by key, with `key` set to `value`."""
-    return tuple(sorted({**dict(pairs), key: value}.items()))
+    """`pairs`, (key, value) pairs sorted by key, with `key` set to `value`:
+    one splice at `key`'s place, sharing every other pair."""
+    for i, (k, _) in enumerate(pairs):
+        if k >= key:
+            return pairs[:i] + ((key, value),) + pairs[i + (k == key):]
+    return pairs + ((key, value),)
 
 
 def well_formed(processes: tuple[Process, ...]) -> list[str]:

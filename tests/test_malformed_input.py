@@ -7,6 +7,7 @@ corpus with exit code 0, 1 or 2, and an expression nested deeper than
 deep is checked, run, explored and law-checked.
 """
 
+import json
 import random
 import re
 import sys
@@ -14,9 +15,11 @@ import unicodedata
 
 import pytest
 
+from gract import terms
 from gract.cli import main
 from gract.grades import GradeParseError, NatExact, NatLeq
-from gract.parser import MAX_NESTING, ParseError, tokenize
+from gract.parser import MAX_NESTING, ParseError, parse_program, tokenize
+from gract.terms import parts
 
 from corpus import EXAMPLES, hash_seed_outputs
 
@@ -248,6 +251,35 @@ def test_the_deepest_nesting_checks_runs_and_explores(tmp_path, capsys, shape):
     for argv in (["check"], ["run", "--unsafe"], ["explore", "--unsafe"], ["sr", "--runs", "2"]):
         assert main([argv[0], path, "--quiet", *argv[1:]]) == 0, argv
     assert capsys.readouterr().err == ""
+
+
+def test_a_deep_sequence_explores_computing_each_nodes_free_variables_once(
+        tmp_path, capsys, monkeypatch):
+    """A `;` binder prints as `;` when its variable is not free in the
+    body, and exploring prints every distinct thread; each node keeps its
+    free variables, and a `let` step shares the body it does not rename,
+    so the exploration computes free variables at most once per node of
+    the method body (256 lets and 257 returns)."""
+    path = _deep_program(tmp_path, "sequence", MAX_NESTING)
+    [decl] = parse_program(path.read_text()).actors["A"].methods.values()
+    nodes = 0
+    todo = [decl.body]
+    while todo:
+        nodes += 1
+        todo += parts(todo.pop())[0]
+    computed = 0
+    free_vars = terms.free_vars
+
+    def counting(e):
+        nonlocal computed
+        computed += getattr(e, "_free", None) is None
+        return free_vars(e)
+
+    monkeypatch.setattr(terms, "free_vars", counting)
+    assert main(["explore", str(path), "--unsafe", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["statesVisited"]) == ("FairTerminating", 259)
+    assert nodes == 2 * MAX_NESTING + 1 and computed <= nodes, (computed, nodes)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -43,9 +43,11 @@ from gract.terms import (
     Thread,
     UnitVal,
     Var,
+    free_vars,
+    parts,
 )
 
-from corpus import EXAMPLES, TWO_CAFES, cli_output, planted_barista
+from corpus import EXAMPLES, KCAFE1, TWO_CAFES, cli_output, planted_barista
 from term_helpers import active_thread, config_of
 
 
@@ -426,6 +428,32 @@ def test_equal_steps_share_the_updated_thread():
         pairs += [(active_thread(s.config, s.actor), active_thread(t.config, t.actor))
                   for s, t in zip(first, again) if s.rule == "silent"]
     assert pairs and all(p is q for p, q in pairs)
+
+
+def _subterms(e):
+    yield e
+    for sub in parts(e)[0]:
+        yield from _subterms(sub)
+
+
+@pytest.mark.parametrize("load", [lambda: _load("cafe.gract"), lambda: parse_program(KCAFE1)],
+                         ids=["cafe", "kcafe(1)"])
+def test_a_let_step_shares_every_subterm_the_renaming_leaves_alone(load):
+    """The thread a let step builds holds, as the very objects, every
+    subterm of the let's body in which the bound variable is not free."""
+    prog = load()
+    shared = 0
+    for cfg in explore(prog, unfold=2).visited:
+        for p in cfg.processes:
+            if type(p) is not Thread or type(rx := semantics.redex(p.expr)) is not Let:
+                continue
+            [(_, _, (stepped,), _)] = semantics._step_entry(cfg, prog, p, rx, None)
+            kept = {id(e) for e in _subterms(stepped.expr)}
+            for e in _subterms(rx.body):
+                if rx.var not in free_vars(e):
+                    assert id(e) in kept, (str(rx), str(e))
+                    shared += 1
+    assert shared > 100
 
 
 @pytest.mark.parametrize("case", range(2))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from gract.explorer import explore
 from gract.grades import Lin
 from gract.parser import parse_program
@@ -35,6 +37,7 @@ from gract.terms import (
     futures_in_expr,
     rename_var,
     well_formed,
+    with_entry,
 )
 
 from corpus import EXAMPLES, NATEQ_BARISTA, TWO_CAFES
@@ -225,7 +228,9 @@ def _walks_by_patterns(e):
             return a[0] | (b[0] - {x}), a[1] | b[1], a[2] | b[2]
 
 
-def test_walks_over_parts_match_the_pattern_matching_originals():
+def _corpus_expressions():
+    """Every subexpression of the corpus's method bodies and of the
+    threads an exploration of the natEq barista stores."""
     exprs = []
     for text in [p.read_text() for p in sorted(EXAMPLES.glob("*.gract"))] + [TWO_CAFES]:
         prog = parse_program(text)
@@ -238,9 +243,66 @@ def test_walks_over_parts_match_the_pattern_matching_originals():
         for p in config.processes:
             if type(p) is Thread:
                 exprs += _subexpressions(p.expr)
+    return exprs
+
+
+def test_walks_over_parts_match_the_pattern_matching_originals():
+    exprs = _corpus_expressions()
     assert len(exprs) > 1000 and any(futures_in_expr(e) for e in exprs)
     for e in exprs:
         assert (free_vars(e), futures_in_expr(e), calls_in(e)) == _walks_by_patterns(e)
+
+
+def test_rename_returns_a_node_without_the_variable_as_it_is():
+    """Renaming a variable that is not free in a node builds nothing; one
+    that is free builds a new node, whose free variables are the renamed
+    ones."""
+    shared = renamed = 0
+    for e in _corpus_expressions():
+        free = free_vars(e)
+        assert type(free) is frozenset and free_vars(e) is free  # computed once, kept
+        binders = {x.var for x in _subexpressions(e) if type(x) is Let}
+        for old in sorted(free | binders | {"q"}):
+            r = rename_var(e, old, "y#0")
+            if old in free:
+                assert r is not e and free_vars(r) == free - {old} | {"y#0"}
+                renamed += 1
+            else:
+                assert r is e
+                shared += 1
+    assert shared > 1000 and renamed > 1000
+
+
+def _with_entry_by_dict(pairs, key, value):
+    """The sorted dict round-trip that `with_entry`'s splice replaced."""
+    return tuple(sorted({**dict(pairs), key: value}.items()))
+
+
+# sorted pair tuples as `alpha` (str keys) and `call_counts` ((actor, method) keys) hold them
+_SORTED_ITEMS = st.one_of(
+    st.dictionaries(st.text("abc", max_size=3), st.integers(), min_size=1, max_size=6),
+    st.dictionaries(st.tuples(st.text("ab", max_size=2), st.text("ab", max_size=2)),
+                    st.integers(), min_size=1, max_size=6),
+).map(lambda d: tuple(sorted(d.items())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=_SORTED_ITEMS, at=st.integers(0, 5), value=st.integers())
+@example(items=(("a", 1),), at=0, value=2)  # into an empty tuple
+@example(items=(("a", 1), ("b", 2), ("c", 3)), at=0, value=4)  # at the front
+@example(items=(("a", 1), ("b", 2), ("c", 3)), at=1, value=4)  # in the middle
+@example(items=((("A", "m"), 1), (("B", "m"), 2), (("B", "n"), 3)), at=2, value=4)  # at the end
+def test_with_entry_splices_as_the_sorted_dict_did(items, at, value):
+    """Inserting the entry at `at` into the pairs without it, and replacing
+    its value in the pairs with it, each give what the dict round-trip
+    gives, sharing every untouched pair."""
+    at %= len(items)
+    key, old = items[at]
+    without = items[:at] + items[at + 1:]
+    for pairs, v in ((without, old), (items, value)):
+        got = with_entry(pairs, key, v)
+        assert got == _with_entry_by_dict(pairs, key, v)
+        assert all(p is q for p, q in zip(got[:at] + got[at + 1:], without))
 
 
 def test_fresh_names_are_monotone():
