@@ -25,6 +25,7 @@ from .semantics import (
     disconnected,
     initial_config,
     is_terminated,
+    iter_successors,
     label_str,
     step_config,
     stuck_diagnosis,
@@ -315,26 +316,26 @@ def helpful_chooser(prog: Program) -> Callable[[list[StepResult], int], int]:
 def check_helpful(prog: Program, configs: list[Configuration]) -> dict:
     """Every typable state that can still move must have a successor with a
     strictly smaller measure, and a typable state (resources included)
-    with no successor must have terminated. Pruning never hides successors
-    here."""
+    with no successor must have terminated. Successors are built in
+    process order until one is helpful; pruning never hides one here."""
     violations = []
     checked = 0
     for cfg in configs:
         mu = measure_of_config(prog, cfg)
         if mu is None:
             continue
-        succ = step_config(cfg, prog)
-        if not succ:
-            if not is_terminated(cfg) and type_config(prog, cfg)["ok"]:
-                checked += 1
-                violations.append({"code": "StuckState", "measure": mu,
-                                   "config": config_to_json(cfg)})
-            continue
+        moved = False
+        for s in iter_successors(cfg, prog):
+            moved = True
+            v = measure_of_config(prog, s.config)
+            if v is not None and v < mu:
+                break
+        else:  # no successor is helpful
+            if not moved and (is_terminated(cfg) or not type_config(prog, cfg)["ok"]):
+                continue
+            violations.append({"code": "NoHelpfulSuccessor" if moved else "StuckState",
+                               "measure": mu, "config": config_to_json(cfg)})
         checked += 1
-        mus = (measure_of_config(prog, s.config) for s in succ)
-        if not any(v is not None and v < mu for v in mus):
-            violations.append({"code": "NoHelpfulSuccessor", "measure": mu,
-                               "config": config_to_json(cfg)})
     return {"ok": not violations, "checked": checked, "violations": violations}
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .grades import GradeMonoid, ResourceEnv, format_grade
 from .terms import (
@@ -355,7 +355,7 @@ _RULE = {Tau: "silent", HoldLbl: "hold", RlsLbl: "rls", CallLbl: "call", FutLbl:
 
 
 def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
-                  variant: str) -> list[StepResult]:
+                  variant: str) -> Iterator[StepResult]:
     """Steps of the active `thread` at position i of `config`, which
     reflects the variant: a thread activated by `act` or `yld` steps as
     its active twin does. They come from the thread's step-table entry
@@ -366,12 +366,11 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
     reachable = _offered_future(procs, prog.monoid, thread, i) if type(rx) is Await else None
     steps = _step_entry(config, prog, thread, rx, reachable and reachable[:2])
     if type(steps) is Stuck:
-        return []
+        return
 
     m = prog.monoid
     a = thread.actor
     head, tail = procs[:i], procs[i + 1:]
-    out: list[StepResult] = []
     for rule, label, built, branch in steps:
         match label:
             case HoldLbl(r, g) | RlsLbl(r, g):
@@ -394,8 +393,7 @@ def _thread_steps(config: Configuration, prog: Program, thread: Thread, i: int,
             case _:  # silent or return; a let redex bound the fresh variable
                 c = config.copy(head + built + tail,
                                 next_var=config.next_var + 1 if type(rx) is Let else None)
-        out.append(StepResult(rule, label, c, a, variant, branch))
-    return out
+        yield StepResult(rule, label, c, a, variant, branch)
 
 
 def _step_entry(config: Configuration, prog: Program, thread: Thread, rx: Expr,
@@ -483,12 +481,12 @@ def _spawned(prog: Program, msg: CallMsg) -> Thread | str:
     return table[msg]
 
 
-def step_config(config: Configuration, prog: Program) -> list[StepResult]:
-    """Every successor reachable by one rule after folded rearrangement;
-    threads step through the program's step table (see `_thread_steps`).
-    A thread whose awaited future no fulfilment of `config` produces has
-    no step, and making room adds no fulfilment, so it is skipped before
-    room is made or its step-table entry read.
+def iter_successors(config: Configuration, prog: Program) -> Iterator[StepResult]:
+    """Every successor reachable by one rule after folded rearrangement,
+    each built when it is asked for; threads step through the program's
+    step table (see `_thread_steps`). A thread awaiting a future that no
+    fulfilment of `config` produces has no step and is skipped before
+    room is made (which adds no fulfilment) or its entry read.
 
     Successors come in the order of the processes that act, as they stand
     in `config`: a spawn at its message, an activation (`act` or `yld`) at
@@ -496,7 +494,6 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
     choice's left branch comes first."""
     m = prog.monoid
     fulfilled = {p.future for p in config.processes if type(p) is FulfilledFut}
-    out: list[StepResult] = []
     for i, p in enumerate(config.processes):
         if type(p) is Thread and (f := awaited(m, p)) is not None and f not in fulfilled:
             continue
@@ -510,18 +507,22 @@ def step_config(config: Configuration, prog: Program) -> list[StepResult]:
                     procs, pos, variant = freed
                     c = config.copy(procs[:pos] + (spawned,) + procs[pos + 1:])
                     # an idle actor is a spawn's base case
-                    out.append(StepResult("spawn", Tau(), c, p.actor,
-                                          "base" if variant == "act" else variant))
+                    yield StepResult("spawn", Tau(), c, p.actor,
+                                     "base" if variant == "act" else variant)
             case Thread(suspended=False):
-                out.extend(_thread_steps(config, prog, p, i, "base"))
+                yield from _thread_steps(config, prog, p, i, "base")
             case Thread():
                 freed = _free_actor(config.processes, m, p.actor, i)
                 if freed is not None:
                     procs, pos, variant = freed
                     active = p.twin(suspended=False)
                     base = config.copy(procs[:pos] + (active,) + procs[pos + 1:])
-                    out.extend(_thread_steps(base, prog, active, pos, variant))
-    return out
+                    yield from _thread_steps(base, prog, active, pos, variant)
+
+
+def step_config(config: Configuration, prog: Program) -> list[StepResult]:
+    """All of `config`'s successors, as `iter_successors` yields them."""
+    return list(iter_successors(config, prog))
 
 
 def stuck_diagnosis(config: Configuration, prog: Program) -> list[dict]:

@@ -515,28 +515,6 @@ def _type_atomic(prog: Program, p: Process,
     raise CheckError("TypeMismatch", f"not a process: {p!r}")
 
 
-def _type_atomic_memo(prog: Program, p: Process, visible: Sigma):
-    """_type_atomic through the program's typing table, `prog.typings`.
-
-    The table's process entries map each process (a value, so equal
-    processes share an entry; its declared future type is part of that
-    value) to _type_atomic's result and the (future, type) pairs that
-    result read from the visible futures: exactly the futures it consumed.
-    A hit counts only while each of those pairs still holds, so one table
-    serves every configuration the program is ever typed in: every run, SR
-    check, exploration and helpful check. A miss types the process again
-    and replaces its entry. Rejections are never stored, so an error is
-    always raised afresh, at its own location. Callers only read what the
-    table returns."""
-    table = prog.typings
-    seen = table.get(p)
-    if seen is not None and (not seen[1] or all(visible.get(f) == t for f, t in seen[1])):
-        return seen[0]
-    result = _type_atomic(prog, p, visible)
-    table[p] = result, tuple((f, visible[f]) for f in result[1])
-    return result
-
-
 def type_process(prog: Program, processes) -> ProcTyping:
     """Type a sequence of processes, composing left to right: a future
     may be consumed only after its producer, each exactly once.
@@ -551,7 +529,8 @@ def type_process(prog: Program, processes) -> ProcTyping:
     key = tuple(processes)
     pt = prog.typings.get(key)
     if pt is None:
-        reqs, measure, produced, marked = _compose(prog, key)
+        reqs: list[ActorContext] = []
+        measure, produced, marked = _compose(prog, key, reqs)
         m = prog.monoid
         requires: ActorContext = {}
         # summed in place, normalized once below: no algebra sums non-zero
@@ -567,16 +546,22 @@ def type_process(prog: Program, processes) -> ProcTyping:
                     have[r] = m.plus(have[r], g) if r in have else g
         requires = ctx_norm(m, requires)
         pt = prog.typings[key] = ProcTyping(
-            requires, measure, produced, marked, tuple(well_formed(key)),
+            requires, measure, produced, frozenset(marked), tuple(well_formed(key)),
             _grades_json(requires), frozenset(produced) - marked)
     return pt
 
 
-def _compose(prog: Program, processes) -> tuple:
-    """The left-to-right composition through the per-process entries: each
-    process's `requires` in order, which only `type_process` sums, the
-    measure, and the produced and marked futures."""
-    reqs: list[ActorContext] = []
+def _compose(prog: Program, processes, reqs: Optional[list] = None) -> tuple:
+    """The left-to-right composition: the measure, the produced and the
+    marked futures; each process's `requires` goes to `reqs` if given.
+    Each process is read inline from the program's typing table,
+    `prog.typings`, which maps it (a value, so equal processes share an
+    entry) to `_type_atomic`'s result and the futures that result read
+    with their types, sorted. A hit counts only while those still hold, so
+    one table serves every configuration the program is typed in; a miss
+    types the process afresh and replaces its entry. Rejections are never
+    stored, so each is raised at its own location."""
+    table = prog.typings
     measure = 0
     # the futures produced so far are the ones visible to the next process;
     # marked futures stay resolvable so reuse is reported as reuse, not as
@@ -584,27 +569,39 @@ def _compose(prog: Program, processes) -> tuple:
     produced: dict[str, FutT] = {}
     marked: set[str] = set()
     for p in processes:
-        try:
-            req, futs, n, prod = _type_atomic_memo(prog, p, produced)
-        except CheckError as err:
-            # a future some later process produces, looked for only on this error
-            if err.code == "UnknownFuture" and any(
-                    type(q) is not Idle and q.future == err.detail for q in processes):
-                raise CheckError("FutureConsumedBeforeProduced",
-                                 f"future {err.detail}", err.loc) from None
-            raise
-        # each consumed future is in `produced`: `_type_atomic_memo` read it there
-        for f in sorted(futs) if futs else ():
+        seen = table.get(p)
+        if seen is not None:
+            # a read type is most often its producer's very object: test identity first
+            for f, t in seen[1]:
+                if produced.get(f) is not t and produced.get(f) != t:
+                    seen = None
+                    break
+        if seen is None:
+            try:
+                result = _type_atomic(prog, p, produced)
+            except CheckError as err:
+                # a future some later process produces, looked for only on this error
+                if err.code == "UnknownFuture" and any(
+                        type(q) is not Idle and q.future == err.detail for q in processes):
+                    raise CheckError("FutureConsumedBeforeProduced",
+                                     f"future {err.detail}", err.loc) from None
+                raise
+            # each consumed future is in `produced`: `_type_atomic` read it there
+            seen = table[p] = result, tuple((f, produced[f]) for f in sorted(result[1]))
+        (req, _, n, prod), reads = seen
+        for f, _ in reads:
             if f in marked:
                 raise CheckError("MarkedReuse", f"future {f} consumed twice")
             marked.add(f)
-        for f, t in prod.items():
-            if f in produced:
-                raise CheckError("DoubleProduce", f"future {f}")
-            produced[f] = t
-        reqs.append(req)
+        if prod:
+            for f, t in prod.items():
+                if f in produced:
+                    raise CheckError("DoubleProduce", f"future {f}")
+                produced[f] = t
+        if reqs is not None:
+            reqs.append(req)
         measure += n
-    return reqs, measure, produced, frozenset(marked)
+    return measure, produced, marked
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +641,13 @@ def type_config(prog: Program, config: Configuration) -> dict:
 
 def measure_of_config(prog: Program, config: Configuration) -> Optional[int]:
     """The configuration's measure, None if it does not type. Composed
-    through the per-process entries only, and nothing is summed: the
-    measure does not read `requires`. An exploration's states are
-    distinct sequences (10,661 of them on the full k=2 k-cafe), so a
-    sequence entry would cost memory and never be hit."""
+    through the per-process entries only; no `requires` is kept. The
+    states of an exploration are distinct sequences (10,661 on the full
+    k=2 k-cafe): a sequence entry would be hit only when `check_helpful`
+    measures a state again, and hashing the sequence for it costs about
+    as much as composing it."""
     try:
-        return _compose(prog, config.processes)[1]
+        return _compose(prog, config.processes)[0]
     except CheckError:
         return None
 

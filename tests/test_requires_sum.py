@@ -24,7 +24,7 @@ def _ordered(ctx):
 
 def test_requires_equal_the_ctx_plus_fold(monkeypatch):
     seen = []
-    real = typecheck._type_atomic_memo
+    real = typecheck._type_atomic
 
     def recording(*args):
         out = real(*args)
@@ -35,14 +35,15 @@ def test_requires_equal_the_ctx_plus_fold(monkeypatch):
     for source, bounds in PROGRAMS:
         prog = parse_program(source)
         m = prog.monoid
-        # states that differ only outside their processes share a sequence,
-        # whose second typing is the table's and records no process typing
+        # states that differ only outside their processes share a sequence
         sequences = dict.fromkeys(tuple(cfg.processes)
                                   for cfg in explore(prog, **bounds).visited)
         with monkeypatch.context() as mp:
-            mp.setattr(typecheck, "_type_atomic_memo", recording)
+            mp.setattr(typecheck, "_type_atomic", recording)
             for processes in sequences:
                 seen.clear()
+                # against an empty table every process is typed, and recorded, afresh
+                prog.typings = {}
                 got = type_process(prog, processes).requires
                 want: dict = {}
                 for req in seen:

@@ -62,32 +62,30 @@ def states(cafe):
     return rep.visited
 
 
-def _afresh(prog, p, visible):
-    return typecheck._type_atomic(prog, p, visible)
-
-
-_type_process = typecheck.type_process
-
-
-def _sequence_afresh(prog, processes):
-    kept, prog.typings = prog.typings, {}
-    try:
-        return _type_process(prog, processes)
-    finally:
-        prog.typings = kept
+def _afresh(typing):
+    """`typing` against a throwaway table: the program's is neither read
+    nor written, so every process and sequence is typed afresh."""
+    def typed_afresh(prog, arg):
+        kept, prog.typings = prog.typings, {}
+        try:
+            return typing(prog, arg)
+        finally:
+            prog.typings = kept
+    return typed_afresh
 
 
 @contextmanager
 def without_memo():
-    """Type every process and every sequence afresh: the program's table
-    is neither read nor written. `type_process` is replaced in every
-    module that imported it, this one included, by a call that types
-    against a throwaway table."""
+    """Type every process and every sequence afresh. `type_process` and
+    `measure_of_config`, which read the program's typing table, are
+    replaced in every module that imported them, this one included, by
+    calls that type against a throwaway table."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(typecheck, "_type_atomic_memo", _afresh)
-        for module in list(sys.modules.values()):
-            if vars(module).get("type_process") is _type_process:
-                mp.setattr(module, "type_process", _sequence_afresh)
+        for name in ("type_process", "measure_of_config"):
+            real = getattr(typecheck, name)
+            for module in list(sys.modules.values()):
+                if vars(module).get(name) is real:
+                    mp.setattr(module, name, _afresh(real))
         yield
 
 
@@ -338,9 +336,9 @@ def composed(monkeypatch):
     calls = []
     real = typecheck._compose
 
-    def counting(prog, processes):
+    def counting(prog, processes, *reqs):
         calls.append(tuple(processes))
-        return real(prog, processes)
+        return real(prog, processes, *reqs)
 
     monkeypatch.setattr(typecheck, "_compose", counting)
     return calls
