@@ -16,7 +16,6 @@ resolves no actor, method or resource names.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from itertools import islice
 from typing import Callable, Iterator, TypeVar
 
@@ -128,9 +127,9 @@ def locate(text: str, i: int) -> tuple[int, int]:
 
 
 def lex(text: str) -> tuple[list[str], list[str]]:
-    """The texts and kinds of the tokens of `text`, without the end of
-    input; `⊕` reads as `(+)`. No position is computed unless a stray
-    character is found."""
+    """The texts and kinds (IDENT, NAT or PUNCT) of the tokens of `text`,
+    without the end of input; `⊕` reads as `(+)`. No position is computed
+    unless a stray character is found."""
     toks = _TOKEN.findall(text)
     # the end of input matches once, or twice after a final skip
     del toks[toks.index(""):]
@@ -142,16 +141,6 @@ def lex(text: str) -> tuple[list[str], list[str]]:
     if "⊕" in kind:
         toks = ["(+)" if t == "⊕" else t for t in toks]
     return toks, kinds
-
-
-# kind is IDENT, NAT, PUNCT or EOF
-Token = namedtuple("Token", "kind text line col")
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text` with their positions, ending in EOF."""
-    toks, kinds = lex(text)
-    return list(map(Token, kinds + ["EOF"], toks + [""], *zip(*positions(text))))
 
 
 T = TypeVar("T")

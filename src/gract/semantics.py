@@ -267,22 +267,16 @@ def redex(e: Expr) -> Expr:
     return e
 
 
-def awaiting_future(m: GradeMonoid, env: LocalEnv, e: Expr) -> Optional[str]:
-    """The future this thread's redex waits for, if it is an await."""
-    r = redex(e)
-    if not isinstance(r, Await):
-        return None
-    try:
-        _, v = eval_value_expr(m, env, r.target)
-    except Stuck:
-        return None
-    return v.name if isinstance(v, FutRef) else None
-
-
 def awaited(m: GradeMonoid, thread: Thread) -> Optional[str]:
-    """`awaiting_future` of the thread, computed once and kept on it."""
+    """The future the thread's redex waits for, if it is an await;
+    computed once and kept on the thread."""
     if thread._awaits is ...:
-        object.__setattr__(thread, "_awaits", awaiting_future(m, thread.env, thread.expr))
+        r = redex(thread.expr)
+        try:
+            v = eval_value_expr(m, thread.env, r.target)[1] if type(r) is Await else None
+        except Stuck:
+            v = None
+        object.__setattr__(thread, "_awaits", v.name if isinstance(v, FutRef) else None)
     return thread._awaits
 
 

@@ -531,20 +531,10 @@ def type_process(prog: Program, processes) -> ProcTyping:
     if pt is None:
         reqs: list[ActorContext] = []
         measure, produced, marked = _compose(prog, key, reqs)
-        m = prog.monoid
         requires: ActorContext = {}
-        # summed in place, normalized once below: no algebra sums non-zero
-        # grades to zero, so this is the ctx_plus fold, key order included;
-        # each req may be the table's, so it is only read
-        for req in reqs:
-            for actor, env in req.items():
-                have = requires.get(actor)
-                if have is None:
-                    requires[actor] = dict(env)
-                    continue
-                for r, g in env.items():
-                    have[r] = m.plus(have[r], g) if r in have else g
-        requires = ctx_norm(m, requires)
+        # most processes require nothing, and adding {} only normalizes again
+        for req in filter(None, reqs):
+            requires = ctx_plus(prog.monoid, requires, req)
         pt = prog.typings[key] = ProcTyping(
             requires, measure, produced, frozenset(marked), tuple(well_formed(key)),
             _grades_json(requires), frozenset(produced) - marked)

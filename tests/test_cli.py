@@ -105,6 +105,17 @@ def test_run_json_is_deterministic(capsys):
     assert doc["steps"][0]["schema"] == "gract/1"
 
 
+def test_run_helpful_terminates(capsys):
+    """The README's quick tour: the helpful scheduler takes the successor
+    of smallest measure at each step."""
+    assert run_cli(["run", CAFE, "--strategy", "helpful", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "terminated"
+    assert doc["initialMeasure"] == 41
+    # as recorded at 2c81492
+    assert doc["stepCount"] == 41
+
+
 def test_run_replay_follows_script(capsys):
     assert run_cli(["run", CAFE, "--replay", REPLAY, "--steps", "14", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,6 @@
 """Malformed input ends in a diagnosis, never in a traceback.
 
-The tokenizer's classes agree with Python's own character predicates on
+The lexer's classes agree with Python's own character predicates on
 every code point, `gract check` answers every token-level mutant of the
 corpus with exit code 0, 1 or 2, and an expression nested deeper than
 `MAX_NESTING` is a parse error (exit 2), while one nested exactly that
@@ -18,7 +18,7 @@ import pytest
 from gract import terms
 from gract.cli import main
 from gract.grades import GradeParseError, NatExact, NatLeq
-from gract.parser import MAX_NESTING, ParseError, parse_program, tokenize
+from gract.parser import MAX_NESTING, ParseError, lex, parse_program, positions
 from gract.terms import parts
 
 from corpus import EXAMPLES, hash_seed_outputs
@@ -55,7 +55,7 @@ def _then(first, c: str):
 def predicted(c: str) -> dict:
     """For each of c, "a"+c, c+"a" and "1"+c: its (kind, text) tokens as
     str.isalpha, isalnum and isdecimal predict them, or None where the
-    tokenizer must report a stray character."""
+    lexer must report a stray character."""
     kind = _kind(c)
     if kind == "IDENT":
         before_a = [("IDENT", c + "a")]
@@ -72,19 +72,20 @@ def predicted(c: str) -> dict:
 
 
 def _pairs(text: str):
-    return [(t.kind, t.text) for t in tokenize(text)[:-1]]
+    toks, kinds = lex(text)
+    return list(zip(kinds, toks))
 
 
 def _assert_stray(text: str, c: str):
     with pytest.raises(ParseError) as err:
-        tokenize(text)
+        lex(text)
     assert err.value.message == f"stray character {c!r}"
     assert (err.value.line, err.value.col) == (1, text.index(c) + 1)
 
 
 def test_tokens_follow_the_character_predicates_on_every_code_point():
-    """Every text predicted to tokenize is checked, in batches joined by
-    spaces. Each stray is checked alone, since a tokenizer stops at its
+    """Every text predicted to lex is checked, in batches joined by
+    spaces. Each stray is checked alone, since the lexer stops at its
     first one. Every assigned code point is checked, and every 61st of the
     unassigned, private-use and surrogate ones: no predicate holds for
     any of these, so each is a stray four times over, and a stray costs a
@@ -107,7 +108,7 @@ def test_tokens_follow_the_character_predicates_on_every_code_point():
     wrong = []
     for text, c in strays:
         try:
-            tokenize(text)
+            lex(text)
         except ParseError as err:
             if err.message == f"stray character {c!r}" and err.col == text.index(c) + 1:
                 continue
@@ -157,15 +158,16 @@ def test_check_reports_a_non_decimal_digit_as_a_parse_error(tmp_path, capsys, ol
     assert capsys.readouterr().err == f"{path}:{where}\n"
 
 
-# Inserted tokens: the corpus's own, and texts the tokenizer must handle
+# Inserted tokens: the corpus's own, and texts the lexer must handle
 # with care: a non-decimal digit, the circled plus, a comment, a stray.
 EXTRA = ["²", "¹²", "⊕", "//", "#", "(+)", "<=", "0", "inf", "9"]
 
 
 def _token_lines(text: str) -> list[list[str]]:
     lines: list[list[str]] = [[] for _ in text.splitlines()]
-    for t in tokenize(text)[:-1]:
-        lines[t.line - 1].append("(+)" if t.text == "⊕" else t.text)
+    # lex reads `⊕` as `(+)`
+    for t, (line, _) in zip(lex(text)[0], positions(text)):
+        lines[line - 1].append(t)
     return lines
 
 

@@ -1,6 +1,6 @@
-"""`type_process` sums the processes' `requires` in place and normalizes
-once; the result, dict key order included, must be the left-to-right
-`ctx_plus` fold of the same contexts."""
+"""`type_process` sums the processes' `requires`; the result, dict key
+order included, must be the left-to-right `ctx_plus` fold of the same
+contexts."""
 
 from gract import typecheck
 from gract.explorer import explore

@@ -16,7 +16,6 @@ from gract.semantics import (
     Tau,
     apply_primop,
     awaited,
-    awaiting_future,
     config_to_json,
     disconnected,
     eval_value_expr,
@@ -178,7 +177,7 @@ def test_await_takes_offered_value(cafe):
 def test_await_without_offer_waits(cafe):
     env = {"y": FutRef("f#2")}
     assert step_expr(M, env, Await(Var("y")), cafe, "f#9", "y#9", None, {}) == []
-    assert awaiting_future(M, env, Await(Var("y"))) == "f#2"
+    assert awaited(M, Thread(env, Await(Var("y")), "f#9", "C")) == "f#2"
 
 
 def test_choice_offers_both_branches(cafe):
@@ -221,23 +220,25 @@ def test_primop_rejects_wrong_shape(cafe):
 
 def test_awaiting_future_sees_through_lets():
     e = Let("a", Await(Var("y")), Return(Lit(UnitVal())))
-    assert awaiting_future(M, {"y": FutRef("f#1")}, e) == "f#1"
-    assert awaiting_future(M, {}, Return(Lit(UnitVal()))) is None
-    assert awaiting_future(M, {}, Hold(1, "CC")) is None
+    assert awaited(M, Thread({"y": FutRef("f#1")}, e, "f#9", "C")) == "f#1"
+    assert awaited(M, Thread({}, Return(Lit(UnitVal())), "f#9", "C")) is None
+    assert awaited(M, Thread({}, Hold(1, "CC"), "f#9", "C")) is None
 
 
 @pytest.mark.parametrize("name", ["cafe", "cafe-nocup", "clearance", "linear-future",
                                   "recursive-unsolvable", "two-cafes"])
 def test_the_awaited_cache_agrees_with_awaiting_future(name):
-    """Every thread of the explored states awaits what `awaiting_future`
-    says, whether exploring cached it or `awaited` computes it now."""
+    """Every thread of the explored states awaits what `awaited` says of
+    a fresh, uncached thread with the same fields, whether exploring
+    cached it or `awaited` computes it now."""
     text = TWO_CAFES if name == "two-cafes" else (EXAMPLES / f"{name}.gract").read_text()
     prog = parse_program(text)
     rep = explore(prog, unfold=2, max_states=1000)
     threads = {id(p): p for cfg in rep.visited for p in cfg.processes if isinstance(p, Thread)}
     assert any(t._awaits is not ... for t in threads.values())
     for t in threads.values():
-        assert awaited(prog.monoid, t) == awaiting_future(prog.monoid, t.env, t.expr)
+        fresh = Thread(t.env, t.expr, t.future, t.actor, t.suspended, t.fut)
+        assert awaited(prog.monoid, t) == awaited(prog.monoid, fresh)
 
 
 # ---------------------------------------------------------------------------
